@@ -6,13 +6,28 @@ strong generating set built by a deterministic Schreier-Sims procedure, so
 orders are exact arbitrary-precision integers and every derived object
 (orbits, block systems, transversals, element enumeration) comes out in a
 reproducible order.
+
+Answers depend on that order: a query's representative and its automorphism
+generators are the first elements the enumeration of ``elements()`` or
+``transversal_cosets`` finds, so any change to the chain's shape (base,
+generators placed at each level, tree shape) or to the enumeration order
+changes output bytes.  Work is saved only where it leaves the chain and the
+order as they are.  Two caches serve that:
+
+- each chain level keeps the inverse of every transversal element next to
+  the element, and the tree edges whose Schreier generators are trivial;
+- ``GroupHom`` keeps its two chains over the combined source and target
+  action.  The target-first chain serves ``preimage`` and also ``kernel``,
+  whose generators it already holds; the source-first chain is built on the
+  first ``apply``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class DegreeMismatch(ValueError):
@@ -74,8 +89,7 @@ class Permutation:
         # apply self first, then other
         if len(self.images) != len(other.images):
             raise DegreeMismatch("cannot compose degree %d with degree %d" % (self.degree, other.degree))
-        o = other.images
-        return Permutation._raw(tuple(o[i] for i in self.images))
+        return Permutation._raw(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -139,27 +153,39 @@ class Permutation:
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point with its Schreier tree."""
+    """One level of a stabilizer chain: a base point with its Schreier tree.
 
-    __slots__ = ("point", "gens", "transversal")
+    ``inverses[beta]`` is the inverse of ``transversal[beta]``.  ``edges``
+    holds the pairs (beta, k) whose tree generator k discovered a new point
+    from beta; their Schreier generators are the identity.
+    """
+
+    __slots__ = ("point", "gens", "transversal", "inverses", "edges")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
+        self.inverses: dict[int, Permutation] = {}
+        self.edges: set[tuple[int, int]] = set()
 
     def rebuild(self, degree: int, tree_gens: Sequence[Permutation]) -> None:
         """Breadth-first Schreier tree; generator order fixes the shape."""
         ident = Permutation.identity(degree)
+        gen_invs = [g.inverse() for g in tree_gens]
         self.transversal = {self.point: ident}
+        self.inverses = {self.point: ident}
+        self.edges = set()
         queue = [self.point]
-        while queue:
-            beta = queue.pop(0)
+        for beta in queue:
             u = self.transversal[beta]
-            for g in tree_gens:
+            u_inv = self.inverses[beta]
+            for k, g in enumerate(tree_gens):
                 gamma = g.images[beta]
                 if gamma not in self.transversal:
                     self.transversal[gamma] = u * g
+                    self.inverses[gamma] = gen_invs[k] * u_inv
+                    self.edges.add((beta, k))
                     queue.append(gamma)
 
 
@@ -211,8 +237,10 @@ class PermGroup:
             self._ensure_base_covers(residue)
             j = min(j, len(self._levels) - 1)
             self._levels[j].gens.append(residue)
-            self._rebuild_from(len(self._levels) - 1)
-            i = len(self._levels) - 1
+            # the deeper levels (index > j) keep their trees and passed
+            # this check already, so resume at level j
+            self._rebuild_from(j)
+            i = j
 
     def _ensure_base_covers(self, g: Permutation) -> None:
         if g.is_identity():
@@ -238,28 +266,32 @@ class PermGroup:
         """Sift the Schreier generators of level i through the chain below."""
         lvl = self._levels[i]
         tree_gens = self._tree_gens(i)
+        ident = tuple(range(self.degree))
         for beta in sorted(lvl.transversal):
-            u = lvl.transversal[beta]
-            for g in tree_gens:
-                target = g.images[beta]
-                schreier = u * g * lvl.transversal[target].inverse()
-                residue, j = self._sift(schreier, start=i + 1)
-                if not residue.is_identity():
-                    return residue, j
+            u = lvl.transversal[beta].images
+            for k, g in enumerate(tree_gens):
+                if (beta, k) in lvl.edges:
+                    continue
+                t_inv = lvl.inverses[g.images[beta]].images
+                schreier = tuple(map(t_inv.__getitem__, map(g.images.__getitem__, u)))
+                residue, j = self._sift(schreier, i + 1)
+                if residue != ident:
+                    return Permutation._raw(residue), j
         return None
 
-    def _sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Return (residue, level index where sifting stopped)."""
-        r = g
-        for j in range(start, len(self._levels)):
-            lvl = self._levels[j]
-            beta = r.images[lvl.point]
+    def _sift(self, r: tuple, start: int) -> tuple[tuple, int]:
+        """Sift an image table; return (residue table, level where it stopped)."""
+        levels = self._levels
+        for j in range(start, len(levels)):
+            lvl = levels[j]
+            beta = r[lvl.point]
             if beta == lvl.point:
                 continue
-            if beta not in lvl.transversal:
+            inv = lvl.inverses.get(beta)
+            if inv is None:
                 return r, j
-            r = r * lvl.transversal[beta].inverse()
-        return r, len(self._levels)
+            r = tuple(map(inv.images.__getitem__, r))
+        return r, len(levels)
 
     # -- queries -----------------------------------------------------------
 
@@ -276,8 +308,8 @@ class PermGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._sift(g)
-        return residue.is_identity()
+        residue, _ = self._sift(g.images, 0)
+        return residue == tuple(range(self.degree))
 
     def is_trivial(self) -> bool:
         return self.order() == 1
@@ -296,16 +328,18 @@ class PermGroup:
         Elements decompose uniquely as u_m * ... * u_0 with u_i a level-i
         transversal representative (deeper factors applied first).
         """
-        levels = [lvl for lvl in self._levels if len(lvl.transversal) > 1]
+        yield from self.elements_where((), None)
 
-        def rec(i: int, acc: Permutation) -> Iterator[Permutation]:
-            if i == len(levels):
-                yield acc
-                return
-            for beta in sorted(levels[i].transversal):
-                yield from rec(i + 1, levels[i].transversal[beta] * acc)
+    def elements_where(self, points: Iterable[int],
+                       ok: Optional[Callable[[int, int], bool]]) -> Iterator[Permutation]:
+        """The elements g with ``ok(p, g(p))`` for every p in ``points``.
 
-        yield from rec(0, Permutation.identity(self.degree))
+        Yields them in the order of :meth:`elements`, which is this routine
+        with no points.
+        """
+        tables = [[lvl.transversal[beta] for beta in sorted(lvl.transversal)]
+                  for lvl in self._levels if len(lvl.transversal) > 1]
+        yield from _products(tables, Permutation.identity(self.degree), points, ok)
 
     def orbit(self, point: int) -> list[int]:
         seen = {point}
@@ -442,6 +476,8 @@ class PermGroup:
         pts = sorted(set(points))
         if not pts:
             return self
+        if pts[0] < 0 or pts[-1] >= self.degree:
+            raise ValueError("points must lie in 0..%d" % (self.degree - 1))
         rebuilt = PermGroup(self.generators, self.degree, base_prefix=pts)
         gens = []
         for lvl in rebuilt._levels[len(pts):]:
@@ -542,14 +578,21 @@ class GroupHom:
         self.target_degree = target_degree
         self.gen_images = tuple(images)
         n, k = source.degree, target_degree
-        combined = [
+        self._combined = [
             Permutation(tuple(g.images) + tuple(n + j for j in im.images))
             for g, im in zip(source.generators, images)
         ]
-        self._src_first = PermGroup(combined, n + k, base_prefix=self._moved(combined, 0, n))
-        self._tgt_first = PermGroup(combined, n + k, base_prefix=self._moved(combined, n, n + k))
-        if self._src_first.order() != source.order():
+        self._tgt_first = PermGroup(self._combined, n + k,
+                                    base_prefix=self._moved(self._combined, n, n + k))
+        if self._tgt_first.order() != source.order():
             raise ValueError("generator images do not define a homomorphism")
+
+    @functools.cached_property
+    def _src_first(self) -> PermGroup:
+        # only apply() reads this chain, so it is built on first use
+        n = self.source.degree
+        return PermGroup(self._combined, n + self.target_degree,
+                         base_prefix=self._moved(self._combined, 0, n))
 
     @staticmethod
     def _moved(perms: Sequence[Permutation], lo: int, hi: int) -> list[int]:
@@ -565,9 +608,8 @@ class GroupHom:
             needed = acc_inv.images[want[lvl.point]]
             if needed not in lvl.transversal:
                 return None
-            u = lvl.transversal[needed]
-            acc = u * acc
-            acc_inv = acc.inverse()
+            acc = lvl.transversal[needed] * acc
+            acc_inv = acc_inv * lvl.inverses[needed]
         for p, q in want.items():
             if acc.images[p] != q:
                 return None
@@ -585,11 +627,18 @@ class GroupHom:
         return PermGroup(self.gen_images, self.target_degree)
 
     def kernel(self) -> PermGroup:
+        # The target-first chain starts with the moved target points; the
+        # strong generators placed after that prefix fix every target point
+        # and generate the kernel.  They are the generators a pointwise
+        # stabilizer of the prefix would return, so no chain is rebuilt.
         n = self.source.degree
-        tgt_points = [lvl.point for lvl in self._tgt_first._levels if lvl.point >= n]
-        sub = self._tgt_first.pointwise_stabilizer(tgt_points)
-        gens = [Permutation(g.images[:n]) for g in sub.generators]
-        return PermGroup(gens, n)
+        chain = self._tgt_first
+        prefix = sum(1 for lvl in chain._levels if lvl.point >= n)
+        if prefix == 0:
+            gens = chain.generators
+        else:
+            gens = [g for lvl in chain._levels[prefix:] for g in lvl.gens]
+        return PermGroup([Permutation._raw(g.images[:n]) for g in gens], n)
 
     def preimage(self, h: Permutation) -> Optional[Permutation]:
         """Some source element mapping to ``h``, or None."""
@@ -631,7 +680,7 @@ class IsoCoset:
         return 0 if self.is_empty else self.group.order()
 
     def contains(self, g: Permutation) -> bool:
-        if self.is_empty:
+        if self.is_empty or g.degree != self.rep.degree:
             return False
         return self.group.contains(g * self.rep.inverse())
 
@@ -669,23 +718,31 @@ class CosetUnion:
     def __init__(self, degree: int):
         self.degree = degree
         self._rep: Optional[Permutation] = None
+        self._rep_inv: Optional[Permutation] = None
         self._gens: list[Permutation] = []
         self._group: Optional[PermGroup] = None
 
-    def add(self, piece: IsoCoset) -> None:
+    def add(self, piece: IsoCoset) -> bool:
+        """Merge one piece; True if the union grew."""
         if piece.is_empty:
-            return
+            return False
         if self._rep is None:
             self._rep = piece.rep
+            self._rep_inv = piece.rep.inverse()
             self._group = piece.group
             self._gens = list(piece.group.generators)
-            return
-        rep_inv = self._rep.inverse()
+            return True
+        grew = False
         for g in list(piece.group.generators) + [Permutation.identity(self.degree)]:
-            cand = g * piece.rep * rep_inv
+            cand = g * piece.rep * self._rep_inv
             if not self._group.contains(cand):
                 self._gens.append(cand)
                 self._group = PermGroup(self._gens, self.degree)
+                grew = True
+        return grew
+
+    def order(self) -> int:
+        return 0 if self._rep is None else self._group.order()
 
     def result(self) -> IsoCoset:
         if self._rep is None:
@@ -693,12 +750,15 @@ class CosetUnion:
         return IsoCoset(self._group, self._rep)
 
 
-def transversal_cosets(group: PermGroup, hom: GroupHom) -> Iterator[Permutation]:
+def transversal_cosets(group: PermGroup, hom: GroupHom, points: Iterable[int] = (),
+                       ok: Optional[Callable[[int, int], bool]] = None) -> Iterator[Permutation]:
     """Coset representatives of ker(hom) in ``group``, one per image element.
 
     Mirrors the image group's element enumeration: transversal representatives
     of the image chain are pulled back once, and products of pulled-back
-    representatives are preimages of the corresponding image elements.
+    representatives are preimages of the corresponding image elements.  Only
+    the representatives t with ``ok(p, t(p))`` for every p in ``points`` are
+    listed.
     """
     image = hom.image()
     levels = [lvl for lvl in image._levels if len(lvl.transversal) > 1]
@@ -712,14 +772,52 @@ def transversal_cosets(group: PermGroup, hom: GroupHom) -> Iterator[Permutation]
             table[beta] = t
         pre.append(table)
 
-    def rec(i: int, acc: Permutation) -> Iterator[Permutation]:
-        if i == len(levels):
-            yield acc
-            return
-        for beta in sorted(levels[i].transversal):
-            yield from rec(i + 1, pre[i][beta] * acc)
+    tables = [[table[beta] for beta in sorted(table)] for table in pre]
+    yield from _products(tables, Permutation.identity(group.degree), points, ok)
 
-    yield from rec(0, Permutation.identity(group.degree))
+
+def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
+              points: Iterable[int] = (),
+              ok: Optional[Callable[[int, int], bool]] = None) -> Iterator[Permutation]:
+    """The products g = t_m * ... * t_0, t_i from ``tables[i]``, with
+    ``ok(p, g(p))`` for every p in ``points``.
+
+    Lexicographic in the choices (level 0 outermost), so the deeper factor is
+    applied first.  A point is tested as soon as every factor left to choose
+    fixes it, so a failing prefix is dropped with all its completions.
+    """
+    depth = len(tables)
+    # checks[i]: the points whose image is final once i factors are chosen
+    checks: list[list[int]] = [[] for _ in range(depth + 1)]
+    for p in set(points):
+        d = depth
+        while d > 0 and all(t.images[p] == p for t in tables[d - 1]):
+            d -= 1
+        checks[d].append(p)
+    if not all(ok(p, p) for p in checks[0]):
+        return
+    if depth == 0:
+        yield ident
+        return
+    tests = checks[1:]
+    accs = [ident.images]
+    iters = [iter(tables[0])]
+    while iters:
+        i = len(iters) - 1
+        t = next(iters[i], None)
+        if t is None:
+            iters.pop()
+            accs.pop()
+            continue
+        acc = accs[i]
+        if tests[i] and not all(ok(p, acc[t.images[p]]) for p in tests[i]):
+            continue
+        images = tuple(map(acc.__getitem__, t.images))
+        if i + 1 == depth:
+            yield Permutation._raw(images)
+        else:
+            accs.append(images)
+            iters.append(iter(tables[i + 1]))
 
 
 # -- spec-level convenience surface ------------------------------------------

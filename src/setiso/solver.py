@@ -347,6 +347,9 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     if bal.group.order() < group.order():
         return _gsi_coset(bal, partition, x, y, ctx)
 
+    # in both loops below, a union that reaches the group's order holds
+    # every later piece
+    order = group.order()
     blocks, primitive = group.minimal_block_system(range(n))
     if primitive:
         y_key = y.key()
@@ -354,15 +357,19 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         trivial = PermGroup([], n)
         for delta in group.elements():
             ctx.budget.tick()
-            if family_image_key(x, delta) == y_key:
-                union.add(IsoCoset(trivial, delta))
+            if (family_image_key(x, delta) == y_key
+                    and union.add(IsoCoset(trivial, delta))
+                    and union.order() == order):
+                break
         return union.result()
     hom = group.block_action(blocks)
     kernel = hom.kernel()
     union = CosetUnion(n)
     for delta in transversal_cosets(group, hom):
         ctx.budget.tick()
-        union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, ctx))
+        if (union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, ctx))
+                and union.order() == order):
+            break
     return union.result()
 
 

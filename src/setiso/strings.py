@@ -72,10 +72,6 @@ class StringQuery:
     budget: Optional[int] = None
 
 
-def _matches(g: Permutation, x: ColoredString, y: ColoredString, window) -> bool:
-    return all(x.letters[a] == y.letters[g.images[a]] for a in window)
-
-
 def _window_orbits(group: PermGroup, window: frozenset) -> list[tuple[int, ...]]:
     return [orb for orb in group.orbits() if orb[0] in window]
 
@@ -89,8 +85,12 @@ def _iso_group(group: PermGroup, x: ColoredString, y: ColoredString,
     win = sorted(window)
     if sorted(x.letters[a] for a in win) != sorted(y.letters[a] for a in win):
         return IsoCoset.empty()
+
+    def same_letter(a: int, b: int) -> bool:
+        return x.letters[a] == y.letters[b]
+
     if group.order() <= DIRECT_ENUM_CUTOFF:
-        found = [g for g in group.elements() if _matches(g, x, y, win)]
+        found = list(group.elements_where(win, same_letter))
         if not found:
             return IsoCoset.empty()
         rep = found[0]
@@ -115,14 +115,33 @@ def _iso_group(group: PermGroup, x: ColoredString, y: ColoredString,
     hom = group.block_action(blocks)
     union = CosetUnion(group.degree)
     kernel = hom.kernel()
-    for delta in transversal_cosets(group, hom):
+    order = group.order()
+    # With singleton blocks, or a trivial kernel, the kernel acts trivially
+    # on the window: a shift's piece is its whole kernel coset if the shift
+    # matches the letters, and empty if not.  Otherwise a shift that carries
+    # a block onto one with other letters has an empty piece.  Either way,
+    # only the shifts that can have a nonempty piece are listed.
+    trivial_on_window = len(blocks) == len(orb) or kernel.is_trivial()
+    if trivial_on_window:
+        points, test = win, same_letter
+    else:
+        block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
+        x_keys = [sorted(x.letters[p] for p in blk) for blk in blocks]
+        y_keys = [sorted(y.letters[p] for p in blk) for blk in blocks]
+
+        def same_block_letters(a: int, b: int) -> bool:
+            return x_keys[block_of[a]] == y_keys[block_of[b]]
+
+        points, test = [min(blk) for blk in blocks], same_block_letters
+    for delta in transversal_cosets(group, hom, points, test):
         budget.tick()
-        if len(blocks) == len(orb):
-            # kernel acts trivially on the window: check the shift directly
-            if _matches(delta, x, y, win):
-                union.add(IsoCoset(kernel, delta))
+        if trivial_on_window:
+            piece = IsoCoset(kernel, delta)
         else:
-            union.add(_iso_coset(IsoCoset(kernel, delta), x, y, window, budget))
+            piece = _iso_coset(IsoCoset(kernel, delta), x, y, window, budget)
+        # a union that reaches the group's order holds every later piece
+        if union.add(piece) and union.order() == order:
+            break
     return union.result()
 
 
@@ -144,6 +163,8 @@ def string_iso(query: StringQuery) -> IsoCoset:
     group = query.group
     if query.x.n != group.degree or query.y.n != group.degree:
         raise ValueError("string domains must match the group degree")
+    if query.shift is not None and query.shift.degree != group.degree:
+        raise ValueError("shift degree must match the group degree")
     window = frozenset(query.window) if query.window is not None else frozenset(range(group.degree))
     for g in group.generators:
         if g.apply_set(window) != window:
@@ -220,6 +241,8 @@ def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
         raise ValueError("graphs must share their vertex count")
     if group.degree != g1.n:
         raise ValueError("group degree must match the vertex count")
+    if shift is not None and shift.degree != g1.n:
+        raise ValueError("shift degree must match the vertex count")
     n = g1.n
     ids = _joint_letter_ids([g1, g2])
     x = _encode_graph(g1, ids)

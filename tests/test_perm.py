@@ -211,6 +211,11 @@ class TestStabilizers:
             assert g.pointwise_stabilizer(pts).order() == len(pw)
             assert g.setwise_stabilizer(pts).order() == len(sw)
 
+    def test_pointwise_stabilizer_rejects_outside_points(self):
+        for pts in ([4], [-1], [0, 7]):
+            with pytest.raises(ValueError):
+                sym(4).pointwise_stabilizer(pts)
+
 
 class TestHomTools:
     def test_c4_square_map(self):
@@ -337,6 +342,11 @@ class TestIsoCosetAndUnions:
         assert len(elems) == 2
         assert all(coset.contains(e) for e in elems)
         assert not coset.contains(Permutation.identity(3))
+
+    def test_coset_membership_of_another_degree(self):
+        coset = IsoCoset(sym(3), Permutation([2, 0, 1]))
+        assert not coset.contains(Permutation.identity(4))
+        assert not coset.contains(Permutation.identity(2))
 
     def test_normalized_uses_identity_rep(self):
         g = build_group([Permutation([1, 0, 2])], 3)

@@ -117,6 +117,19 @@ class TestStringIso:
         with pytest.raises(BudgetExceeded):
             string_iso(StringQuery(g, x, x, budget=1))
 
+    def test_union_stops_at_the_group_order(self):
+        # the transversal holds 5040 shifts; the union is the whole group
+        # long before the last one, and the loop stops there
+        x = s_of([0] * 7)
+        res = string_iso(StringQuery(sym(7), x, x, budget=1000))
+        assert res.order() == 5040
+
+    def test_shift_degree_must_match(self):
+        x = s_of([0, 1, 0])
+        for degree in (2, 4):
+            with pytest.raises(ValueError):
+                string_iso(StringQuery(sym(3), x, x, shift=Permutation.identity(degree)))
+
 
 class TestGraphIso:
     def test_triangles_full_symmetry(self):
@@ -152,6 +165,12 @@ class TestGraphIso:
             assert res.element_set() == brute
             for e in res.elements():
                 assert g1.apply(e) == g2
+
+    def test_shift_degree_must_match(self):
+        tri = ColoredGraph.plain(3, [(0, 1), (1, 2), (0, 2)])
+        for degree in (2, 4):
+            with pytest.raises(ValueError):
+                graph_iso_under_group(tri, tri, sym(3), shift=Permutation.identity(degree))
 
     def test_arc_colors_matter(self):
         arcs1 = {(0, 1): 0, (1, 0): 1}
