@@ -7,6 +7,7 @@ structures are represented throughout the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -64,15 +65,21 @@ class ColoredGraph:
                 out.append(w)
         return sorted(out)
 
-    def neighbor_table(self) -> list[list[int]]:
+    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbors of every vertex, built on the first call.
+
+        The table is immutable, so every caller can share the one copy.
+        """
+        return self._neighbor_table
+
+    @functools.cached_property
+    def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
         table: list[list[int]] = [[] for _ in range(self.n)]
         for e in self.edges:
             u, v = sorted(e)
             table[u].append(v)
             table[v].append(u)
-        for row in table:
-            row.sort()
-        return table
+        return tuple(tuple(sorted(row)) for row in table)
 
     def apply(self, g: Permutation) -> "ColoredGraph":
         if g.degree != self.n:

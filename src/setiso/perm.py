@@ -20,6 +20,14 @@ order as they are.  Two caches serve that:
   action.  The target-first chain serves ``preimage`` and also ``kernel``,
   whose generators it already holds; the source-first chain is built on the
   first ``apply``.
+
+Every enumeration runs through one loop, ``_products``: a depth-first walk
+over products of transversal elements that calls ``step(state,
+final_points, images)`` at each depth where some watched points get their
+final images, drops the prefix when ``step`` returns None and otherwise
+hands its return value to the next depth.  ``elements``, ``elements_where``,
+``search`` and ``transversal_cosets`` are thin adapters over it, so pruning
+never changes the order in which the survivors come out.
 """
 
 from __future__ import annotations
@@ -328,18 +336,27 @@ class PermGroup:
         Elements decompose uniquely as u_m * ... * u_0 with u_i a level-i
         transversal representative (deeper factors applied first).
         """
-        yield from self.elements_where((), None)
+        yield from _products(self._tables(), Permutation.identity(self.degree))
 
     def elements_where(self, points: Iterable[int],
-                       ok: Optional[Callable[[int, int], bool]]) -> Iterator[Permutation]:
+                       ok: Callable[[int, int], bool]) -> Iterator[Permutation]:
         """The elements g with ``ok(p, g(p))`` for every p in ``points``.
 
-        Yields them in the order of :meth:`elements`, which is this routine
-        with no points.
+        Yields them in the order of :meth:`elements`.
         """
-        tables = [[lvl.transversal[beta] for beta in sorted(lvl.transversal)]
-                  for lvl in self._levels if len(lvl.transversal) > 1]
-        yield from _products(tables, Permutation.identity(self.degree), points, ok)
+        yield from _products(self._tables(), Permutation.identity(self.degree),
+                             points, True, _pointwise(ok))
+
+    def search(self, points: Iterable[int], state: object,
+               step: Callable[[object, list[int], tuple], object]) -> Iterator[Permutation]:
+        """The elements every prefix of which ``step`` accepts, in the order
+        of :meth:`elements`; see :func:`_products` for the contract."""
+        yield from _products(self._tables(), Permutation.identity(self.degree),
+                             points, state, step)
+
+    def _tables(self) -> list[list[Permutation]]:
+        return [[lvl.transversal[beta] for beta in sorted(lvl.transversal)]
+                for lvl in self._levels if len(lvl.transversal) > 1]
 
     def orbit(self, point: int) -> list[int]:
         seen = {point}
@@ -773,34 +790,56 @@ def transversal_cosets(group: PermGroup, hom: GroupHom, points: Iterable[int] = 
         pre.append(table)
 
     tables = [[table[beta] for beta in sorted(table)] for table in pre]
-    yield from _products(tables, Permutation.identity(group.degree), points, ok)
+    yield from _products(tables, Permutation.identity(group.degree),
+                         points, True, _pointwise(ok))
+
+
+def _pointwise(ok: Callable[[int, int], bool]):
+    """The ``step`` that accepts a prefix when ``ok(p, image)`` holds for
+    each point it makes final; its state is a constant."""
+    def step(state, final, images):
+        for p in final:
+            if not ok(p, images[p]):
+                return None
+        return state
+    return step
 
 
 def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
-              points: Iterable[int] = (),
-              ok: Optional[Callable[[int, int], bool]] = None) -> Iterator[Permutation]:
-    """The products g = t_m * ... * t_0, t_i from ``tables[i]``, with
-    ``ok(p, g(p))`` for every p in ``points``.
+              points: Iterable[int] = (), state: object = None,
+              step: Optional[Callable[[object, list[int], tuple], object]] = None
+              ) -> Iterator[Permutation]:
+    """The products g = t_m * ... * t_0, t_i from ``tables[i]``, that pass
+    ``step`` at every depth.  This is the one enumeration loop of the module.
 
     Lexicographic in the choices (level 0 outermost), so the deeper factor is
-    applied first.  A point is tested as soon as every factor left to choose
-    fixes it, so a failing prefix is dropped with all its completions.
+    applied first.  A point of ``points`` becomes final at the first depth
+    after which every factor left to choose fixes it.  At each depth where
+    some points become final (depth 0 included, before any choice),
+    ``step(state, final_points, images)`` is called with those points and
+    the prefix's image table, in which their images are now g's.  It returns
+    None to drop the prefix with all its completions, or the state for the
+    next depth.  Elsewhere the state passes on unchanged.  Every node at one
+    depth gets the same ``final_points`` list.
     """
     depth = len(tables)
-    # checks[i]: the points whose image is final once i factors are chosen
-    checks: list[list[int]] = [[] for _ in range(depth + 1)]
-    for p in set(points):
+    # finals[i]: the points whose image is final once i factors are chosen
+    finals: list[list[int]] = [[] for _ in range(depth + 1)]
+    for p in sorted(set(points)):
         d = depth
         while d > 0 and all(t.images[p] == p for t in tables[d - 1]):
             d -= 1
-        checks[d].append(p)
-    if not all(ok(p, p) for p in checks[0]):
-        return
+        finals[d].append(p)
+    if finals[0]:
+        state = step(state, finals[0], ident.images)
+        if state is None:
+            return
     if depth == 0:
         yield ident
         return
-    tests = checks[1:]
+    finals = finals[1:]
     accs = [ident.images]
+    states = [state]
     iters = [iter(tables[0])]
     while iters:
         i = len(iters) - 1
@@ -808,15 +847,19 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
         if t is None:
             iters.pop()
             accs.pop()
+            states.pop()
             continue
-        acc = accs[i]
-        if tests[i] and not all(ok(p, acc[t.images[p]]) for p in tests[i]):
-            continue
-        images = tuple(map(acc.__getitem__, t.images))
+        images = tuple(map(accs[i].__getitem__, t.images))
+        state = states[i]
+        if finals[i]:
+            state = step(state, finals[i], images)
+            if state is None:
+                continue
         if i + 1 == depth:
             yield Permutation._raw(images)
         else:
             accs.append(images)
+            states.append(state)
             iters.append(iter(tables[i + 1]))
 
 

@@ -8,7 +8,7 @@ renormalization) live here, together with the hypergraph encoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .perm import Permutation
@@ -30,10 +30,17 @@ class VirtualSizeConfig:
 
 @dataclass(frozen=True)
 class PPartition:
-    """A partition of {0..n-1} with dense class ids."""
+    """A partition of {0..n-1} with dense class ids.
+
+    ``positions[p]`` is the index of p in ``members(class_of[p])``.  The
+    class tables are computed once, on construction, and take no part in
+    equality or hashing.
+    """
 
     n: int
     class_of: tuple[int, ...]
+    _members: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.class_of) != self.n:
@@ -41,6 +48,13 @@ class PPartition:
         ids = set(self.class_of)
         if self.n and ids != set(range(len(ids))):
             raise ValueError("class ids must be dense from 0")
+        members: list[list[int]] = [[] for _ in ids]
+        positions = []
+        for p, c in enumerate(self.class_of):
+            positions.append(len(members[c]))
+            members[c].append(p)
+        object.__setattr__(self, "_members", tuple(tuple(m) for m in members))
+        object.__setattr__(self, "positions", tuple(positions))
 
     @classmethod
     def trivial(cls, n: int) -> "PPartition":
@@ -66,16 +80,16 @@ class PPartition:
 
     @property
     def num_classes(self) -> int:
-        return len(set(self.class_of)) if self.n else 0
+        return len(self._members)
 
     def members(self, class_id: int) -> tuple[int, ...]:
-        return tuple(p for p in range(self.n) if self.class_of[p] == class_id)
+        """The points of a class in increasing order; () for an unknown id."""
+        if 0 <= class_id < len(self._members):
+            return self._members[class_id]
+        return ()
 
     def classes(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.num_classes)]
-        for p, c in enumerate(self.class_of):
-            out[c].append(p)
-        return [tuple(c) for c in out]
+        return list(self._members)
 
     def is_invariant_under(self, g: Permutation) -> bool:
         mapped = {}

@@ -7,12 +7,22 @@ step.  A transitive group is first balanced, then decomposed over the
 transversal of the block stabilizer of a minimal block system (standard Luks
 reduction; no giant-representation shortcut, which keeps answers exact at
 the cost of the quasipolynomial speedup).
+
+Where the group is small or primitive, the isomorphisms are listed by a
+search pruned by letters (the first refiner of Leon's partition backtrack):
+it walks the stabilizer chain in the order of ``PermGroup.elements`` and
+drops a prefix as soon as, for some class whose points it has fixed, the
+letters of x at those points and of y at their images differ as multisets
+of member signatures.  The test is exact once every point is fixed, so the
+search yields exactly the elements a full scan would accept, in the same
+order, and the answers do not change.  One recursion budget is shared by
+the whole query, the nested string and graph queries included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
@@ -86,6 +96,67 @@ def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
             letters[pos[g.images[p]]] = letter
         out.append((part.class_of[image_pts[0]], tuple(letters)))
     return frozenset(out)
+
+
+def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
+                  tick: Optional[Callable[[], None]] = None) -> Iterator[Permutation]:
+    """The g in ``group`` with x^g = y, in ``group.elements()`` order.
+
+    The search state holds, for every member of y, its letters at the images
+    of the points fixed so far.  Where a prefix fixes new points of a class
+    c, the members of x in c, read at the fixed points of c, must form the
+    same multiset of signatures as the members of y in the image class, read
+    at the images.  The x side depends only on the depth, so it is computed
+    once per depth.  ``tick`` is called on every accepted prefix.
+    """
+    part = x.partition
+    class_of, positions = part.class_of, part.positions
+    x_letters: list[list[tuple]] = [[] for _ in range(part.num_classes)]
+    y_letters: list[list[tuple]] = [[] for _ in range(part.num_classes)]
+    for m in x.members:
+        x_letters[m.class_id].append(m.letters)
+    for m in y.members:
+        y_letters[m.class_id].append(m.letters)
+    x_sigs = [[()] * len(ms) for ms in x_letters]
+    # checks[k]: (class, its points fixed at the k-th step, sorted x
+    # signatures of the class); every node at one depth fixes the same
+    # points, so the first node to arrive there fills the entry
+    checks: list[list[tuple]] = []
+
+    def x_side(final: list[int]) -> list[tuple]:
+        by_class: dict[int, list[int]] = {}
+        for p in final:
+            by_class.setdefault(class_of[p], []).append(p)
+        out = []
+        for c, pts in by_class.items():
+            spots = [positions[p] for p in pts]
+            x_sigs[c] = [s + tuple(l[j] for j in spots)
+                         for s, l in zip(x_sigs[c], x_letters[c])]
+            out.append((c, pts, sorted(x_sigs[c])))
+        return out
+
+    def step(state, final, images):
+        k, y_sigs = state
+        if k == len(checks):
+            checks.append(x_side(final))
+        new = list(y_sigs)
+        for c, pts, want in checks[k]:
+            image_class = class_of[images[pts[0]]]
+            spots = [positions[images[p]] for p in pts]
+            sigs = [s + tuple(l[j] for j in spots)
+                    for s, l in zip(y_sigs[image_class], y_letters[image_class])]
+            if sorted(sigs) != want:
+                return None
+            new[image_class] = sigs
+        if tick is not None:
+            tick()
+        return k + 1, new
+
+    start = (0, [[()] * len(ms) for ms in y_letters])
+    y_key = y.key()
+    for g in group.search(range(group.degree), start, step):
+        if family_image_key(x, g) == y_key:
+            yield g
 
 
 def _pull_back(group: PermGroup, hom: GroupHom, coset: IsoCoset) -> IsoCoset:
@@ -165,7 +236,7 @@ def balance_orbits(group: PermGroup, partition: PPartition,
         hom = sub.block_action(blocks)
         res = string_iso(StringQuery(hom.image(), ColoredString(tuple(xs)),
                                      ColoredString(tuple(ys)),
-                                     budget=ctx.budget.limit))
+                                     budget=ctx.budget))
         if res.is_empty:
             return IsoCoset.empty()
         refined = _pull_back(sub, hom, res)
@@ -285,7 +356,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
             img[i] = index[_piece_image(partition, piece, wpts, g)]
         images.append(Permutation(img))
     hom = GroupHom(group, nv, images)
-    res = graph_iso_under_group(gx, gy, hom.image(), budget=ctx.budget.limit)
+    res = graph_iso_under_group(gx, gy, hom.image(), budget=ctx.budget)
     return _pull_back(group, hom, res)
 
 
@@ -313,8 +384,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         return IsoCoset.empty()
     n = group.degree
     if group.order() <= ctx.cfg.direct_cutoff:
-        y_key = y.key()
-        found = [g for g in group.elements() if family_image_key(x, g) == y_key]
+        found = list(_iso_elements(group, x, y))
         if not found:
             return IsoCoset.empty()
         rep = found[0]
@@ -352,14 +422,10 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     order = group.order()
     blocks, primitive = group.minimal_block_system(range(n))
     if primitive:
-        y_key = y.key()
         union = CosetUnion(n)
         trivial = PermGroup([], n)
-        for delta in group.elements():
-            ctx.budget.tick()
-            if (family_image_key(x, delta) == y_key
-                    and union.add(IsoCoset(trivial, delta))
-                    and union.order() == order):
+        for delta in _iso_elements(group, x, y, ctx.budget.tick):
+            if union.add(IsoCoset(trivial, delta)) and union.order() == order:
                 break
         return union.result()
     hom = group.block_action(blocks)

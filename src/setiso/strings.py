@@ -11,7 +11,7 @@ block-stabilizer of a minimal block system.  Every returned set is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation, transversal_cosets
@@ -62,14 +62,18 @@ class ColoredString:
 
 @dataclass
 class StringQuery:
-    """Iso_K^W(x, y) for K either a group or a coset ``group * shift``."""
+    """Iso_K^W(x, y) for K either a group or a coset ``group * shift``.
+
+    ``budget`` caps the recursion nodes: a number starts a count of its own,
+    and a ``Budget`` goes on with the count of the query that holds it.
+    """
 
     group: PermGroup
     x: ColoredString
     y: ColoredString
     window: Optional[Sequence[int]] = None
     shift: Optional[Permutation] = None
-    budget: Optional[int] = None
+    budget: Union[int, Budget, None] = None
 
 
 def _window_orbits(group: PermGroup, window: frozenset) -> list[tuple[int, ...]]:
@@ -169,7 +173,7 @@ def string_iso(query: StringQuery) -> IsoCoset:
     for g in group.generators:
         if g.apply_set(window) != window:
             raise ValueError("window is not invariant under the group part")
-    budget = Budget(query.budget)
+    budget = query.budget if isinstance(query.budget, Budget) else Budget(query.budget)
     shift = query.shift if query.shift is not None else Permutation.identity(group.degree)
     return _iso_coset(IsoCoset(group, shift), query.x, query.y, window, budget)
 
@@ -229,7 +233,7 @@ def _joint_letter_ids(graphs: Sequence[ColoredGraph]) -> dict:
 
 def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
                           shift: Optional[Permutation] = None,
-                          budget: Optional[int] = None) -> IsoCoset:
+                          budget: Union[int, Budget, None] = None) -> IsoCoset:
     """{gamma in group*shift : gamma maps g1 onto g2, colors and all}.
 
     Encodes each graph as a string over Omega + Omega^2 (vertex colors on the

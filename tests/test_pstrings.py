@@ -57,6 +57,16 @@ class TestPartition:
         assert p.is_invariant_under(Permutation([2, 3, 0, 1]))
         assert not p.is_invariant_under(Permutation([0, 2, 1, 3]))
 
+    def test_class_tables(self):
+        p = PPartition.from_classes(5, [[4, 1], [0, 3, 2]])
+        assert p.classes() == [(0, 2, 3), (1, 4)]
+        assert [p.members(p.class_of[q])[p.positions[q]] for q in range(5)] == list(range(5))
+        assert p.members(2) == () and p.members(-1) == ()
+        # the tables are derived data: equality and hashing ignore them
+        same = PPartition(5, (0, 1, 0, 0, 1))
+        assert same == p and hash(same) == hash(p)
+        assert "positions" not in repr(p)
+
 
 class TestMakeFamily:
     def test_trivial_partition_counts(self):

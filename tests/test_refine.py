@@ -43,6 +43,16 @@ def brute_iso_set(g1, g2):
     return out
 
 
+def test_neighbor_table_is_built_once_and_read_only():
+    g = ColoredGraph.plain(4, [(2, 0), (0, 1), (3, 0)])
+    table = g.neighbor_table()
+    assert table == ((1, 2, 3), (0,), (0,), (0,))
+    assert g.neighbor_table() is table
+    with pytest.raises(TypeError):
+        table[0][0] = 3
+    assert g == ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])
+
+
 class TestColorRefinement:
     def test_c6_single_class(self):
         col = color_refinement(cycle_graph(6))

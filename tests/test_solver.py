@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import setiso.strings
 from setiso.perm import IsoCoset, PermGroup, Permutation
 from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
 from setiso.solver import (
@@ -12,8 +13,9 @@ from setiso.solver import (
     family_image_key,
     generalized_string_iso,
 )
+from setiso.strings import BudgetExceeded
 
-from util import rand_group, rand_perm
+from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
 
 def sym(n):
@@ -29,32 +31,6 @@ def brute_gsi(group, x, y):
 def solver_set(group, part, x, y):
     res = generalized_string_iso(GsiInstance(group, part, x, y))
     return res.element_set()
-
-
-def rand_invariant_partition(rng, group):
-    n = group.degree
-    choice = rng.randint(0, 2)
-    if choice == 0:
-        return PPartition.trivial(n)
-    if choice == 1:
-        return PPartition.from_classes(n, [set(o) for o in group.orbits()])
-    classes = []
-    for orb in group.orbits():
-        if len(orb) > 2 and rng.random() < 0.6:
-            blocks, primitive = group.minimal_block_system(orb)
-            if not primitive:
-                classes.extend(set(b) for b in blocks)
-                continue
-        classes.append(set(orb))
-    return PPartition.from_classes(n, classes)
-
-
-def rand_family_on(rng, partition, max_members=8, colors=2):
-    members = set()
-    for _ in range(rng.randint(1, max_members)):
-        c = rng.randrange(partition.num_classes)
-        members.add((c, tuple(rng.randrange(colors) for _ in partition.members(c))))
-    return make_family(partition, [PString(c, l) for c, l in sorted(members)])
 
 
 class TestGsiBasics:
@@ -330,6 +306,43 @@ class TestCombineWindows:
                 if fx.restrict(w).apply(_restrict(e, w)).key() == fy.restrict(w).key():
                     brute.add(e.images)
             assert res.element_set() == frozenset(brute)
+
+
+class TestBudget:
+    def test_search_budget_counts_search_nodes(self):
+        # Aut has order 48 in Sym(8): listing the elements of Sym(8) one by
+        # one would need far more than 2000 nodes
+        n = 8
+        h1 = Hypergraph(n, frozenset(frozenset({i, (i + 1) % n, (i + 3) % n})
+                                     for i in range(n)))
+        h2 = h1.apply(Permutation([3, 6, 0, 7, 2, 5, 1, 4]))
+        inst = GsiInstance(sym(n), PPartition.trivial(n),
+                           hypergraph_to_family(h1), hypergraph_to_family(h2))
+        res = generalized_string_iso(inst, SolverConfig(budget=2000))
+        assert res.order() == 48
+        assert h1.apply(res.rep) == h2
+
+    def test_nested_queries_share_the_query_budget(self, monkeypatch):
+        budgets = []
+        init = setiso.strings.Budget.__init__
+
+        def recording_init(self, limit=None):
+            budgets.append(self)
+            init(self, limit)
+
+        monkeypatch.setattr(setiso.strings.Budget, "__init__", recording_init)
+        # S2 wr S2 with the blocks as classes; the occupancies (2, 1) make
+        # balance_orbits ask a nested string query
+        g = PermGroup([Permutation([1, 0, 2, 3]), Permutation([2, 3, 0, 1])], 4)
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        fx = make_family(part, [PString(0, (0, 1)), PString(0, (1, 0)), PString(1, (0, 0))])
+        inst = GsiInstance(g, part, fx, fx.apply(Permutation([2, 3, 0, 1])))
+        assert generalized_string_iso(inst, SolverConfig(direct_cutoff=1)).order() == 4
+        assert len(budgets) == 1
+        total = budgets[0].used
+        with pytest.raises(BudgetExceeded):
+            generalized_string_iso(inst, SolverConfig(direct_cutoff=1, budget=total - 1))
+        assert generalized_string_iso(inst, SolverConfig(direct_cutoff=1, budget=total)).order() == 4
 
 
 def _restrict(g, points):

@@ -3,6 +3,7 @@
 import random
 
 from setiso.perm import Permutation, PermGroup
+from setiso.pstrings import PPartition, PString, make_family
 
 
 def rand_perm(rng: random.Random, n: int) -> Permutation:
@@ -52,3 +53,29 @@ def closure(gens, n, cap=2_000_000):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def rand_invariant_partition(rng, group):
+    n = group.degree
+    choice = rng.randint(0, 2)
+    if choice == 0:
+        return PPartition.trivial(n)
+    if choice == 1:
+        return PPartition.from_classes(n, [set(o) for o in group.orbits()])
+    classes = []
+    for orb in group.orbits():
+        if len(orb) > 2 and rng.random() < 0.6:
+            blocks, primitive = group.minimal_block_system(orb)
+            if not primitive:
+                classes.extend(set(b) for b in blocks)
+                continue
+        classes.append(set(orb))
+    return PPartition.from_classes(n, classes)
+
+
+def rand_family_on(rng, partition, max_members=8, colors=2):
+    members = set()
+    for _ in range(rng.randint(1, max_members)):
+        c = rng.randrange(partition.num_classes)
+        members.add((c, tuple(rng.randrange(colors) for _ in partition.members(c))))
+    return make_family(partition, [PString(c, l) for c, l in sorted(members)])
