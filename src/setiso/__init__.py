@@ -12,12 +12,8 @@ from .perm import (
     PermGroup,
     GroupHom,
     IsoCoset,
-    build_group,
     orbits_and_blocks,
-    stabilizers,
-    hom_tools,
     is_giant,
-    restrict_action,
 )
 from .graphs import ColoredGraph
 from .strings import ColoredString, StringQuery, string_iso, graph_iso_under_group
@@ -29,8 +25,6 @@ from .pstrings import (
     VirtualSizeConfig,
     hypergraph_to_family,
     make_family,
-    restrict_family,
-    virtual_size,
 )
 from .solver import (
     GsiInstance,
@@ -71,13 +65,11 @@ from .minorfree import (
 
 __all__ = [
     "Permutation", "PermGroup", "GroupHom", "IsoCoset",
-    "build_group", "orbits_and_blocks", "stabilizers", "hom_tools",
-    "is_giant", "restrict_action",
+    "orbits_and_blocks", "is_giant",
     "ColoredGraph", "ColoredString", "StringQuery", "string_iso",
     "graph_iso_under_group",
     "Hypergraph", "PPartition", "PString", "PStringFamily",
     "VirtualSizeConfig", "hypergraph_to_family", "make_family",
-    "restrict_family", "virtual_size",
     "GsiInstance", "SolverConfig", "balance_orbits", "combine_windows",
     "generalized_string_iso", "normalize_instance", "set_of_strings_iso",
     "SimplifyClass", "simplify_on_window",

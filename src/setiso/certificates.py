@@ -134,12 +134,6 @@ def _setwise_t_stab(group: PermGroup, rep: GiantRep, t1: Sequence[int]) -> PermG
     return PermGroup(gens, group.degree)
 
 
-def _restrict_to(perm: Permutation, points: Sequence[int]) -> Permutation:
-    pts = sorted(points)
-    pos = {p: i for i, p in enumerate(pts)}
-    return Permutation([pos[perm.images[p]] for p in pts])
-
-
 class _LoopState:
     """Everything the growth loop tracks for one (aligned) pair."""
 
@@ -176,7 +170,7 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
                        ident, rho2_init, d)
 
     def psi(g: Permutation) -> Permutation:
-        return _restrict_to(rep.apply(state.tau.apply(g)), t_sorted)
+        return rep.apply(state.tau.apply(g)).restrict(t_sorted)
 
     def psi_group(g: PermGroup) -> PermGroup:
         return PermGroup([psi(h) for h in g.generators], len(t_sorted))
@@ -267,7 +261,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
     induces at least Alt on the test set; a NonFull comparison coset contains
     every projection of an isomorphism aligning the test sets.
     """
-    cfg = cfg or SolverConfig(d=d)
+    cfg = cfg or SolverConfig()
     if rep.k < 5:
         raise ValueError("giant representation needs at least 5 points")
     if len(set(t1)) != len(set(t2)):
@@ -288,7 +282,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
             return Certificate("full", PermGroup(gens, n)), extras["iterations"]
         psi = extras["psi"]
         proj = PermGroup([psi(g) for g in state.group.generators], len(tset))
-        a1 = _restrict_to(rep.apply(state.rho1), tset)
+        a1 = rep.apply(state.rho1).restrict(tset)
         conj = proj.conjugate(a1)
         return Certificate("nonfull", conj,
                            mapping=tuple(tset)), extras["iterations"]
@@ -310,7 +304,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,
                                True, extras["iterations"])
     proj = PermGroup([psi(g) for g in state.group.generators], len(t1s))
-    a1 = _restrict_to(rep.apply(state.rho1), t1s)
+    a1 = rep.apply(state.rho1).restrict(t1s)
     lam_full = rep.apply(state.rho1.inverse() * state.rho2)
     pos1 = {p: i for i, p in enumerate(t1s)}
     compare_map = tuple(lam_full.images[p] for p in t1s)

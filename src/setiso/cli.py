@@ -5,14 +5,14 @@ a human summary or a machine block: ``ISO`` followed by the representative
 image table, the automorphism generator tables and the exact order, or
 ``NONISO``.  Exit codes: 0 isomorphic, 1 not isomorphic, 2 error.
 
-The environment variable SETISO_THREADS caps parallelism (used by the triple
-loop of the excluded-minor pipeline); output is byte-identical for any value.
+``--d``, the composition-width promise, is an option of ``normalize`` and
+``certify`` only, the two subcommands that read it.  Output is
+byte-identical from run to run.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileio
@@ -29,18 +29,7 @@ from .strings import StringQuery, graph_iso_under_group, string_iso
 from .structure import PartitionChain
 
 
-def _threads() -> int:
-    raw = os.environ.get("SETISO_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("SETISO_THREADS must be an integer, got %r" % raw)
-    if value < 1:
-        raise ValueError("SETISO_THREADS must be positive")
-    return value
-
-
-def _group_for(path, n, budget_unused=None) -> PermGroup:
+def _group_for(path, n) -> PermGroup:
     if path is None:
         if n <= 1:
             return PermGroup([], max(n, 1))
@@ -92,7 +81,7 @@ def _cmd_iso_hyper(args) -> int:
     group = _group_for(args.group, h1.n)
     f1, f2 = hypergraph_to_family(h1), hypergraph_to_family(h2)
     inst = GsiInstance(group, PPartition.trivial(h1.n), f1, f2)
-    res = generalized_string_iso(inst, SolverConfig(d=args.d, budget=args.budget))
+    res = generalized_string_iso(inst, SolverConfig(budget=args.budget))
     return _emit(res, args.machine)
 
 
@@ -118,7 +107,7 @@ def _cmd_iso_psf(args) -> int:
         if not f1.partition.is_invariant_under(g):
             raise ValueError("partition is not invariant under the group")
     inst = GsiInstance(group, f1.partition, f1, f2)
-    res = generalized_string_iso(inst, SolverConfig(d=args.d, budget=args.budget))
+    res = generalized_string_iso(inst, SolverConfig(budget=args.budget))
     return _emit(res, args.machine)
 
 
@@ -129,26 +118,22 @@ def _cmd_iso_hfs(args) -> int:
         print("NONISO")
         return 1
     group = _group_for(args.group, n1)
-    res = iso_hfs(t1, t2, group, SolverConfig(d=args.d, budget=args.budget))
+    res = iso_hfs(t1, t2, group, SolverConfig(budget=args.budget))
     return _emit(res, args.machine)
 
 
 def _cmd_iso_excluded_minor(args) -> int:
     g1 = fileio.read_colored_graph(args.objects[0])
     g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_excluded_minor(g1, g2, args.h,
-                             SolverConfig(d=max(args.h - 1, 2), budget=args.budget),
-                             threads=_threads())
+    res = iso_excluded_minor(g1, g2, args.h, SolverConfig(budget=args.budget))
     return _emit(res, args.machine)
 
 
 def _cmd_iso_genus(args) -> int:
     g1 = fileio.read_colored_graph(args.objects[0])
     g2 = fileio.read_colored_graph(args.objects[1])
-    h = genus_to_h(args.g)
-    res = iso_excluded_minor(g1, g2, h,
-                             SolverConfig(d=max(h - 1, 2), budget=args.budget),
-                             threads=_threads())
+    res = iso_excluded_minor(g1, g2, genus_to_h(args.g),
+                             SolverConfig(budget=args.budget))
     return _emit(res, args.machine)
 
 
@@ -273,6 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="line-oriented machine output")
         p.add_argument("--budget", type=int, default=None,
                        help="recursion node cap")
+        return p
+
+    def width(p):
         p.add_argument("--d", type=int, default=2,
                        help="composition-width promise for the virtual size")
         return p
@@ -298,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
                objects=1, group=False)
     p.set_defaults(fn=_cmd_refine)
 
-    p = common(sub.add_parser("normalize", help="normalize a generalized string instance"),
-               objects=1)
+    p = width(common(sub.add_parser("normalize", help="normalize a generalized string instance"),
+                     objects=1))
     p.set_defaults(fn=_cmd_normalize)
 
-    p = common(sub.add_parser("certify", help="local certificate diagnostics"))
+    p = width(common(sub.add_parser("certify", help="local certificate diagnostics")))
     p.add_argument("--t", type=int, default=None, help="test set size")
     p.set_defaults(fn=_cmd_certify)
 

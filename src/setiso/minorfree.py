@@ -138,8 +138,7 @@ def _brute_force_iso(g1: ColoredGraph, g2: ColoredGraph) -> IsoCoset:
 
 def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
                        cfg: Optional[SolverConfig] = None,
-                       fallback_limit: int = 10,
-                       threads: int = 1) -> IsoCoset:
+                       fallback_limit: int = 10) -> IsoCoset:
     """Isomorphisms of two 3-connected graphs under the full symmetric group.
 
     Exhaustive and order-deterministic over the ordered triples of g2; each
@@ -149,7 +148,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     """
     if h < 3:
         raise ValueError("h must be at least 3")
-    cfg = cfg or SolverConfig(d=max(h - 1, 2))
+    cfg = cfg or SolverConfig()
     for graph in (g1, g2):
         if graph.n < 4:
             raise ValueError("need at least 4 vertices")
@@ -181,21 +180,13 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         except NotTCRBounded:
             return None  # signals a stall that the screen did not catch
 
-    results = _run_over_triples(examine, triples, threads)
+    results = [examine(triple) for triple in triples]
     union = CosetUnion(n)
     for res in results:
         if res is None:
             return _stall_fallback(g1, g2, fallback_limit)
         union.add(res)
     return union.result()
-
-
-def _run_over_triples(examine, triples, threads):
-    if threads <= 1:
-        return [examine(tr) for tr in triples]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(examine, triples))
 
 
 def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, limit: int) -> IsoCoset:
@@ -207,5 +198,5 @@ def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, limit: int) -> IsoCoset:
 
 
 def iso_genus(g1: ColoredGraph, g2: ColoredGraph, genus: int,
-              cfg: Optional[SolverConfig] = None, threads: int = 1) -> IsoCoset:
-    return iso_excluded_minor(g1, g2, genus_to_h(genus), cfg=cfg, threads=threads)
+              cfg: Optional[SolverConfig] = None) -> IsoCoset:
+    return iso_excluded_minor(g1, g2, genus_to_h(genus), cfg=cfg)

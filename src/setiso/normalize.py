@@ -131,8 +131,7 @@ def _assemble(group: PermGroup, partition: PPartition,
         for g in stab.generators:
             img = [0] * len(cls_ids)
             for qi, c in enumerate(cls_ids):
-                target = partition.class_of[g.images[classes[c][0]]]
-                img[qi] = cls_ids.index(target)
+                img[qi] = cls_ids.index(partition.image_class(c, g))
             index_acts.append(Permutation(img))
         index_group = PermGroup(index_acts, max(len(cls_ids), 1))
 

@@ -123,6 +123,16 @@ class Permutation:
     def apply_set(self, points: Iterable[int]) -> frozenset:
         return frozenset(self.images[p] for p in points)
 
+    def restrict(self, points: Iterable[int]) -> "Permutation":
+        """The action on an invariant set, relabeled to 0..|A|-1 in point order."""
+        pts = sorted(set(points))
+        pos = {p: i for i, p in enumerate(pts)}
+        try:
+            # an injective map of a finite set into itself is a bijection
+            return Permutation._raw(tuple(pos[self.images[p]] for p in pts))
+        except KeyError:
+            raise NotInvariant("set is not invariant under the permutation") from None
+
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
         seen = set()
@@ -551,13 +561,7 @@ class PermGroup:
         the projection homomorphism.
         """
         pts = sorted(set(points))
-        pos = {p: i for i, p in enumerate(pts)}
-        images = []
-        for g in self.generators:
-            if any(g.images[p] not in pos for p in pts):
-                raise NotInvariant("set is not invariant under the group")
-            images.append(Permutation([pos[g.images[p]] for p in pts]))
-        hom = GroupHom(self, len(pts), images)
+        hom = GroupHom(self, len(pts), [g.restrict(pts) for g in self.generators])
         return hom.image(), hom
 
 
@@ -865,10 +869,6 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
 
 # -- spec-level convenience surface ------------------------------------------
 
-def build_group(gens: Iterable[Permutation], n: int) -> PermGroup:
-    return PermGroup(gens, n)
-
-
 def orbits_and_blocks(group: PermGroup):
     """Orbit partition plus one minimal block system per transitive constituent.
 
@@ -881,20 +881,3 @@ def orbits_and_blocks(group: PermGroup):
         if len(orb) > 1:
             blocks[orb] = group.minimal_block_system(orb)
     return orbits, blocks
-
-
-def stabilizers(group: PermGroup, points: Sequence[int], mode: str = "pointwise") -> PermGroup:
-    if mode == "pointwise":
-        return group.pointwise_stabilizer(points)
-    if mode == "setwise":
-        return group.setwise_stabilizer(points)
-    raise ValueError("mode must be 'pointwise' or 'setwise'")
-
-
-def hom_tools(hom: GroupHom):
-    """(image, kernel, preimage) bundle for a generator-image homomorphism."""
-    return hom.image(), hom.kernel(), hom.preimage
-
-
-def restrict_action(group: PermGroup, points: Sequence[int]) -> tuple[PermGroup, GroupHom]:
-    return group.restrict(points)

@@ -3,13 +3,21 @@
 A partitioned domain carries families of per-class strings.  Occupancy
 statistics and the virtual size (the recursion progress measure, robust to
 renormalization) live here, together with the hypergraph encoding.
+
+The action on P-strings is written once, as two ``PPartition`` methods:
+``image`` moves a string on the points of a class (or of a class inside an
+invariant window) and relists its letters in the order of the image
+points, and ``cut`` keeps the letters of a string at the points inside a
+window.  The family action, restriction, the solver's leaf check and window
+pieces, and simplify-on-window all use them; only the brute-force oracle
+keeps an independent copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .perm import Permutation
 
@@ -103,6 +111,24 @@ class PPartition:
     def image_class(self, class_id: int, g: Permutation) -> int:
         return self.class_of[g.images[self.members(class_id)[0]]]
 
+    def image(self, points: Sequence[int], letters: Sequence[int],
+              g: Permutation) -> tuple[int, tuple[int, ...]]:
+        """(class, letters) of the image under g of a string on ``points``.
+
+        ``points`` are the increasing points of one class, or of one class
+        inside a window that g and the partition leave invariant, and carry
+        ``letters`` in that order; the image letters are listed in the order
+        of the image points.  ``points`` must not be empty.
+        """
+        moved = sorted(zip(map(g.images.__getitem__, points), letters))
+        return self.class_of[moved[0][0]], tuple(letter for _, letter in moved)
+
+    def cut(self, class_id: int, letters: Sequence, window: Container[int]) -> tuple:
+        """The letters of a string on a class at the class's points inside
+        ``window``, in point order.  Cutting ``members(class_id)`` itself
+        gives those points."""
+        return tuple(l for p, l in zip(self._members[class_id], letters) if p in window)
+
     def apply(self, g: Permutation) -> "PPartition":
         return PPartition.from_classes(self.n, [
             [g.images[p] for p in c] for c in self.classes()
@@ -118,10 +144,6 @@ class PString:
 
     class_id: int
     letters: tuple[int, ...]
-
-    def letter_at(self, partition: PPartition, point: int) -> int:
-        members = partition.members(self.class_id)
-        return self.letters[members.index(point)]
 
 
 class PStringFamily:
@@ -194,16 +216,8 @@ class PStringFamily:
 
     def apply(self, g: Permutation) -> "PStringFamily":
         part = self.partition
-        out = []
-        for m in self.members:
-            pts = part.members(m.class_id)
-            image_pts = sorted(g.images[p] for p in pts)
-            target = part.class_of[image_pts[0]]
-            letters = [0] * len(pts)
-            pos = {p: i for i, p in enumerate(image_pts)}
-            for p, letter in zip(pts, m.letters):
-                letters[pos[g.images[p]]] = letter
-            out.append(PString(target, tuple(letters)))
+        out = [PString(*part.image(part.members(m.class_id), m.letters, g))
+               for m in self.members]
         return PStringFamily(part, out, sentinel=self.sentinel)
 
     def restrict(self, points: Sequence[int]) -> "PStringFamily":
@@ -215,24 +229,15 @@ class PStringFamily:
         if not pts:
             raise ValueError("cannot restrict to an empty point set")
         part = self.partition
-        old_classes = [c for c in range(part.num_classes) if any(part.class_of[p] == c for p in pts)]
-        kept = {c: [p for p in pts if part.class_of[p] == c] for c in old_classes}
-        new_part = PPartition.from_classes(len(pts), [
-            [pts.index(p) for p in kept[c]] for c in old_classes
-        ])
-        remap = {c: new_part.class_of[pts.index(kept[c][0])] for c in old_classes}
-        seen = set()
-        out = []
-        for m in self.members:
-            if m.class_id not in remap:
-                continue
-            old_pts = part.members(m.class_id)
-            letters = tuple(letter for p, letter in zip(old_pts, m.letters) if p in set(kept[m.class_id]))
-            key = (remap[m.class_id], letters)
-            if key not in seen:
-                seen.add(key)
-                out.append(PString(*key))
-        return PStringFamily(new_part, out, sentinel=self.sentinel)
+        # the kept classes, renumbered by their least kept point
+        remap: dict[int, int] = {}
+        new_part = PPartition(len(pts), tuple(
+            remap.setdefault(part.class_of[p], len(remap)) for p in pts))
+        window = set(pts)
+        keys = {(remap[m.class_id], part.cut(m.class_id, m.letters, window))
+                for m in self.members if m.class_id in remap}
+        return PStringFamily(new_part, [PString(*key) for key in keys],
+                             sentinel=self.sentinel)
 
     def virtual_size(self, cfg: VirtualSizeConfig) -> int:
         e = cfg.exponent
@@ -261,14 +266,6 @@ def make_family(partition: PPartition, strings: Iterable[PString],
             size = len(partition.members(class_id))
             padded.append(PString(class_id, (sentinel,) * size))
     return PStringFamily(partition, padded, sentinel=sentinel)
-
-
-def restrict_family(fam: PStringFamily, points: Sequence[int]) -> PStringFamily:
-    return fam.restrict(points)
-
-
-def virtual_size(fam: PStringFamily, cfg: VirtualSizeConfig) -> int:
-    return fam.virtual_size(cfg)
 
 
 def harmonize_sentinels(x: PStringFamily, y: PStringFamily) -> tuple[PStringFamily, PStringFamily]:

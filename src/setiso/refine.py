@@ -16,7 +16,7 @@ from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation
 from .pstrings import PPartition, PString, make_family
 from .solver import GsiInstance, SolverConfig, generalized_string_iso
-from .strings import graph_iso_under_group
+from .strings import ColoredString, graph_iso_under_group
 
 
 class NotTCRBounded(RuntimeError):
@@ -226,13 +226,6 @@ class _PairState:
                           cls2 or self.cls2, IsoCoset.empty())
 
 
-def _apply_string(letters: tuple, g: Permutation) -> tuple:
-    out = [0] * len(letters)
-    for i, l in enumerate(letters):
-        out[g.images[i]] = l
-    return tuple(out)
-
-
 def _index_of(classes) -> dict[int, int]:
     out = {}
     for i, cls in enumerate(classes):
@@ -313,7 +306,7 @@ def _advance_to(state: _PairState, new1, new2, data1, data2,
         img = [0] * m_new
         for i in range(m_new):
             d = data1[new1[i][0]]
-            key = (g.images[parent_new1[i]], _apply_string(d, g))
+            key = (g.images[parent_new1[i]], ColoredString(d).apply(g).letters)
             if key not in lookup:
                 return None
             img[i] = lookup[key]
@@ -408,7 +401,7 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     quotient-graph isomorphism under the lifted coset.  Raises NotTCRBounded
     when the alternation stalls before both colorings are discrete.
     """
-    cfg = cfg or SolverConfig(d=max(t, 2))
+    cfg = cfg or SolverConfig()
     if g1.n != g2.n:
         return IsoCoset.empty()
     n = g1.n

@@ -46,22 +46,8 @@ def _window_parts(fam: PStringFamily, window: set) -> dict[int, list[tuple]]:
     part = fam.partition
     out: dict[int, set] = {c: set() for c in range(part.num_classes)}
     for m in fam.members:
-        pts = part.members(m.class_id)
-        out[m.class_id].add(tuple(l for p, l in zip(pts, m.letters) if p in window))
+        out[m.class_id].add(part.cut(m.class_id, m.letters, window))
     return {c: sorted(v) for c, v in out.items()}
-
-
-def _part_image(partition: PPartition, class_id: int, part_letters: tuple,
-                window: set, g: Permutation) -> tuple[int, tuple]:
-    pts = [p for p in partition.members(class_id) if p in window]
-    image = sorted(g.images[p] for p in pts)
-    pos = {p: i for i, p in enumerate(image)}
-    new_letters = [0] * len(pts)
-    for p, letter in zip(pts, part_letters):
-        new_letters[pos[g.images[p]]] = letter
-    new_class = (partition.class_of[image[0]] if image
-                 else partition.class_of[g.images[partition.members(class_id)[0]]])
-    return new_class, tuple(new_letters)
 
 
 def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
@@ -82,7 +68,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
         for c, pts in enumerate(fam.partition.classes()):
             inside = fam.occupancy(c)
             if any(p in off_set for p in pts):
-                seen = {tuple(l for p, l in zip(pts, m.letters) if p in off_set)
+                seen = {fam.partition.cut(c, m.letters, off_set)
                         for m in fam.members if m.class_id == c}
                 off = len(seen)
             else:
@@ -143,7 +129,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     partition.  Output classes coarsen isomorphism; within each class the
     families are window-simple and satisfy the coset identity (D).
     """
-    cfg = cfg or SolverConfig(d=d)
+    cfg = cfg or SolverConfig()
     wset = set(window)
     win_sorted = sorted(wset)
     n = group.degree
@@ -177,10 +163,13 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     point_index = {pt: i for i, pt in enumerate(new_points)}
     n2 = len(new_points)
 
+    inside = [partition.cut(c, pts, wset) for c, pts in enumerate(partition.classes())]
+
     def lift_perm(g: Permutation) -> Permutation:
         img = [0] * n2
         for i, (p, c, z) in enumerate(new_points):
-            c2, z2 = _part_image(partition, c, z, wset, g)
+            c2, z2 = (partition.image(inside[c], z, g) if inside[c]
+                      else (partition.image_class(c, g), ()))
             img[i] = point_index[(g.images[p], c2, z2)]
         return Permutation(img)
 
@@ -198,7 +187,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
         members = []
         for m in fam.members:
             pts = partition.members(m.class_id)
-            z = tuple(l for p, l in zip(pts, m.letters) if p in wset)
+            z = partition.cut(m.class_id, m.letters, wset)
             target = class_of_key[(m.class_id, z)]
             tgt_pts = split_partition.members(target)
             letter_of = dict(zip(pts, m.letters))

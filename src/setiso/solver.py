@@ -17,6 +17,10 @@ of member signatures.  The test is exact once every point is fixed, so the
 search yields exactly the elements a full scan would accept, in the same
 order, and the answers do not change.  One recursion budget is shared by
 the whole query, the nested string and graph queries included.
+
+P-strings are moved and cut only through ``PPartition.image`` and
+``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
+former, is the leaf check of the search.
 """
 
 from __future__ import annotations
@@ -26,25 +30,22 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
-from .pstrings import (
-    PPartition,
-    PString,
-    PStringFamily,
-    VirtualSizeConfig,
-    harmonize_sentinels,
+from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels
+from .strings import (
+    DIRECT_ENUM_CUTOFF,
+    Budget,
+    ColoredString,
+    StringQuery,
+    graph_iso_under_group,
+    string_iso,
 )
-from .strings import Budget, ColoredString, StringQuery, graph_iso_under_group, string_iso
 from .structure import PartitionChain
 
 
 @dataclass
 class SolverConfig:
-    d: int = 2
     budget: Optional[int] = None
-    direct_cutoff: int = 120
-
-    def vsize(self) -> VirtualSizeConfig:
-        return VirtualSizeConfig(self.d)
+    direct_cutoff: int = DIRECT_ENUM_CUTOFF
 
 
 @dataclass
@@ -77,25 +78,11 @@ class GsiInstance:
                 frozenset(pts) for pts in self.partition.classes())
 
 
-def restrict_perm(g: Permutation, points: Sequence[int]) -> Permutation:
-    pts = sorted(points)
-    pos = {p: i for i, p in enumerate(pts)}
-    return Permutation([pos[g.images[p]] for p in pts])
-
-
 def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
     """Canonical key of fam^g without building the family object."""
     part = fam.partition
-    out = []
-    for m in fam.members:
-        pts = part.members(m.class_id)
-        image_pts = sorted(g.images[p] for p in pts)
-        pos = {p: i for i, p in enumerate(image_pts)}
-        letters = [0] * len(pts)
-        for p, letter in zip(pts, m.letters):
-            letters[pos[g.images[p]]] = letter
-        out.append((part.class_of[image_pts[0]], tuple(letters)))
-    return frozenset(out)
+    return frozenset(part.image(part.members(m.class_id), m.letters, g)
+                     for m in fam.members)
 
 
 def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
@@ -188,20 +175,11 @@ def _orbit_unbalanced(fam: PStringFamily, orbit: Sequence[int]) -> bool:
     return not sub.is_balanced()
 
 
-def _occupancy_counts(fam: PStringFamily, window: Sequence[int],
-                      class_ids: Sequence[int]) -> list[int]:
-    """m_{fam[window]}(P ∩ window) for the given original class ids."""
-    wset = set(window)
-    out = []
-    for c in class_ids:
-        pts = fam.partition.members(c)
-        kept = [i for i, p in enumerate(pts) if p in wset]
-        seen = set()
-        for m in fam.members:
-            if m.class_id == c:
-                seen.add(tuple(m.letters[i] for i in kept))
-        out.append(len(seen))
-    return out
+def _occupancy_count(fam: PStringFamily, window: frozenset, class_id: int) -> int:
+    """m_{fam[window]}(P ∩ window) for one original class P."""
+    part = fam.partition
+    return len({part.cut(class_id, m.letters, window)
+                for m in fam.members if m.class_id == class_id})
 
 
 def balance_orbits(group: PermGroup, partition: PPartition,
@@ -218,21 +196,18 @@ def balance_orbits(group: PermGroup, partition: PPartition,
         bad = None
         for orb in sub.orbits():
             if len(orb) > 1 and _orbit_unbalanced(x, orb):
-                bad = orb
+                bad = frozenset(orb)
                 break
         if bad is None:
             return current
         class_ids = sorted({x.partition.class_of[p] for p in bad},
                            key=lambda c: x.partition.members(c)[0])
-        xs = _occupancy_counts(x, bad, class_ids)
-        image_orbit = sorted(shift.images[p] for p in bad)
+        xs = [_occupancy_count(x, bad, c) for c in class_ids]
+        image_orbit = shift.apply_set(bad)
         # pull the y-side counts back through the shift
-        ys = []
-        for c in class_ids:
-            p0 = x.partition.members(c)[0]
-            target_class = y.partition.class_of[shift.images[p0]]
-            ys.append(_occupancy_counts(y, image_orbit, [target_class])[0])
-        blocks = [frozenset(set(x.partition.members(c)) & set(bad)) for c in class_ids]
+        ys = [_occupancy_count(y, image_orbit, x.partition.image_class(c, shift))
+              for c in class_ids]
+        blocks = [frozenset(x.partition.members(c)) & bad for c in class_ids]
         hom = sub.block_action(blocks)
         res = string_iso(StringQuery(hom.image(), ColoredString(tuple(xs)),
                                      ColoredString(tuple(ys)),
@@ -250,33 +225,13 @@ def balance_orbits(group: PermGroup, partition: PPartition,
 
 # -- CombineWindows ---------------------------------------------------------------
 
-def _member_piece(partition: PPartition, member: PString, window: set):
-    pts = partition.members(member.class_id)
-    kept = tuple(l for p, l in zip(pts, member.letters) if p in window)
-    if not any(p in window for p in pts):
-        return None
-    return (member.class_id, kept)
-
-
-def _piece_image(partition: PPartition, piece, window_pts: set, g: Permutation):
-    c, letters = piece
-    pts = [p for p in partition.members(c) if p in window_pts]
-    image = sorted((g.images[p] for p in pts))
-    pos = {p: i for i, p in enumerate(image)}
-    new_letters = [0] * len(pts)
-    for p, letter in zip(pts, letters):
-        new_letters[pos[g.images[p]]] = letter
-    new_class = partition.class_of[image[0]]
-    return (new_class, tuple(new_letters))
-
-
 def _check_window_automorphic(group: PermGroup, fam: PStringFamily,
                               window: Sequence[int]) -> bool:
     if not window:
         return True
     sub = fam.restrict(window)
     key = sub.key()
-    return all(sub.apply(restrict_perm(g, window)).key() == key
+    return all(sub.apply(g.restrict(window)).key() == key
                for g in group.generators)
 
 
@@ -322,17 +277,25 @@ def _combine_group(group: PermGroup, partition: PPartition,
     if len(x.restrict(w).members) != len(y.restrict(w).members):
         return IsoCoset.empty()
 
-    s1, s2 = set(w1), set(w2)
-    v1 = sorted({_member_piece(partition, m, s1) for m in x.members} - {None})
-    v2 = sorted({_member_piece(partition, m, s2) for m in x.members} - {None})
-    index = {piece: i for i, piece in enumerate(v1)}
-    index.update({piece: len(v1) + i for i, piece in enumerate(v2)})
+    windows = (set(w1), set(w2))
+    # the points of each class inside each window
+    inside = [[partition.cut(c, pts, w) for c, pts in enumerate(partition.classes())]
+              for w in windows]
+
+    def pieces(fam: PStringFamily, side: int) -> list:
+        """Each member cut to a window and tagged with it; None where its
+        class misses the window.  The tag keeps equal cuts on the two
+        windows apart."""
+        return [(side, m.class_id, partition.cut(m.class_id, m.letters, windows[side]))
+                if inside[side][m.class_id] else None for m in fam.members]
+
+    v1 = sorted(set(pieces(x, 0)) - {None})
+    v2 = sorted(set(pieces(x, 1)) - {None})
+    index = {piece: i for i, piece in enumerate(v1 + v2)}
 
     def edges_of(fam: PStringFamily):
         out = set()
-        for m in fam.members:
-            p1 = _member_piece(partition, m, s1)
-            p2 = _member_piece(partition, m, s2)
+        for p1, p2 in zip(pieces(fam, 0), pieces(fam, 1)):
             if p1 is not None and p2 is not None:
                 if p1 not in index or p2 not in index:
                     return None
@@ -343,7 +306,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
     ey = edges_of(y)
     if ey is None:
         return IsoCoset.empty()
-    nv = len(v1) + len(v2)
+    nv = len(index)
     colors = [0] * len(v1) + [1] * len(v2)
     gx = ColoredGraph.plain(nv, sorted(ex), colors)
     gy = ColoredGraph.plain(nv, sorted(ey), colors)
@@ -351,9 +314,8 @@ def _combine_group(group: PermGroup, partition: PPartition,
     images = []
     for g in group.generators:
         img = [0] * nv
-        for piece, i in index.items():
-            wpts = s1 if i < len(v1) else s2
-            img[i] = index[_piece_image(partition, piece, wpts, g)]
+        for (side, c, letters), i in index.items():
+            img[i] = index[(side, *partition.image(inside[side][c], letters, g))]
         images.append(Permutation(img))
     hom = GroupHom(group, nv, images)
     res = graph_iso_under_group(gx, gy, hom.image(), budget=ctx.budget)

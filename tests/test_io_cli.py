@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -12,16 +9,7 @@ from setiso.perm import PermGroup, Permutation
 from setiso.pstrings import Hypergraph, PPartition, PString, make_family
 from setiso.strings import ColoredString
 
-from util import rand_perm
-
-
-def run_cli(args, env_threads=None):
-    env = dict(os.environ)
-    if env_threads is not None:
-        env["SETISO_THREADS"] = str(env_threads)
-    proc = subprocess.run([sys.executable, "-m", "setiso.cli"] + args,
-                          capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
+from util import rand_perm, run_cli
 
 
 class TestRoundTrips:
@@ -244,7 +232,7 @@ class TestCli:
         assert "K_{3,3} genus 1" in out
         assert "K_{3,7} genus 2" in out
 
-    def test_determinism_across_threads(self, fixture_dir):
+    def test_determinism_across_runs(self, fixture_dir):
         cmds = [
             ["iso-hyper", "--machine", "--group", str(fixture_dir / "s4.grp"),
              str(fixture_dir / "cyc.hg"), str(fixture_dir / "cyc2.hg")],
@@ -253,8 +241,7 @@ class TestCli:
         ]
         for cmd in cmds:
             outs = set()
-            for threads in (1, 4):
-                for _ in range(2):
-                    code, out, _ = run_cli(cmd, env_threads=threads)
-                    outs.add((code, out))
+            for _ in range(2):
+                code, out, _ = run_cli(cmd)
+                outs.add((code, out))
             assert len(outs) == 1

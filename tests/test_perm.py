@@ -11,12 +11,8 @@ from setiso.perm import (
     NotInvariant,
     PermGroup,
     Permutation,
-    build_group,
-    hom_tools,
     is_giant,
     orbits_and_blocks,
-    restrict_action,
-    stabilizers,
     transversal_cosets,
 )
 
@@ -67,23 +63,23 @@ class TestPermutation:
 
 class TestBuildGroup:
     def test_s3_from_two_generators(self):
-        g = build_group([Permutation([1, 0, 2]), Permutation([1, 2, 0])], 3)
+        g = PermGroup([Permutation([1, 0, 2]), Permutation([1, 2, 0])], 3)
         assert g.order() == 6
 
     def test_cyclic_c4_membership(self):
-        g = build_group([Permutation([1, 2, 3, 0])], 4)
+        g = PermGroup([Permutation([1, 2, 3, 0])], 4)
         assert g.order() == 4
         assert g.contains(Permutation([2, 3, 0, 1]))
         assert not g.contains(Permutation([1, 0, 2, 3]))
 
     def test_trivial_group(self):
-        g = build_group([], 5)
+        g = PermGroup([], 5)
         assert g.order() == 1
         assert g.contains(Permutation.identity(5))
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_group([Permutation([1, 0]), Permutation([0, 1, 2])], 2)
+            PermGroup([Permutation([1, 0]), Permutation([0, 1, 2])], 2)
 
     def test_order_matches_closure_enumeration(self):
         rng = random.Random(12345)
@@ -114,18 +110,18 @@ class TestBuildGroup:
 
 class TestOrbitsAndBlocks:
     def test_orbits_from_generator_support(self):
-        g = build_group([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
+        g = PermGroup([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
         assert g.orbits() == [(0, 1), (2, 3), (4,)]
 
     def test_c4_minimal_block_system(self):
-        g = build_group([Permutation([1, 2, 3, 0])], 4)
+        g = PermGroup([Permutation([1, 2, 3, 0])], 4)
         blocks, primitive = g.minimal_block_system(range(4))
         assert not primitive
         assert blocks == [frozenset({0, 2}), frozenset({1, 3})]
 
     def test_c4_blocks_by_brute_force(self):
         # enumerate all invariant partitions of C4 into equal blocks
-        g = build_group([Permutation([1, 2, 3, 0])], 4)
+        g = PermGroup([Permutation([1, 2, 3, 0])], 4)
         c4 = list(g.elements())
 
         def is_block(block):
@@ -143,7 +139,7 @@ class TestOrbitsAndBlocks:
         assert blocks == [frozenset({i}) for i in range(4)]
 
     def test_orbits_and_blocks_surface(self):
-        g = build_group([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
+        g = PermGroup([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
         orbits, blocks = orbits_and_blocks(g)
         assert orbits == [(0, 1), (2, 3), (4,)]
         assert set(blocks) == {(0, 1), (2, 3)}
@@ -185,19 +181,19 @@ class TestOrbitsAndBlocks:
 
 class TestStabilizers:
     def test_point_stabilizer_of_s3(self):
-        g = stabilizers(sym(3), [0], "pointwise")
+        g = sym(3).pointwise_stabilizer([0])
         assert g.order() == 2
 
     def test_setwise_stabilizer_of_s4(self):
-        g = stabilizers(sym(4), [0, 1], "setwise")
+        g = sym(4).setwise_stabilizer([0, 1])
         brute = [p for p in sym(4).elements() if p.apply_set({0, 1}) == frozenset({0, 1})]
         assert g.order() == len(brute) == 4
         assert all(g.contains(p) for p in brute)
 
     def test_empty_condition_returns_group(self):
         g = sym(4)
-        assert stabilizers(g, [], "pointwise") is g
-        assert stabilizers(g, [], "setwise") is g
+        assert g.pointwise_stabilizer([]) is g
+        assert g.setwise_stabilizer([]) is g
 
     def test_stabilizers_against_brute_force(self):
         rng = random.Random(4242)
@@ -219,10 +215,10 @@ class TestStabilizers:
 
 class TestHomTools:
     def test_c4_square_map(self):
-        c4 = build_group([Permutation([1, 2, 3, 0])], 4)
+        c4 = PermGroup([Permutation([1, 2, 3, 0])], 4)
         sq = Permutation([2, 3, 0, 1])
         hom = GroupHom(c4, 4, [sq])
-        image, kernel, preimage = hom_tools(hom)
+        image, kernel = hom.image(), hom.kernel()
         assert image.order() == 2
         assert kernel.order() == 2
         assert hom.apply(Permutation([1, 2, 3, 0])) == sq
@@ -237,7 +233,7 @@ class TestHomTools:
         g = PermGroup(gens, 8)
         blocks = [frozenset({2 * i, 2 * i + 1}) for i in range(4)]
         hom = g.block_action(blocks)
-        image, kernel, _ = hom_tools(hom)
+        image, kernel = hom.image(), hom.kernel()
         assert image.order() == 24
         assert kernel.order() == 2 ** 4
         assert image.order() * kernel.order() == g.order()
@@ -245,13 +241,13 @@ class TestHomTools:
     def test_identity_hom(self):
         g = sym(3)
         hom = GroupHom(g, 3, list(g.generators))
-        _, kernel, preimage = hom_tools(hom)
+        kernel, preimage = hom.kernel(), hom.preimage
         assert kernel.order() == 1
         p = Permutation([2, 0, 1])
         assert preimage(p) == p
 
     def test_preimage_absent(self):
-        c4 = build_group([Permutation([1, 2, 3, 0])], 4)
+        c4 = PermGroup([Permutation([1, 2, 3, 0])], 4)
         sq = Permutation([2, 3, 0, 1])
         hom = GroupHom(c4, 4, [sq])
         assert hom.preimage(Permutation([1, 2, 3, 0])) is None
@@ -284,7 +280,7 @@ class TestIsGiant:
         assert is_giant(alt(4), range(4)) == "alt"
 
     def test_c4_is_none(self):
-        assert is_giant(build_group([Permutation([1, 2, 3, 0])], 4), range(4)) is None
+        assert is_giant(PermGroup([Permutation([1, 2, 3, 0])], 4), range(4)) is None
 
     def test_invariant_required(self):
         with pytest.raises(NotInvariant):
@@ -309,14 +305,14 @@ class TestIsGiant:
 
 class TestRestrictAction:
     def test_restriction_of_support(self):
-        g = build_group([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
-        sub, hom = restrict_action(g, [0, 1])
+        g = PermGroup([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
+        sub, hom = g.restrict([0, 1])
         assert sub.order() == 2
         assert sub.degree == 2
 
     def test_full_domain_is_identity_relabeling(self):
         g = sym(4)
-        sub, hom = restrict_action(g, range(4))
+        sub, hom = g.restrict(range(4))
         assert sub.order() == g.order()
         p = Permutation([1, 0, 3, 2])
         assert hom.apply(p) == p
@@ -329,13 +325,13 @@ class TestRestrictAction:
             Permutation.from_cycles(5, [3, 4]),
         ]
         g = PermGroup(gens, 5)
-        sub, _ = restrict_action(g, [3, 4])
+        sub, _ = g.restrict([3, 4])
         assert sub.order() == 2
 
 
 class TestIsoCosetAndUnions:
     def test_coset_membership(self):
-        g = build_group([Permutation([1, 0, 2])], 3)
+        g = PermGroup([Permutation([1, 0, 2])], 3)
         shift = Permutation([2, 0, 1])
         coset = IsoCoset(g, shift)
         elems = list(coset.elements())
@@ -349,14 +345,14 @@ class TestIsoCosetAndUnions:
         assert not coset.contains(Permutation.identity(2))
 
     def test_normalized_uses_identity_rep(self):
-        g = build_group([Permutation([1, 0, 2])], 3)
+        g = PermGroup([Permutation([1, 0, 2])], 3)
         coset = IsoCoset(g, Permutation([1, 0, 2])).normalized()
         assert coset.rep.is_identity()
 
     def test_union_reassembles_full_coset(self):
         # union of the cosets of <(01)> in S3 equals all of S3
         s3 = sym(3)
-        sub = build_group([Permutation([1, 0, 2])], 3)
+        sub = PermGroup([Permutation([1, 0, 2])], 3)
         union = CosetUnion(3)
         for e in s3.elements():
             union.add(IsoCoset(sub, e))
@@ -369,7 +365,7 @@ def test_transversal_covers_image():
     g = sym(4)
     blocks, _ = g.minimal_block_system(range(4))
     # S4 is primitive: use orbit partition of a subgroup instead
-    sub = build_group([Permutation.from_cycles(4, [0, 1, 2, 3])], 4)
+    sub = PermGroup([Permutation.from_cycles(4, [0, 1, 2, 3])], 4)
     bl, prim = sub.minimal_block_system(range(4))
     hom = sub.block_action(bl)
     reps = list(transversal_cosets(sub, hom))

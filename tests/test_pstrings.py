@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setiso.perm import Permutation
+from setiso.oracle import apply_family
+from setiso.perm import NotInvariant, Permutation
 from setiso.pstrings import (
     Hypergraph,
     PPartition,
@@ -16,8 +17,9 @@ from setiso.pstrings import (
     hypergraph_to_family,
     make_family,
 )
+from setiso.solver import family_image_key
 
-from util import rand_perm
+from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
 
 def rand_partition(rng, n):
@@ -248,3 +250,52 @@ class TestFamilyAction:
             if not (part.is_invariant_under(g) and part.is_invariant_under(h)):
                 continue
             assert fam.apply(g).apply(h).key() == fam.apply(g * h).key()
+
+
+def _instance(n, rng):
+    """A group, a family on an invariant partition, a group element and a
+    union of orbits."""
+    g = rand_group(rng, n, order_cap=2000)
+    fam = rand_family_on(rng, rand_invariant_partition(rng, g), colors=3)
+    h = list(g.elements())[rng.randrange(g.order())]
+    orbits = g.orbits()
+    window = sorted(p for orb in orbits if rng.random() < 0.5 for p in orb)
+    return g, fam, h, window or list(orbits[0])
+
+
+class TestActionPrimitives:
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_image_agrees_with_the_oracle(self, n, rng):
+        _, fam, h, _ = _instance(n, rng)
+        part = fam.partition
+        members = frozenset((m.class_id, m.letters) for m in fam.members)
+        assert fam.apply(h).key() == apply_family(members, part.class_of, h.images)
+        assert family_image_key(fam, h) == fam.apply(h).key()
+
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_cut_and_image_commute(self, n, rng):
+        _, fam, h, window = _instance(n, rng)
+        part = fam.partition
+        wset = set(window)
+        for c, pts in enumerate(part.classes()):
+            assert part.cut(c, pts, wset) == tuple(p for p in pts if p in wset)
+        assert (fam.restrict(window).apply(h.restrict(window)).key()
+                == fam.apply(h).restrict(window).key())
+
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_restrict(self, n, rng):
+        g, _, h, window = _instance(n, rng)
+        sub, hom = g.restrict(window)
+        assert hom.gen_images == tuple(x.restrict(window) for x in g.generators)
+        assert hom.apply(h) == h.restrict(window)
+        moved = [orb for orb in g.orbits() if len(orb) > 1]
+        if moved:
+            part_of_orbit = moved[0][:-1]
+            with pytest.raises(NotInvariant):
+                for x in g.generators:
+                    x.restrict(part_of_orbit)
+            with pytest.raises(NotInvariant):
+                g.restrict(part_of_orbit)

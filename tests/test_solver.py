@@ -308,6 +308,21 @@ class TestCombineWindows:
             assert res.element_set() == frozenset(brute)
 
 
+    def test_equal_cuts_on_both_windows_stay_apart(self):
+        # the one class meets both orbits, and {0, 4} cuts to the same
+        # letters on each: the two cuts are two vertices of the co-membership
+        # graph, not one
+        n = 8
+        g = PermGroup([Permutation.from_cycles(n, [0, 1]), Permutation.from_cycles(n, [0, 1, 2, 3]),
+                       Permutation.from_cycles(n, [4, 5]), Permutation.from_cycles(n, [4, 5, 6, 7])], n)
+        h1 = Hypergraph(n, frozenset({frozenset({0, 4}), frozenset({1, 2, 5})}))
+        h2 = h1.apply(Permutation([1, 2, 3, 0, 6, 4, 5, 7]))
+        x, y = hypergraph_to_family(h1), hypergraph_to_family(h2)
+        expected = brute_gsi(g, x, y)
+        assert len(expected) == 4
+        assert solver_set(g, PPartition.trivial(n), x, y) == expected
+
+
 class TestBudget:
     def test_search_budget_counts_search_nodes(self):
         # Aut has order 48 in Sym(8): listing the elements of Sym(8) one by

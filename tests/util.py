@@ -1,9 +1,24 @@
-"""Shared helpers for seeded random test objects."""
+"""Shared helpers: seeded random test objects and a CLI runner."""
 
+import os
 import random
+import subprocess
+import sys
 
 from setiso.perm import Permutation, PermGroup
 from setiso.pstrings import PPartition, PString, make_family
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(args):
+    """(exit code, stdout, stderr) of ``python -m setiso.cli`` on this tree."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "setiso.cli"] + list(args),
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rand_perm(rng: random.Random, n: int) -> Permutation:
