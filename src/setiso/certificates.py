@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm import GroupHom, PermGroup, Permutation, is_giant
+from .perm import GroupHom, IsoCoset, PermGroup, Permutation, is_giant
 from .pstrings import PPartition, PStringFamily
 from .simplify import simplify_on_window
 from .solver import SolverConfig, _Ctx, _enforce_window, balance_orbits, combine_windows
@@ -61,21 +61,12 @@ def find_giant_rep(group: PermGroup) -> Optional[GiantRep]:
     return GiantRep(hom, flavor, k)
 
 
-def affected_points(delta: PermGroup, rep: GiantRep,
-                    point_to_source: Optional[GroupHom] = None) -> list[int]:
-    """{alpha : (delta_alpha)^phi does not contain Alt(k)}.
-
-    ``point_to_source`` translates elements of ``delta`` into the
-    representation's source group when the two live on different domains.
-    """
+def affected_points(delta: PermGroup, rep: GiantRep) -> list[int]:
+    """{alpha : (delta_alpha)^phi does not contain Alt(k)}."""
     out = []
     for alpha in range(delta.degree):
         stab = delta.pointwise_stabilizer([alpha])
-        gens = []
-        for g in stab.generators:
-            h = point_to_source.apply(g) if point_to_source is not None else g
-            gens.append(rep.apply(h))
-        image = PermGroup(gens, rep.k)
+        image = PermGroup([rep.apply(g) for g in stab.generators], rep.k)
         if is_giant(image, range(rep.k)) is None:
             out.append(alpha)
     return out
@@ -121,17 +112,6 @@ def _set_mover(rep: GiantRep, t1: Sequence[int], t2: Sequence[int]) -> Optional[
         return None
     swap = Permutation.from_cycles(k, [fix[0], fix[1]])
     return rep.hom.preimage(sigma * swap)
-
-
-def _setwise_t_stab(group: PermGroup, rep: GiantRep, t1: Sequence[int]) -> PermGroup:
-    image = rep.hom.image()
-    stab_img = image.setwise_stabilizer(sorted(t1))
-    gens = list(rep.hom.kernel().generators)
-    for g in stab_img.generators:
-        pre = rep.hom.preimage(g)
-        if pre is not None:
-            gens.append(pre)
-    return PermGroup(gens, group.degree)
 
 
 class _LoopState:
@@ -268,10 +248,18 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         raise ValueError("test sets must have equal size")
     cap = cap if cap is not None else group.degree
     t1s, t2s = sorted(t1), sorted(t2)
+    for tset in (t1s, t2s):
+        if tset and (tset[0] < 0 or tset[-1] >= rep.k):
+            raise ValueError("test sets must lie in 0..%d" % (rep.k - 1))
     n = group.degree
 
+    def t_stab(tset: list[int]) -> PermGroup:
+        # {g : g^phi maps T onto itself}
+        image_stab = rep.hom.image().setwise_stabilizer(tset)
+        return rep.hom.pull_back(IsoCoset.full(image_stab)).group
+
     def run_side(fam: PStringFamily, tset: list[int]):
-        stab = _setwise_t_stab(group, rep, tset)
+        stab = t_stab(tset)
         kind, state, extras = _run_loop(
             stab, rep, tset, partition, fam, fam, chain,
             Permutation.identity(n), d, True, cap, cfg)
@@ -295,7 +283,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
     if mover is None:
         return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,
                                True, max(it_x, it_y))
-    stab = _setwise_t_stab(group, rep, t1s)
+    stab = t_stab(t1s)
     y_aligned = y.apply(mover.inverse())
     kind, state, extras = _run_loop(
         stab, rep, t1s, partition, x, y_aligned, chain, mover, d, False, cap, cfg)
@@ -306,7 +294,6 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
     proj = PermGroup([psi(g) for g in state.group.generators], len(t1s))
     a1 = rep.apply(state.rho1).restrict(t1s)
     lam_full = rep.apply(state.rho1.inverse() * state.rho2)
-    pos1 = {p: i for i, p in enumerate(t1s)}
     compare_map = tuple(lam_full.images[p] for p in t1s)
     compare_group = proj.conjugate(a1)
     return LocalCertResult(cert_x, cert_y, compare_group, compare_map, False,

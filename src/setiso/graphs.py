@@ -57,14 +57,6 @@ class ColoredGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset({u, v}) in self.edges
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for e in self.edges:
-            if v in e:
-                (w,) = e - {v}
-                out.append(w)
-        return sorted(out)
-
     def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
         """The sorted neighbors of every vertex, built on the first call.
 

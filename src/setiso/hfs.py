@@ -78,9 +78,7 @@ def hfs_to_graph(term: HfsTerm, universe: int) -> tuple[ColoredGraph, dict]:
     are numbered by first appearance of their structure.  Identical subterms
     are merged.
     """
-    used = term.atoms_used()
-    if used and max(used) >= universe:
-        raise ValueError("term uses an atom outside the universe")
+    _check_universe(term, universe)
     node_of: dict[HfsTerm, int] = {}
     arcs: dict[tuple[int, int], int] = {}
     vcolors: list[int] = [0] * universe
@@ -117,21 +115,10 @@ def hfs_to_graph(term: HfsTerm, universe: int) -> tuple[ColoredGraph, dict]:
     return graph, atom_map
 
 
-def _point_transporter(group: PermGroup, a: int, b: int) -> IsoCoset:
-    """{gamma in group : a^gamma = b} as stabilizer coset."""
-    ident = Permutation.identity(group.degree)
-    reach = {a: ident}
-    queue = [a]
-    while queue:
-        p = queue.pop(0)
-        for g in group.generators:
-            q = g.images[p]
-            if q not in reach:
-                reach[q] = reach[p] * g
-                queue.append(q)
-    if b not in reach:
-        return IsoCoset.empty()
-    return IsoCoset(group.pointwise_stabilizer([a]), reach[b])
+def _check_universe(term: HfsTerm, universe: int) -> None:
+    used = term.atoms_used()
+    if used and max(used) >= universe:
+        raise ValueError("term uses an atom outside the universe")
 
 
 def iso_hfs(t1: HfsTerm, t2: HfsTerm, group: PermGroup,
@@ -141,9 +128,14 @@ def iso_hfs(t1: HfsTerm, t2: HfsTerm, group: PermGroup,
     if t1.kind == "atom" or t2.kind == "atom":
         # a bare atom encodes to an edgeless graph that forgets which atom it
         # was; answer the transporter question directly
+        _check_universe(t1, n)
+        _check_universe(t2, n)
         if t1.kind != t2.kind:
             return IsoCoset.empty()
-        return _point_transporter(group, t1.atom, t2.atom)
+        movers = group.orbit_transversal(t1.atom)
+        if t2.atom not in movers:
+            return IsoCoset.empty()
+        return IsoCoset(group.stabilizer(t1.atom), movers[t2.atom])
     g1, _ = hfs_to_graph(t1, n)
     g2, _ = hfs_to_graph(t2, n)
     if g1.n != g2.n:

@@ -28,7 +28,6 @@ from .structure import (
     chain_of_branches,
     invariant_chain,
     relabel_token,
-    setwise_stabilizer_of_block,
     tree_from_chain,
     unfold_and_act,
 )
@@ -66,26 +65,6 @@ class NormalizedInstance:
         return [i for i, p in enumerate(self.point_map) if p in wset]
 
 
-def _bfs_transversal(elements_action: list[Permutation], gens: list[Permutation],
-                     start: int, degree: int) -> dict[int, Permutation]:
-    """Concrete group elements moving ``start`` to each point of its orbit.
-
-    ``elements_action[k]`` is the induced action of ``gens[k]`` on the index
-    domain; BFS in generator order fixes the representatives.
-    """
-    ident = Permutation.identity(degree)
-    out = {start: ident}
-    queue = [start]
-    while queue:
-        q = queue.pop(0)
-        for act, g in zip(elements_action, gens):
-            r = act.images[q]
-            if r not in out:
-                out[r] = out[q] * g
-                queue.append(r)
-    return out
-
-
 def _assemble(group: PermGroup, partition: PPartition,
               prefix_levels: Sequence[Sequence[frozenset]],
               bottom_builder: Callable[[tuple], list[tuple]],
@@ -118,11 +97,11 @@ def _assemble(group: PermGroup, partition: PPartition,
     for b_idx in range(len(coarse)):
         if b_idx in seen_blocks:
             continue
-        movers = _bfs_transversal(block_acts, list(group.generators), b_idx, n)
+        movers = group.orbit_transversal(b_idx, block_acts)
         seen_blocks.update(movers)
         b0 = coarse[b_idx]
         if len(coarse) > 1:
-            stab = setwise_stabilizer_of_block(group, coarse, b_idx)
+            stab = group.block_stabilizer(coarse, b_idx)
         else:
             stab = group
         cls_ids = sorted((c for c, pts in enumerate(classes) if set(pts) <= b0),
@@ -140,7 +119,7 @@ def _assemble(group: PermGroup, partition: PPartition,
         for q0 in range(len(cls_ids)):
             if q0 in seen_idx:
                 continue
-            deltas = _bfs_transversal(index_acts, list(stab.generators), q0, n)
+            deltas = stab.orbit_transversal(q0, index_acts)
             seen_idx.update(deltas)
             orbit_idx = sorted(deltas)
 
@@ -286,7 +265,7 @@ def normalize_families(group: PermGroup, partition: PPartition,
     if len(classes) > 1:
         def bottom_builder(points: tuple) -> list[tuple]:
             idx = classes.index(frozenset(points))
-            stab = setwise_stabilizer_of_block(group, classes, idx)
+            stab = group.block_stabilizer(classes, idx)
             return _orbit_chain_pieces(stab, points)
     else:
         def bottom_builder(points: tuple) -> list[tuple]:

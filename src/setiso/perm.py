@@ -26,8 +26,17 @@ over products of transversal elements that calls ``step(state,
 final_points, images)`` at each depth where some watched points get their
 final images, drops the prefix when ``step`` returns None and otherwise
 hands its return value to the next depth.  ``elements``, ``elements_where``,
-``search`` and ``transversal_cosets`` are thin adapters over it, so pruning
-never changes the order in which the survivors come out.
+``search``, ``setwise_stabilizer`` and ``transversal_cosets`` are thin
+adapters over it, so pruning never changes the order in which the survivors
+come out.
+
+The constructions the reductions need live here too, so no other module
+builds them by hand: ``GroupHom.pull_back`` ({g : hom(g) in a coset}, from
+the kernel's generators and preimages of the coset's),
+``PermGroup.block_stabilizer`` (a pull-back through the block action),
+``PermGroup.orbit_transversal`` (breadth-first movers along an orbit, also
+over an induced action on blocks or classes) and ``IsoCoset.from_elements``
+(the coset spanned by listed isomorphisms).
 """
 
 from __future__ import annotations
@@ -239,6 +248,8 @@ class PermGroup:
 
     def _build(self, base_prefix: Sequence[int]) -> None:
         for b in base_prefix:
+            if not 0 <= b < self.degree:
+                raise ValueError("points must lie in 0..%d" % (self.degree - 1))
             self._levels.append(_Level(b))
         for g in self.generators:
             self._ensure_base_covers(g)
@@ -332,14 +343,6 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order() == 1
 
-    def strong_generators(self) -> list[Permutation]:
-        out = []
-        for lvl in self._levels:
-            for g in lvl.gens:
-                if g not in out:
-                    out.append(g)
-        return out
-
     def elements(self) -> Iterator[Permutation]:
         """Every group element; order fixed by the transversal enumeration.
 
@@ -379,6 +382,27 @@ class PermGroup:
                     seen.add(b)
                     queue.append(b)
         return sorted(seen)
+
+    def orbit_transversal(self, point: int,
+                          actions: Optional[Sequence[Permutation]] = None
+                          ) -> dict[int, Permutation]:
+        """For each point of the orbit of ``point``, a group element moving
+        ``point`` there: a product of generators, found breadth-first in
+        generator order.
+
+        ``actions[k]``, when given, is the action of generator k on another
+        domain (block or class indices); the orbit is then taken there.
+        """
+        actions = self.generators if actions is None else actions
+        out = {point: Permutation.identity(self.degree)}
+        queue = [point]
+        for q in queue:
+            for act, g in zip(actions, self.generators):
+                r = act.images[q]
+                if r not in out:
+                    out[r] = out[q] * g
+                    queue.append(r)
+        return out
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbit partition of the full domain, sorted by minimum element."""
@@ -497,14 +521,18 @@ class PermGroup:
             images.append(Permutation(img))
         return GroupHom(self, len(blocks), images)
 
+    def block_stabilizer(self, blocks: Sequence[frozenset], idx: int) -> "PermGroup":
+        """Setwise stabilizer of block ``idx`` (blocks sorted by minimum) of
+        an invariant block list, pulled back through the block action."""
+        hom = self.block_action(blocks)
+        return hom.pull_back(IsoCoset.full(hom.image().stabilizer(idx))).group
+
     # -- stabilizers ---------------------------------------------------------
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         pts = sorted(set(points))
         if not pts:
             return self
-        if pts[0] < 0 or pts[-1] >= self.degree:
-            raise ValueError("points must lie in 0..%d" % (self.degree - 1))
         rebuilt = PermGroup(self.generators, self.degree, base_prefix=pts)
         gens = []
         for lvl in rebuilt._levels[len(pts):]:
@@ -515,38 +543,36 @@ class PermGroup:
         return PermGroup(gens, self.degree)
 
     def setwise_stabilizer(self, points: Sequence[int], node_cap: int = 4_000_000) -> "PermGroup":
-        """Backtrack over the stabilizer chain for {g : points^g = points}.
+        """{g : points^g = points}, by a search over a chain based on the points.
 
-        Exponential in the worst case; intended for desk-scale sets.
+        A prefix survives while every point it makes final stays inside or
+        outside the set, as it was; the elements the search yields that the
+        group found so far lacks become its generators.  Exponential in the
+        worst case; intended for desk-scale sets.  Raises SearchCapExceeded
+        once more than ``node_cap`` prefixes have been seen.
         """
         target = frozenset(points)
         if not target:
             return self
         chain = PermGroup(self.generators, self.degree, base_prefix=sorted(target))
-        levels = chain._levels
-        found: list[Permutation] = []
-        known = PermGroup([], self.degree)
         nodes = 0
 
-        def extend(i: int, acc: Permutation) -> None:
-            nonlocal nodes, known
+        def step(state, final, images):
+            nonlocal nodes
             nodes += 1
             if nodes > node_cap:
-                raise SearchCapExceeded("setwise stabilizer backtrack exceeded %d nodes" % node_cap)
-            if i == len(levels):
-                if acc.apply_set(target) == target and not known.contains(acc):
-                    found.append(acc)
-                    known = PermGroup(found, self.degree)
-                return
-            lvl = levels[i]
-            for beta in sorted(lvl.transversal):
-                u = lvl.transversal[beta]
-                image = (u * acc).images[lvl.point]
-                if (lvl.point in target) != (image in target):
-                    continue
-                extend(i + 1, u * acc)
+                raise SearchCapExceeded("setwise stabilizer search exceeded %d nodes" % node_cap)
+            for p in final:
+                if (p in target) != (images[p] in target):
+                    return None
+            return state
 
-        extend(0, Permutation.identity(self.degree))
+        found: list[Permutation] = []
+        known = PermGroup([], self.degree)
+        for g in chain.search(range(self.degree), True, step):
+            if not known.contains(g):
+                found.append(g)
+                known = PermGroup(found, self.degree)
         return known
 
     def stabilizer(self, point: int) -> "PermGroup":
@@ -568,8 +594,8 @@ class PermGroup:
 def is_giant(group: PermGroup, points: Sequence[int]) -> Optional[str]:
     """Classify the induced action on an invariant set: 'sym', 'alt' or None."""
     pts = sorted(set(points))
-    restricted, _ = group.restrict(pts)
     k = len(pts)
+    restricted = PermGroup([g.restrict(pts) for g in group.generators], k)
     if not restricted.is_transitive_on(range(k)) and k > 1:
         return None
     order = restricted.order()
@@ -672,6 +698,27 @@ class GroupHom:
             return None
         return Permutation(combined.images[:n])
 
+    def pull_back(self, coset: "IsoCoset") -> "IsoCoset":
+        """{g in source : hom(g) in coset} for a coset whose group lies in
+        the image.
+
+        Generated by the kernel's generators followed by one preimage of
+        each generator of the coset's group; empty when the representative
+        has no preimage.  Raises ValueError when a generator has none.
+        """
+        if coset.is_empty:
+            return coset
+        rep = self.preimage(coset.rep)
+        if rep is None:
+            return IsoCoset.empty()
+        gens = list(self.kernel().generators)
+        for c in coset.group.generators:
+            pre = self.preimage(c)
+            if pre is None:
+                raise ValueError("coset does not lie in the image of the homomorphism")
+            gens.append(pre)
+        return IsoCoset(PermGroup(gens, self.source.degree), rep)
+
 
 @dataclass(frozen=True)
 class IsoCoset:
@@ -692,6 +739,18 @@ class IsoCoset:
     @classmethod
     def full(cls, group: PermGroup, rep: Optional[Permutation] = None) -> "IsoCoset":
         return cls(group, rep if rep is not None else Permutation.identity(group.degree))
+
+    @classmethod
+    def from_elements(cls, found: Sequence[Permutation], degree: int) -> "IsoCoset":
+        """The coset spanned by listed isomorphisms, empty for an empty list.
+
+        The first one is the representative; g * rep^-1 over the list
+        generate the group.
+        """
+        if not found:
+            return cls.empty()
+        rep_inv = found[0].inverse()
+        return cls(PermGroup([g * rep_inv for g in found], degree), found[0])
 
     @property
     def is_empty(self) -> bool:

@@ -181,9 +181,6 @@ class PStringFamily:
             counts[m.class_id] += 1
         return tuple(counts)
 
-    def strings_of(self, class_id: int) -> list[PString]:
-        return [m for m in self.members if m.class_id == class_id]
-
     def is_completely_occupied(self) -> bool:
         return all(c >= 1 for c in self.occupancy_profile())
 

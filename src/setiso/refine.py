@@ -120,28 +120,19 @@ def _sizes(ids: Sequence[int]) -> list[int]:
 
 # -- isomorphism of t-CR-bounded pairs ------------------------------------------
 
-@dataclass
-class _Quotient:
-    """The current color classes of one graph plus its quotient data."""
-
-    classes: list[tuple[int, ...]]
-
-    def index_of(self) -> dict[int, int]:
-        out = {}
-        for i, cls in enumerate(self.classes):
-            for v in cls:
-                out[v] = i
-        return out
+def _index_of(classes) -> dict[int, int]:
+    out = {}
+    for i, cls in enumerate(classes):
+        for v in cls:
+            out[v] = i
+    return out
 
 
 def _quotient_graph(graph: ColoredGraph, classes: list[tuple[int, ...]],
                     encode: dict) -> ColoredGraph:
     """Vertex colors: multiset of original colors; arc colors: multisets of
     original arc colors between the classes."""
-    idx = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            idx[v] = i
+    idx = _index_of(classes)
     m = len(classes)
     vcolors = []
     for cls in classes:
@@ -179,10 +170,7 @@ def _quotient_graph(graph: ColoredGraph, classes: list[tuple[int, ...]],
 def _class_strings(graph: ColoredGraph, classes: list[tuple[int, ...]],
                    encode: dict) -> dict[int, tuple]:
     """For each vertex: its refinement string over the current classes."""
-    idx = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            idx[v] = i
+    idx = _index_of(classes)
     neighbors = graph.neighbor_table()
     strings = {}
     for v in range(graph.n):
@@ -224,14 +212,6 @@ class _PairState:
     def empty(self, cls1=None, cls2=None) -> "_PairState":
         return _PairState(self.g1, self.g2, cls1 or self.cls1,
                           cls2 or self.cls2, IsoCoset.empty())
-
-
-def _index_of(classes) -> dict[int, int]:
-    out = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            out[v] = i
-    return out
 
 
 def _quotient_check(state: _PairState, cfg: SolverConfig) -> _PairState:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .normalize import NormalizedInstance, renormalize_families
 from .perm import GroupHom, PermGroup, Permutation
 from .pstrings import PPartition, PString, PStringFamily
-from .solver import SolverConfig, _check_window_automorphic, _pull_back
+from .solver import SolverConfig, _check_window_automorphic
 from .strings import ColoredString, StringQuery, string_iso
 from .structure import PartitionChain, is_almost_d_ary
 
@@ -97,7 +97,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
                                          occ_strings[i], budget=cfg.budget))
             if res.is_empty:
                 continue
-            pulled = _pull_back(acting_group, class_hom, res)
+            pulled = class_hom.pull_back(res)
             assigned[i] = (r, pulled.rep)
             aut_groups[r] = pulled.group
             placed = True
@@ -111,7 +111,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
         if r not in aut_groups:
             res = string_iso(StringQuery(class_image, occ_strings[r],
                                          occ_strings[r], budget=cfg.budget))
-            aut_groups[r] = _pull_back(acting_group, class_hom, res).group
+            aut_groups[r] = class_hom.pull_back(res).group
         members = [i for i in range(len(families)) if assigned[i][0] == r]
         shifts = [assigned[i][1] for i in members]
         out.append((members, aut_groups[r], shifts))

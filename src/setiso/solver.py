@@ -20,7 +20,11 @@ the whole query, the nested string and graph queries included.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
-former, is the leaf check of the search.
+former, is the leaf check of the search.  The group work is ``perm``'s:
+answers on an orbit window, an occupancy string or a co-membership graph
+come back through ``GroupHom.pull_back`` of the restriction or induced
+action, and the isomorphisms a search lists become a coset through
+``IsoCoset.from_elements``.
 """
 
 from __future__ import annotations
@@ -146,22 +150,6 @@ def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
             yield g
 
 
-def _pull_back(group: PermGroup, hom: GroupHom, coset: IsoCoset) -> IsoCoset:
-    """{g in group : hom(g) in coset}; the coset must lie in hom's image."""
-    if coset.is_empty:
-        return coset
-    rep = hom.preimage(coset.rep)
-    if rep is None:
-        return IsoCoset.empty()
-    gens = list(hom.kernel().generators)
-    for c in coset.group.generators:
-        pre = hom.preimage(c)
-        if pre is None:
-            raise ValueError("coset does not lie in the image of the homomorphism")
-        gens.append(pre)
-    return IsoCoset(PermGroup(gens, group.degree), rep)
-
-
 class _Ctx:
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
@@ -214,7 +202,7 @@ def balance_orbits(group: PermGroup, partition: PPartition,
                                      budget=ctx.budget))
         if res.is_empty:
             return IsoCoset.empty()
-        refined = _pull_back(sub, hom, res)
+        refined = hom.pull_back(res)
         new = IsoCoset(refined.group, refined.rep * shift)
         if new.group.order() >= sub.order():
             # all of Delta*delta respects the counts yet x[A] is unbalanced:
@@ -319,7 +307,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
         images.append(Permutation(img))
     hom = GroupHom(group, nv, images)
     res = graph_iso_under_group(gx, gy, hom.image(), budget=ctx.budget)
-    return _pull_back(group, hom, res)
+    return hom.pull_back(res)
 
 
 # -- the dispatcher ---------------------------------------------------------------
@@ -346,12 +334,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         return IsoCoset.empty()
     n = group.degree
     if group.order() <= ctx.cfg.direct_cutoff:
-        found = list(_iso_elements(group, x, y))
-        if not found:
-            return IsoCoset.empty()
-        rep = found[0]
-        rep_inv = rep.inverse()
-        return IsoCoset(PermGroup([g * rep_inv for g in found], n), rep)
+        return IsoCoset.from_elements(list(_iso_elements(group, x, y)), n)
 
     orbits = group.orbits()
     if len(orbits) > 1:
@@ -423,7 +406,7 @@ def _enforce_window(coset: IsoCoset, partition: PPartition,
     if x_w.partition != y_w.partition:
         return IsoCoset.empty()
     res = _gsi_group(sub, x_w.partition, x_w, y_w, ctx)
-    pulled = _pull_back(group, hom, res)
+    pulled = hom.pull_back(res)
     if pulled.is_empty:
         return pulled
     return IsoCoset(pulled.group, pulled.rep * shift)

@@ -94,13 +94,8 @@ def _iso_group(group: PermGroup, x: ColoredString, y: ColoredString,
         return x.letters[a] == y.letters[b]
 
     if group.order() <= DIRECT_ENUM_CUTOFF:
-        found = list(group.elements_where(win, same_letter))
-        if not found:
-            return IsoCoset.empty()
-        rep = found[0]
-        rep_inv = rep.inverse()
-        aut = PermGroup([g * rep_inv for g in found], group.degree)
-        return IsoCoset(aut, rep)
+        return IsoCoset.from_elements(list(group.elements_where(win, same_letter)),
+                                      group.degree)
 
     orbits = _window_orbits(group, window)
     if len(orbits) > 1:

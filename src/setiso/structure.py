@@ -296,21 +296,10 @@ class PartitionChain:
         return True
 
 
-def setwise_stabilizer_of_block(group: PermGroup, blocks: Sequence[frozenset],
-                                idx: int) -> PermGroup:
-    """Stabilizer of one block of an invariant partition, via the block action."""
-    hom = group.block_action(blocks)
-    stab = hom.image().pointwise_stabilizer([idx])
-    gens = list(hom.kernel().generators)
-    for g in stab.generators:
-        pre = hom.preimage(g)
-        if pre is not None:
-            gens.append(pre)
-    return PermGroup(gens, group.degree)
-
-
 def _is_semiregular(action: PermGroup) -> bool:
-    return all(action.pointwise_stabilizer([p]).order() == 1 for p in range(action.degree))
+    # every point stabilizer is trivial iff every orbit is as long as the group
+    order = action.order()
+    return all(len(orb) == order for orb in action.orbits())
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,7 @@ def certify_chain(chain: PartitionChain, group: PermGroup) -> list[LevelWitness]
             if fanout == 1:
                 out.append(LevelWitness(i, block, 1, True))
                 continue
-            stab = setwise_stabilizer_of_block(group, coarse, idx)
+            stab = group.block_stabilizer(coarse, idx)
             child_hom = stab.block_action(children)
             semi = _is_semiregular(child_hom.image())
             out.append(LevelWitness(i, block, fanout, semi))
@@ -379,7 +368,7 @@ def invariant_chain(group: PermGroup, domain: Sequence[int]) -> list[list[frozen
         if len(current) == 1:
             stab = group
         else:
-            stab = setwise_stabilizer_of_block(group, current, b0_idx)
+            stab = group.block_stabilizer(current, b0_idx)
         sub_blocks, _ = stab.minimal_block_system(sorted(b0))
         seed = min(sub_blocks, key=min)
         orbit = {seed}
@@ -514,19 +503,20 @@ def combine_along_blocks(group: PermGroup, blocks: Sequence[frozenset],
     if isinstance(bottoms, dict):
         pieces = dict(bottoms)
     else:
-        hom = group.block_action(blocks)
+        # the first transversal element carrying block 0 onto each block
+        block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
+        a = min(blocks[0])
+        movers: dict[int, Permutation] = {}
+        for t in transversal_cosets(group, group.block_action(blocks)):
+            movers.setdefault(block_of[t.images[a]], t)
+            if len(movers) == len(blocks):
+                break
+        if len(movers) < len(blocks):
+            raise InvalidStructureGraph("block action is not transitive; pass explicit bottoms")
         root0, arcs0 = bottoms
-        pieces = {}
-        for idx in range(len(blocks)):
-            mover = None
-            for t in transversal_cosets(group, hom):
-                if hom.apply(t).images[0] == idx:
-                    mover = t
-                    break
-            if mover is None:
-                raise InvalidStructureGraph("block action is not transitive; pass explicit bottoms")
-            pieces[idx] = (relabel_token(root0, mover),
-                           [(relabel_token(u, mover), relabel_token(v, mover)) for u, v in arcs0])
+        pieces = {idx: (relabel_token(root0, mover),
+                        [(relabel_token(u, mover), relabel_token(v, mover)) for u, v in arcs0])
+                  for idx, mover in sorted(movers.items())}
 
     def transform(tok):
         kind = tok[0]

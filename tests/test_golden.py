@@ -1,10 +1,11 @@
-"""Golden CLI output and golden element orders.
+"""Golden CLI output, golden element orders and golden stabilizer generators.
 
 Answers depend on the order in which ``PermGroup.elements()`` and
 ``transversal_cosets`` list elements, and ``--machine`` prints the
-generators that order produces.  These tests pin both byte for byte against
-the files under ``tests/golden/``.  The inputs there are generated by
-``write_inputs`` below.  A change that alters any pinned byte must be
+generators that order produces; the generators of setwise and block
+stabilizers depend on it the same way.  These tests pin all of them byte
+for byte against the files under ``tests/golden/``.  The inputs there are
+generated by ``write_inputs`` below.  A change that alters any pinned byte must be
 deliberate; regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -102,6 +103,23 @@ def write_inputs(d):
     fileio.write_colored_graph(os.path.join(d, "prism5.cg"), prism)
     fileio.write_colored_graph(os.path.join(d, "prism5b.cg"), prism.apply(_relabel(rng, 10)))
 
+    # S2 wr S5: its block action on the five pairs is a giant, so certify runs
+    w10 = _w10()
+    fileio.write_group(os.path.join(d, "w10.grp"), w10)
+    part10 = PPartition.from_classes(10, [[2 * i, 2 * i + 1] for i in range(5)])
+    fam10 = make_family(part10, [PString(c, l) for c, l in
+                                 enumerate([(0, 1), (0, 0), (1, 0), (1, 1), (0, 1)])])
+    fileio.write_family(os.path.join(d, "f3.psf"), fam10)
+    elements10 = list(w10.elements())
+    fileio.write_family(os.path.join(d, "f4.psf"),
+                        fam10.apply(elements10[rng.randrange(len(elements10))]))
+
+
+def _w10():
+    return PermGroup([Permutation.from_cycles(10, [0, 1]),
+                      Permutation.from_cycles(10, [0, 2], [1, 3]),
+                      Permutation.from_cycles(10, [0, 2, 4, 6, 8], [1, 3, 5, 7, 9])], 10)
+
 
 CASES = {
     "iso_string_wreath": ["iso-string", "--machine", "--group", "s3wrs3.grp", "w1.str", "w2.str"],
@@ -115,6 +133,8 @@ CASES = {
     "iso_hfs": ["iso-hfs", "--machine", "t1.hfs", "t2.hfs"],
     "iso_excluded_minor": ["iso-excluded-minor", "--h", "3", "--machine",
                            "prism5.cg", "prism5b.cg"],
+    "normalize": ["normalize", "--d", "2", "--group", "s2wrs4.grp", "f1.psf"],
+    "certify": ["certify", "--d", "5", "--group", "w10.grp", "f3.psf", "f4.psf"],
 }
 
 
@@ -147,6 +167,12 @@ def order_digests():
          list(PermGroup([_lift_to_pairs(g) for g in s4.generators], 16).elements())),
         ("elements S3wrS3", list(_wreath(3, 3).elements())),
         ("transversal S2wrS4-blocks", list(transversal_cosets(w24, hom))),
+        ("setwise-gens S6-{0,2,3}", _sym(6).setwise_stabilizer([0, 2, 3]).generators),
+        ("setwise-gens S2wrS4-{0,1,4}", w24.setwise_stabilizer([0, 1, 4]).generators),
+        ("block-stab-gens S6-singletons-2",
+         _sym(6).block_stabilizer([frozenset({p}) for p in range(6)], 2).generators),
+        ("block-stab-gens S2wrS4-pairs-1",
+         w24.block_stabilizer([frozenset({2 * i, 2 * i + 1}) for i in range(4)], 1).generators),
     ]
     return "".join("%s %d %s\n" % (name, len(perms), _digest(perms)) for name, perms in lines)
 

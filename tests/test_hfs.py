@@ -79,6 +79,11 @@ class TestEncoding:
 
 
 class TestIsoHfs:
+    def test_bare_atom_outside_universe(self):
+        for t1, t2 in ((atom(7), atom(0)), (atom(0), atom(7))):
+            with pytest.raises(ValueError, match="outside the universe"):
+                iso_hfs(t1, t2, sym(5))
+
     def test_relabeled_term_found(self):
         rng = random.Random(99)
         for _ in range(15):

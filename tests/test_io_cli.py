@@ -193,8 +193,9 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0] == "domain 4"
 
-    def test_certify(self, fixture_dir, tmp_path):
-        # wreath group on 10 points with a simple family
+    @staticmethod
+    def _certify_inputs(tmp_path):
+        """A wreath group on 10 points and a simple family, as file names."""
         gens = [
             Permutation.from_cycles(10, [0, 1]),
             Permutation.from_cycles(10, [0, 2], [1, 3]),
@@ -204,12 +205,21 @@ class TestCli:
         part = PPartition.from_classes(10, [[2 * i, 2 * i + 1] for i in range(5)])
         fam = make_family(part, [PString(c, (0, 0)) for c in range(5)])
         fileio.write_family(str(tmp_path / "w.psf"), fam)
-        code, out, _ = run_cli(["certify", "--d", "5",
-                                "--group", str(tmp_path / "w10.grp"),
-                                str(tmp_path / "w.psf"), str(tmp_path / "w.psf")])
+        return ["--group", str(tmp_path / "w10.grp"),
+                str(tmp_path / "w.psf"), str(tmp_path / "w.psf")]
+
+    def test_certify(self, fixture_dir, tmp_path):
+        code, out, _ = run_cli(["certify", "--d", "5"] + self._certify_inputs(tmp_path))
         assert code == 0
         assert "giant-representation k=5" in out
         assert "first: full" in out
+
+    def test_certify_rejects_a_test_set_beyond_k(self, tmp_path):
+        code, _, err = run_cli(["certify", "--d", "5", "--t", "7"]
+                               + self._certify_inputs(tmp_path))
+        assert code == 2
+        assert "test sets must lie in 0..4" in err
+        assert "Traceback" not in err
 
     def test_oracle(self, fixture_dir):
         code, out, _ = run_cli(["oracle", "--kind", "hyper",

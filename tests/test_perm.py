@@ -11,6 +11,7 @@ from setiso.perm import (
     NotInvariant,
     PermGroup,
     Permutation,
+    SearchCapExceeded,
     is_giant,
     orbits_and_blocks,
     transversal_cosets,
@@ -206,6 +207,23 @@ class TestStabilizers:
             sw = [p for p in elems if p.apply_set(pts) == frozenset(pts)]
             assert g.pointwise_stabilizer(pts).order() == len(pw)
             assert g.setwise_stabilizer(pts).order() == len(sw)
+
+    def test_setwise_stabilizer_rejects_a_negative_point(self):
+        # used to loop forever
+        with pytest.raises(ValueError):
+            sym(4).setwise_stabilizer([-1])
+
+    def test_setwise_stabilizer_rejects_a_point_past_the_degree(self):
+        # used to raise IndexError; the chain now checks its base points
+        with pytest.raises(ValueError):
+            sym(4).setwise_stabilizer([5])
+        with pytest.raises(ValueError):
+            PermGroup(sym(4).generators, 4, base_prefix=[4])
+
+    def test_setwise_stabilizer_search_cap(self):
+        with pytest.raises(SearchCapExceeded):
+            sym(8).setwise_stabilizer([0, 1, 2, 3], node_cap=50)
+        assert sym(8).setwise_stabilizer([0, 1, 2, 3]).order() == 24 * 24
 
     def test_pointwise_stabilizer_rejects_outside_points(self):
         for pts in ([4], [-1], [0, 7]):

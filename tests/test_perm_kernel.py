@@ -1,13 +1,15 @@
 """Property tests for the pruned element enumeration, the solver's
-letter-pruned search and the chain-read kernel."""
+letter-pruned search, the chain-read kernel and the pull-back."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from setiso.perm import Permutation, PermGroup
+from setiso.perm import IsoCoset, Permutation, PermGroup
 from setiso.pstrings import PPartition, PString, make_family
 from setiso.solver import _iso_elements, family_image_key
+from setiso.strings import ColoredString, StringQuery, string_iso
 
-from util import closure, rand_family_on, rand_group, rand_invariant_partition
+from util import closure, rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
 
 def _homs(rng, g):
@@ -57,6 +59,57 @@ def test_kernel_is_the_brute_force_kernel(n, rng):
         prefix = [lvl.point for lvl in chain._levels if lvl.point >= n]
         sub = chain.pointwise_stabilizer(prefix)
         assert kernel.generators == tuple(Permutation(h.images[:n]) for h in sub.generators)
+
+
+def _image_cosets(rng, image):
+    """Cosets in an image group: a point stabilizer times an arbitrary
+    permutation (often outside the image) and a string isomorphism answer."""
+    k = image.degree
+    out = [IsoCoset(image.stabilizer(rng.randrange(k)), rand_perm(rng, k))]
+    x = ColoredString(tuple(rng.randrange(2) for _ in range(k)))
+    if rng.random() < 0.7:
+        y = x.apply(rng.choice(list(image.elements())))
+    else:
+        y = ColoredString(tuple(rng.randrange(2) for _ in range(k)))
+    out.append(string_iso(StringQuery(image, x, y)))
+    return out
+
+
+@given(st.integers(1, 7), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_pull_back_is_the_brute_force_preimage(n, rng):
+    g = rand_group(rng, n, order_cap=2000)
+    elems = [Permutation(e) for e in closure(g.generators, n)]
+    for hom in _homs(rng, g):
+        for coset in _image_cosets(rng, hom.image()):
+            pulled = hom.pull_back(coset)
+            brute = {e for e in elems if coset.contains(hom.apply(e))}
+            assert {e for e in elems if pulled.contains(e)} == brute
+            assert pulled.order() == len(brute)
+
+
+def test_pull_back_rejects_a_coset_outside_the_image():
+    c3 = PermGroup([Permutation.from_cycles(3, [0, 1, 2])], 3)
+    hom = c3.block_action([frozenset({p}) for p in range(3)])
+    s3 = PermGroup([Permutation.from_cycles(3, [0, 1]),
+                    Permutation.from_cycles(3, [0, 1, 2])], 3)
+    assert hom.pull_back(IsoCoset.empty()).is_empty
+    with pytest.raises(ValueError):
+        hom.pull_back(IsoCoset.full(s3))
+
+
+def test_orbit_transversal_moves_the_point_onto_each_orbit_point():
+    g = PermGroup([Permutation.from_cycles(8, [0, 1]),
+                   Permutation.from_cycles(8, [0, 2], [1, 3]),
+                   Permutation.from_cycles(8, [0, 4, 2, 6], [1, 5, 3, 7])], 8)
+    movers = g.orbit_transversal(1)
+    assert sorted(movers) == g.orbit(1)
+    assert all(t(1) == q and g.contains(t) for q, t in movers.items())
+    # over the induced action on the four pairs
+    hom = g.block_action([frozenset({2 * i, 2 * i + 1}) for i in range(4)])
+    movers = g.orbit_transversal(0, hom.gen_images)
+    assert sorted(movers) == [0, 1, 2, 3]
+    assert all(t(0) // 2 == q for q, t in movers.items())
 
 
 def test_kernel_of_a_trivial_image_keeps_the_source_generators():

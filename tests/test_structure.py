@@ -18,6 +18,7 @@ from setiso.structure import (
     branch_leaf,
     tree_from_chain,
     unfold_and_act,
+    _is_semiregular,
 )
 
 from util import rand_group
@@ -171,6 +172,18 @@ class TestAlmostDary:
         assert not ok
         ok4, _ = is_almost_d_ary(chain, s4(), 4)
         assert ok4
+
+    def test_semiregular_against_point_stabilizers(self):
+        rng = random.Random(312)
+        groups = [c4(), s4(), wreath_c2_c2(), PermGroup([], 3),
+                  PermGroup([Permutation.from_cycles(6, [0, 1, 2], [3, 4, 5])], 6)]
+        groups += [rand_group(rng, rng.randint(1, 7)) for _ in range(60)]
+        seen = set()
+        for g in groups:
+            expect = all(g.stabilizer(p).order() == 1 for p in range(g.degree))
+            assert _is_semiregular(g) == expect
+            seen.add(expect)
+        assert seen == {True, False}
 
     def test_invariance_required(self):
         chain = PartitionChain.from_partitions(range(4), [
