@@ -12,11 +12,10 @@ from .perm import (
     PermGroup,
     GroupHom,
     IsoCoset,
-    orbits_and_blocks,
     is_giant,
 )
 from .graphs import ColoredGraph
-from .strings import ColoredString, StringQuery, string_iso, graph_iso_under_group
+from .strings import ColoredString, SolverConfig, StringQuery, string_iso, graph_iso_under_group
 from .pstrings import (
     Hypergraph,
     PPartition,
@@ -28,7 +27,6 @@ from .pstrings import (
 )
 from .solver import (
     GsiInstance,
-    SolverConfig,
     balance_orbits,
     combine_windows,
     generalized_string_iso,
@@ -65,7 +63,7 @@ from .minorfree import (
 
 __all__ = [
     "Permutation", "PermGroup", "GroupHom", "IsoCoset",
-    "orbits_and_blocks", "is_giant",
+    "is_giant",
     "ColoredGraph", "ColoredString", "StringQuery", "string_iso",
     "graph_iso_under_group",
     "Hypergraph", "PPartition", "PString", "PStringFamily",

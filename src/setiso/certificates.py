@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .perm import GroupHom, IsoCoset, PermGroup, Permutation, is_giant
 from .pstrings import PPartition, PStringFamily
 from .simplify import simplify_on_window
-from .solver import SolverConfig, _Ctx, _enforce_window, balance_orbits, combine_windows
+from .solver import _enforce_window, balance_orbits, combine_windows
+from .strings import Budget, BudgetArg
 from .structure import PartitionChain
 
 
@@ -135,7 +136,7 @@ class _LoopState:
 def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
               partition: PPartition, x: PStringFamily, y: PStringFamily,
               chain: PartitionChain, rho2_init: Permutation, d: int,
-              self_pair: bool, cap: int, cfg: SolverConfig):
+              self_pair: bool, budget: Budget):
     """The growth loop; returns (exit_kind, state, extras).
 
     exit kinds: 'full' (affected points inside the window, giant image
@@ -155,8 +156,7 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
     def psi_group(g: PermGroup) -> PermGroup:
         return PermGroup([psi(h) for h in g.generators], len(t_sorted))
 
-    ctx = _Ctx(cfg)
-    for iteration in range(cap + 1):
+    for iteration in range(n0 + 1):
         image_t = psi_group(state.group)
         if is_giant(image_t, range(len(t_sorted))) is None:
             return "nonfull", state, {"iterations": iteration, "psi": psi}
@@ -178,17 +178,17 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
         grow = sorted(set(affected) | set(state.window))
         new_window = [p for p in grow if p not in set(state.window)]
 
-        coset = balance_orbits(state.group, state.partition, state.x, state.y, ctx)
+        coset = balance_orbits(state.group, state.partition, state.x, state.y, budget)
         if self_pair:
             coset = coset.normalized()
         if not coset.is_empty:
             coset = _enforce_window(coset, state.partition, state.x, state.y,
-                                    new_window, ctx)
+                                    new_window, budget)
             if self_pair:
                 coset = coset.normalized()
         if not coset.is_empty:
             coset = combine_windows(coset, state.partition, state.x, state.y,
-                                    state.window, new_window, ctx)
+                                    state.window, new_window, budget)
             if self_pair:
                 coset = coset.normalized()
         if coset.is_empty:
@@ -203,7 +203,7 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
 
         fams = [state.x] if self_pair else [state.x, state.y]
         classes = simplify_on_window(fams, state.group, state.partition,
-                                     state.window, state.chain, state.d, cfg)
+                                     state.window, state.chain, state.d, budget)
         if not self_pair:
             holder = next((c for c in classes if set(c.indices) == {0, 1}), None)
             if holder is None:
@@ -226,27 +226,28 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
         state.x = holder.families[0]
         state.y = holder.families[0] if self_pair else holder.families[1]
         state.window = holder.window
-    raise LocalCertificateError("iteration cap %d exceeded" % cap)
+    raise LocalCertificateError("iteration cap %d exceeded" % n0)
 
 
 def local_certificate_pair(x: PStringFamily, y: PStringFamily,
                            group: PermGroup, rep: GiantRep,
                            t1: Sequence[int], t2: Sequence[int],
                            partition: PPartition, chain: PartitionChain,
-                           d: int = 2, cap: Optional[int] = None,
-                           cfg: Optional[SolverConfig] = None) -> LocalCertResult:
+                           d: int = 2, budget: BudgetArg = None) -> LocalCertResult:
     """Certificates for both sides plus the comparison coset on T1.
 
     Contracts: a Full certificate consists of automorphisms whose image
     induces at least Alt on the test set; a NonFull comparison coset contains
-    every projection of an isomorphism aligning the test sets.
+    every projection of an isomorphism aligning the test sets.  One budget
+    bounds the three growth loops.
     """
-    cfg = cfg or SolverConfig()
+    budget = Budget.of(budget)
     if rep.k < 5:
         raise ValueError("giant representation needs at least 5 points")
     if len(set(t1)) != len(set(t2)):
         raise ValueError("test sets must have equal size")
-    cap = cap if cap is not None else group.degree
+    if not t1:
+        raise ValueError("test sets must hold at least one point")
     t1s, t2s = sorted(t1), sorted(t2)
     for tset in (t1s, t2s):
         if tset and (tset[0] < 0 or tset[-1] >= rep.k):
@@ -258,11 +259,10 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         image_stab = rep.hom.image().setwise_stabilizer(tset)
         return rep.hom.pull_back(IsoCoset.full(image_stab)).group
 
-    def run_side(fam: PStringFamily, tset: list[int]):
-        stab = t_stab(tset)
+    def run_side(fam: PStringFamily, tset: list[int], stab: PermGroup):
         kind, state, extras = _run_loop(
             stab, rep, tset, partition, fam, fam, chain,
-            Permutation.identity(n), d, True, cap, cfg)
+            Permutation.identity(n), d, True, budget)
         if kind == "full":
             fixer = extras["fixer"]
             gens = [state.rho1.inverse() * state.tau.apply(g) * state.rho1
@@ -275,18 +275,18 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         return Certificate("nonfull", conj,
                            mapping=tuple(tset)), extras["iterations"]
 
-    cert_x, it_x = run_side(x, t1s)
-    cert_y, it_y = run_side(y, t2s)
+    stab1 = t_stab(t1s)
+    cert_x, it_x = run_side(x, t1s, stab1)
+    cert_y, it_y = run_side(y, t2s, t_stab(t2s))
 
     # comparison run on the aligned pair
     mover = _set_mover(rep, t1s, t2s)
     if mover is None:
         return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,
                                True, max(it_x, it_y))
-    stab = t_stab(t1s)
     y_aligned = y.apply(mover.inverse())
     kind, state, extras = _run_loop(
-        stab, rep, t1s, partition, x, y_aligned, chain, mover, d, False, cap, cfg)
+        stab1, rep, t1s, partition, x, y_aligned, chain, mover, d, False, budget)
     psi = extras["psi"]
     if kind == "distinguished":
         return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,

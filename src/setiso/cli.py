@@ -6,8 +6,10 @@ image table, the automorphism generator tables and the exact order, or
 ``NONISO``.  Exit codes: 0 isomorphic, 1 not isomorphic, 2 error.
 
 ``--d``, the composition-width promise, is an option of ``normalize`` and
-``certify`` only, the two subcommands that read it.  Output is
-byte-identical from run to run.
+``certify`` only, the two subcommands that read it.  ``--budget`` caps the
+recursion nodes of the whole query, nested calls included; the subcommands
+that run no recursion (``refine``, ``normalize``, ``oracle``) do not take
+it.  Output is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .perm import IsoCoset, PermGroup, Permutation
 from .pstrings import PPartition, hypergraph_to_family
 from .refine import color_refinement
 from .certificates import find_giant_rep, local_certificate_pair
-from .solver import GsiInstance, SolverConfig, generalized_string_iso
+from .solver import GsiInstance, generalized_string_iso
 from .strings import StringQuery, graph_iso_under_group, string_iso
 from .structure import PartitionChain
 
@@ -81,7 +83,7 @@ def _cmd_iso_hyper(args) -> int:
     group = _group_for(args.group, h1.n)
     f1, f2 = hypergraph_to_family(h1), hypergraph_to_family(h2)
     inst = GsiInstance(group, PPartition.trivial(h1.n), f1, f2)
-    res = generalized_string_iso(inst, SolverConfig(budget=args.budget))
+    res = generalized_string_iso(inst, args.budget)
     return _emit(res, args.machine)
 
 
@@ -107,7 +109,7 @@ def _cmd_iso_psf(args) -> int:
         if not f1.partition.is_invariant_under(g):
             raise ValueError("partition is not invariant under the group")
     inst = GsiInstance(group, f1.partition, f1, f2)
-    res = generalized_string_iso(inst, SolverConfig(budget=args.budget))
+    res = generalized_string_iso(inst, args.budget)
     return _emit(res, args.machine)
 
 
@@ -118,22 +120,21 @@ def _cmd_iso_hfs(args) -> int:
         print("NONISO")
         return 1
     group = _group_for(args.group, n1)
-    res = iso_hfs(t1, t2, group, SolverConfig(budget=args.budget))
+    res = iso_hfs(t1, t2, group, args.budget)
     return _emit(res, args.machine)
 
 
 def _cmd_iso_excluded_minor(args) -> int:
     g1 = fileio.read_colored_graph(args.objects[0])
     g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_excluded_minor(g1, g2, args.h, SolverConfig(budget=args.budget))
+    res = iso_excluded_minor(g1, g2, args.h, args.budget)
     return _emit(res, args.machine)
 
 
 def _cmd_iso_genus(args) -> int:
     g1 = fileio.read_colored_graph(args.objects[0])
     g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_excluded_minor(g1, g2, genus_to_h(args.g),
-                             SolverConfig(budget=args.budget))
+    res = iso_excluded_minor(g1, g2, genus_to_h(args.g), args.budget)
     return _emit(res, args.machine)
 
 
@@ -177,7 +178,7 @@ def _cmd_certify(args) -> int:
     levels.append([frozenset({p}) for p in range(part.n)])
     chain = PartitionChain.from_partitions(range(part.n), levels)
     res = local_certificate_pair(f1, f2, group, rep, t1, t2, part, chain,
-                                 d=args.d)
+                                 args.d, args.budget)
     print("giant-representation k=%d flavor=%s" % (rep.k, rep.flavor))
     for name, cert in (("first", res.cert_x), ("second", res.cert_y)):
         print("%s: %s order=%d" % (name, cert.kind, cert.group.order()))
@@ -250,14 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "hereditarily finite sets under a permutation group")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, objects=2, group=True):
+    def common(p, objects=2, group=True, budget=True):
         p.add_argument("objects", nargs=objects)
         if group:
             p.add_argument("--group", help="a .grp file; defaults to the full symmetric group")
         p.add_argument("--machine", action="store_true",
                        help="line-oriented machine output")
-        p.add_argument("--budget", type=int, default=None,
-                       help="recursion node cap")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="recursion node cap of the whole query")
         return p
 
     def width(p):
@@ -283,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_iso_genus)
 
     p = common(sub.add_parser("refine", help="print the stable coloring"),
-               objects=1, group=False)
+               objects=1, group=False, budget=False)
     p.set_defaults(fn=_cmd_refine)
 
     p = width(common(sub.add_parser("normalize", help="normalize a generalized string instance"),
-                     objects=1))
+                     objects=1, budget=False))
     p.set_defaults(fn=_cmd_normalize)
 
     p = width(common(sub.add_parser("certify", help="local certificate diagnostics")))
     p.add_argument("--t", type=int, default=None, help="test set size")
     p.set_defaults(fn=_cmd_certify)
 
-    p = common(sub.add_parser("oracle", help="brute-force oracle"))
+    p = common(sub.add_parser("oracle", help="brute-force oracle"), budget=False)
     p.add_argument("--kind", required=True,
                    choices=["string", "hyper", "graph", "psf", "hfs"])
     p.set_defaults(fn=_cmd_oracle)

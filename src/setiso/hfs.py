@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation
 from .refine import iso_tcr_pairs
-from .solver import SolverConfig
+from .strings import BudgetArg
 
 UP_ARC = -1
 
@@ -122,7 +122,7 @@ def _check_universe(term: HfsTerm, universe: int) -> None:
 
 
 def iso_hfs(t1: HfsTerm, t2: HfsTerm, group: PermGroup,
-            cfg: Optional[SolverConfig] = None) -> IsoCoset:
+            budget: BudgetArg = None) -> IsoCoset:
     """{gamma in group : t1^gamma = t2}, via the 0-CR-bounded pair encoding."""
     n = group.degree
     if t1.kind == "atom" or t2.kind == "atom":
@@ -141,7 +141,7 @@ def iso_hfs(t1: HfsTerm, t2: HfsTerm, group: PermGroup,
     if g1.n != g2.n:
         return IsoCoset.empty()
     theta = {v: v for v in range(n)}
-    res = iso_tcr_pairs(g1, range(n), g2, range(n), group, theta, t=0, cfg=cfg)
+    res = iso_tcr_pairs(g1, range(n), g2, range(n), group, theta, 0, budget)
     if res.is_empty:
         return res
     gens = [Permutation(g.images[:n]) for g in res.group.generators]

@@ -17,7 +17,11 @@ from typing import Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation
 from .refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
-from .solver import SolverConfig
+from .strings import Budget, BudgetArg
+
+# Largest vertex count the brute-force fallback for a stalled alternation
+# scans (10! permutations).
+BRUTE_FORCE_LIMIT = 10
 
 
 def genus_to_h(g: int) -> int:
@@ -137,18 +141,17 @@ def _brute_force_iso(g1: ColoredGraph, g2: ColoredGraph) -> IsoCoset:
 
 
 def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
-                       cfg: Optional[SolverConfig] = None,
-                       fallback_limit: int = 10) -> IsoCoset:
+                       budget: BudgetArg = None) -> IsoCoset:
     """Isomorphisms of two 3-connected graphs under the full symmetric group.
 
     Exhaustive and order-deterministic over the ordered triples of g2; each
     candidate triple is first screened by the exact trace invariant of the
     (h-1)-CR sequence, then decided as a t-CR-bounded pair with the trivial
-    group matching the triples.
+    group matching the triples.  One budget bounds the pairs of all triples.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
-    cfg = cfg or SolverConfig()
+    budget = Budget.of(budget)
     for graph in (g1, g2):
         if graph.n < 4:
             raise ValueError("need at least 4 vertices")
@@ -161,7 +164,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     base_triple = (0, 1, 2)
     col1, discrete1, trace1 = tcr_sequence(g1, base_triple, t)
     if not discrete1:
-        return _stall_fallback(g1, g2, fallback_limit)
+        return _stall_fallback(g1, g2)
 
     triples = sorted(itertools.permutations(range(n), 3))
 
@@ -176,7 +179,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         theta = dict(zip(base_triple, triple))
         try:
             return iso_tcr_pairs(g1, base_triple, g2, triple,
-                                 PermGroup([], 3), theta, t, cfg)
+                                 PermGroup([], 3), theta, t, budget)
         except NotTCRBounded:
             return None  # signals a stall that the screen did not catch
 
@@ -184,19 +187,20 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     union = CosetUnion(n)
     for res in results:
         if res is None:
-            return _stall_fallback(g1, g2, fallback_limit)
+            return _stall_fallback(g1, g2)
         union.add(res)
     return union.result()
 
 
-def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, limit: int) -> IsoCoset:
-    if g1.n > limit:
+def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph) -> IsoCoset:
+    if g1.n > BRUTE_FORCE_LIMIT:
         raise MinorPromiseViolation(
             "the alternation stalled (excluded-minor promise violated?) and "
-            "%d vertices exceed the brute-force fallback limit %d" % (g1.n, limit))
+            "%d vertices exceed the brute-force fallback limit %d"
+            % (g1.n, BRUTE_FORCE_LIMIT))
     return _brute_force_iso(g1, g2)
 
 
 def iso_genus(g1: ColoredGraph, g2: ColoredGraph, genus: int,
-              cfg: Optional[SolverConfig] = None) -> IsoCoset:
-    return iso_excluded_minor(g1, g2, genus_to_h(genus), cfg=cfg)
+              budget: BudgetArg = None) -> IsoCoset:
+    return iso_excluded_minor(g1, g2, genus_to_h(genus), budget)

@@ -925,18 +925,3 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
             states.append(state)
             iters.append(iter(tables[i + 1]))
 
-
-# -- spec-level convenience surface ------------------------------------------
-
-def orbits_and_blocks(group: PermGroup):
-    """Orbit partition plus one minimal block system per transitive constituent.
-
-    For each orbit of size > 1 the returned mapping holds ``(blocks,
-    primitive)`` from :meth:`PermGroup.minimal_block_system`.
-    """
-    orbits = group.orbits()
-    blocks = {}
-    for orb in orbits:
-        if len(orb) > 1:
-            blocks[orb] = group.minimal_block_system(orb)
-    return orbits, blocks

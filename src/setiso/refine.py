@@ -14,9 +14,8 @@ from typing import Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation
-from .pstrings import PPartition, PString, make_family
-from .solver import GsiInstance, SolverConfig, generalized_string_iso
-from .strings import ColoredString, graph_iso_under_group
+from .solver import set_of_strings_iso
+from .strings import Budget, BudgetArg, ColoredString, graph_iso_under_group
 
 
 class NotTCRBounded(RuntimeError):
@@ -214,7 +213,7 @@ class _PairState:
                           cls2 or self.cls2, IsoCoset.empty())
 
 
-def _quotient_check(state: _PairState, cfg: SolverConfig) -> _PairState:
+def _quotient_check(state: _PairState, budget: Budget) -> _PairState:
     """Constrain the coset by isomorphism of the quotient graphs."""
     if state.coset.is_empty:
         return state
@@ -224,14 +223,14 @@ def _quotient_check(state: _PairState, cfg: SolverConfig) -> _PairState:
     shift = state.coset.rep
     q2_aligned = q2.apply(shift.inverse())
     res = graph_iso_under_group(q1, q2_aligned, state.coset.group,
-                                budget=cfg.budget)
+                                budget=budget)
     if res.is_empty:
         return state.empty()
     return _PairState(state.g1, state.g2, state.cls1, state.cls2,
                       IsoCoset(res.group, res.rep * shift))
 
 
-def _replay_refinement(state: _PairState, cfg: SolverConfig
+def _replay_refinement(state: _PairState, budget: Budget
                        ) -> tuple[_PairState, bool]:
     """Replay refinement rounds: a set-of-strings instance per round, then
     the quotient-graph constraint on the refined classes."""
@@ -250,20 +249,16 @@ def _replay_refinement(state: _PairState, cfg: SolverConfig
         if len(new1) != len(new2):
             return state.empty(new1, new2), progressed
 
-        m = len(state.cls1)
-        part = PPartition.trivial(m)
-        xs = sorted({str1[v] for v in range(state.g1.n)})
-        ys = sorted({str2[v] for v in range(state.g2.n)})
         shift = state.coset.rep
-        fx = make_family(part, [PString(0, l) for l in xs])
-        fy = make_family(part, [
-            PString(0, tuple(l[shift.images[i]] for i in range(m))) for l in ys])
-        res = generalized_string_iso(GsiInstance(state.coset.group, part, fx, fy), cfg)
+        back = shift.inverse()
+        xs = [ColoredString(l) for l in str1.values()]
+        ys = [ColoredString(l).apply(back) for l in str2.values()]
+        res = set_of_strings_iso(state.coset.group, xs, ys, budget)
         if res.is_empty:
             return state.empty(new1, new2), progressed
         coset = IsoCoset(res.group, res.rep * shift)
         state = _advance_to(state, new1, new2, str1, str2, coset)
-        state = _quotient_check(state, cfg)
+        state = _quotient_check(state, budget)
 
 
 def _advance_to(state: _PairState, new1, new2, data1, data2,
@@ -305,7 +300,7 @@ def _advance_to(state: _PairState, new1, new2, data1, data2,
                       IsoCoset(PermGroup(gens, m_new), rep))
 
 
-def _replay_split(state: _PairState, t: int, cfg: SolverConfig
+def _replay_split(state: _PairState, t: int, budget: Budget
                   ) -> tuple[_PairState, bool]:
     """One splitting phase; always ends with the quotient-graph constraint
     (at discrete classes that constraint is full graph isomorphism)."""
@@ -324,7 +319,7 @@ def _replay_split(state: _PairState, t: int, cfg: SolverConfig
     new1, new2 = split(state.cls1), split(state.cls2)
     progressed = len(new1) != len(state.cls1)
     if not progressed:
-        return _quotient_check(state, cfg), False
+        return _quotient_check(state, budget), False
     if len(new1) != len(new2):
         return state.empty(new1, new2), True
 
@@ -366,12 +361,12 @@ def _replay_split(state: _PairState, t: int, cfg: SolverConfig
             rep_img[a] = b
     lifted = _PairState(state.g1, state.g2, new1, new2,
                         IsoCoset(PermGroup(gens, m_new), Permutation(rep_img)))
-    return _quotient_check(lifted, cfg), True
+    return _quotient_check(lifted, budget), True
 
 
 def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
                   s2: Sequence[int], group: PermGroup, theta: dict,
-                  t: int, cfg: Optional[SolverConfig] = None) -> IsoCoset:
+                  t: int, budget: BudgetArg = None) -> IsoCoset:
     """{sigma : g1 ≅ g2 and sigma restricted to s1 lies in group*theta}.
 
     ``group`` acts on the sorted positions of s1; ``theta`` maps s1 onto s2.
@@ -381,7 +376,7 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     quotient-graph isomorphism under the lifted coset.  Raises NotTCRBounded
     when the alternation stalls before both colorings are discrete.
     """
-    cfg = cfg or SolverConfig()
+    budget = Budget.of(budget)
     if g1.n != g2.n:
         return IsoCoset.empty()
     n = g1.n
@@ -433,8 +428,8 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
                        IsoCoset(lifted, Permutation(theta_img)))
 
     while True:
-        state, progress1 = _replay_refinement(state, cfg)
-        state, progress2 = _replay_split(state, t, cfg)
+        state, progress1 = _replay_refinement(state, budget)
+        state, progress2 = _replay_split(state, t, budget)
         if state.coset.is_empty:
             return IsoCoset.empty()
         if all(len(c) == 1 for c in state.cls1):

@@ -10,13 +10,13 @@ representative so later steps can compare them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .normalize import NormalizedInstance, renormalize_families
 from .perm import GroupHom, PermGroup, Permutation
 from .pstrings import PPartition, PString, PStringFamily
-from .solver import SolverConfig, _check_window_automorphic
-from .strings import ColoredString, StringQuery, string_iso
+from .solver import _check_window_automorphic
+from .strings import Budget, BudgetArg, ColoredString, StringQuery, string_iso
 from .structure import PartitionChain, is_almost_d_ary
 
 
@@ -52,7 +52,7 @@ def _window_parts(fam: PStringFamily, window: set) -> dict[int, list[tuple]]:
 
 def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
                        families: Sequence[PStringFamily], window_pts,
-                       cfg: SolverConfig):
+                       budget: Budget):
     """Group families by isomorphism of their per-class occupancy strings.
 
     Each class record is ``(member_indices, refined_group, shifts)`` with
@@ -94,7 +94,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
                 placed = True
                 break
             res = string_iso(StringQuery(class_image, occ_strings[r],
-                                         occ_strings[i], budget=cfg.budget))
+                                         occ_strings[i], budget=budget))
             if res.is_empty:
                 continue
             pulled = class_hom.pull_back(res)
@@ -110,7 +110,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
     for r in reps:
         if r not in aut_groups:
             res = string_iso(StringQuery(class_image, occ_strings[r],
-                                         occ_strings[r], budget=cfg.budget))
+                                         occ_strings[r], budget=budget))
             aut_groups[r] = class_hom.pull_back(res).group
         members = [i for i in range(len(families)) if assigned[i][0] == r]
         shifts = [assigned[i][1] for i in members]
@@ -121,7 +121,7 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
 def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
                        partition: PPartition, window: Sequence[int],
                        chain: PartitionChain, d: int,
-                       cfg: Optional[SolverConfig] = None) -> list[SimplifyClass]:
+                       budget: BudgetArg = None) -> list[SimplifyClass]:
     """Split classes by window equivalence and renormalize.
 
     Preconditions (re-checked): all families agree on the window, the group
@@ -129,7 +129,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     partition.  Output classes coarsen isomorphism; within each class the
     families are window-simple and satisfy the coset identity (D).
     """
-    cfg = cfg or SolverConfig()
+    budget = Budget.of(budget)
     wset = set(window)
     win_sorted = sorted(wset)
     n = group.degree
@@ -150,7 +150,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     if not wset or families[0].restrict(win_sorted).is_simple():
         # nothing to split: group the families by occupancy, keep the domain
         return _simple_window_classes(families, group, partition, chain,
-                                      win_sorted, d, cfg)
+                                      win_sorted, d, budget)
 
     # step 1: split classes by window equivalence
     parts = _window_parts(families[0], wset)
@@ -218,7 +218,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
 
     groups_out: list[SimplifyClass] = []
     for members, refined, lifted_shifts in _occupancy_classes(
-            lifted_group, split_partition, lifted_families, lifted_window, cfg):
+            lifted_group, split_partition, lifted_families, lifted_window, budget):
         aligned = []
         shifts = []
         for i, lam in zip(members, lifted_shifts):
@@ -248,13 +248,13 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
 
 
 def _simple_window_classes(families, group, partition, chain, window, d,
-                           cfg) -> list[SimplifyClass]:
+                           budget) -> list[SimplifyClass]:
     n = group.degree
     chain_index = chain.level_index_of(
         frozenset(pts) for pts in partition.classes())
     out = []
     for members, refined, shifts in _occupancy_classes(
-            group, partition, families, window, cfg):
+            group, partition, families, window, budget):
         aligned = [families[i] if s.is_identity() else families[i].apply(s.inverse())
                    for i, s in zip(members, shifts)]
         ident_hom = GroupHom(refined, n, list(refined.generators))

@@ -15,8 +15,9 @@ drops a prefix as soon as, for some class whose points it has fixed, the
 letters of x at those points and of y at their images differ as multisets
 of member signatures.  The test is exact once every point is fixed, so the
 search yields exactly the elements a full scan would accept, in the same
-order, and the answers do not change.  One recursion budget is shared by
-the whole query, the nested string and graph queries included.
+order, and the answers do not change.  The query's one ``Budget`` (see
+``strings``) is the only state the recursion carries; the nested string and
+graph queries tick it too.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
@@ -34,22 +35,18 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
-from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels
+from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
 from .strings import (
     DIRECT_ENUM_CUTOFF,
     Budget,
+    BudgetArg,
     ColoredString,
+    SolverConfig,
     StringQuery,
     graph_iso_under_group,
     string_iso,
 )
 from .structure import PartitionChain
-
-
-@dataclass
-class SolverConfig:
-    budget: Optional[int] = None
-    direct_cutoff: int = DIRECT_ENUM_CUTOFF
 
 
 @dataclass
@@ -150,12 +147,6 @@ def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
             yield g
 
 
-class _Ctx:
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        self.budget = Budget(cfg.budget)
-
-
 # -- BalanceOrbits --------------------------------------------------------------
 
 def _orbit_unbalanced(fam: PStringFamily, orbit: Sequence[int]) -> bool:
@@ -172,12 +163,12 @@ def _occupancy_count(fam: PStringFamily, window: frozenset, class_id: int) -> in
 
 def balance_orbits(group: PermGroup, partition: PPartition,
                    x: PStringFamily, y: PStringFamily,
-                   ctx: Optional[_Ctx] = None) -> IsoCoset:
+                   budget: BudgetArg = None) -> IsoCoset:
     """A coset (Delta, delta) containing Iso(x, y) with x[A] balanced on
     every Delta-orbit A; empty when the occupancy profiles rule isomorphism
     out.  The output is isomorphism-invariant: processing order is fixed and
     the result is the maximal subcoset respecting all occupancy counts."""
-    ctx = ctx or _Ctx(SolverConfig())
+    budget = Budget.of(budget)
     current = IsoCoset.full(group)
     while True:
         sub, shift = current.group, current.rep
@@ -199,7 +190,7 @@ def balance_orbits(group: PermGroup, partition: PPartition,
         hom = sub.block_action(blocks)
         res = string_iso(StringQuery(hom.image(), ColoredString(tuple(xs)),
                                      ColoredString(tuple(ys)),
-                                     budget=ctx.budget))
+                                     budget=budget))
         if res.is_empty:
             return IsoCoset.empty()
         refined = hom.pull_back(res)
@@ -226,7 +217,7 @@ def _check_window_automorphic(group: PermGroup, fam: PStringFamily,
 def combine_windows(coset: IsoCoset, partition: PPartition,
                     x: PStringFamily, y: PStringFamily,
                     w1: Sequence[int], w2: Sequence[int],
-                    ctx: Optional[_Ctx] = None) -> IsoCoset:
+                    budget: BudgetArg = None) -> IsoCoset:
     """{gamma in coset : gamma[W1 ∪ W2] in Iso(x[W1 ∪ W2], y[W1 ∪ W2])}.
 
     Requires both windows invariant and automorphic for the group part; the
@@ -234,7 +225,7 @@ def combine_windows(coset: IsoCoset, partition: PPartition,
     graph isomorphism between the two bipartite co-membership graphs on
     x[W1] ⊎ x[W2].
     """
-    ctx = ctx or _Ctx(SolverConfig())
+    budget = Budget.of(budget)
     if coset.is_empty:
         return coset
     group, shift = coset.group, coset.rep
@@ -247,13 +238,13 @@ def combine_windows(coset: IsoCoset, partition: PPartition,
     for w in (w1, w2):
         if w and not _check_window_automorphic(group, x, w):
             raise ValueError("group does not respect x on a window")
-    inner = _combine_group(group, partition, x, y_aligned, sorted(w1), sorted(w2), ctx)
+    inner = _combine_group(group, partition, x, y_aligned, sorted(w1), sorted(w2), budget)
     return inner.shifted(shift) if not inner.is_empty else inner
 
 
 def _combine_group(group: PermGroup, partition: PPartition,
                    x: PStringFamily, y: PStringFamily,
-                   w1: list[int], w2: list[int], ctx: _Ctx) -> IsoCoset:
+                   w1: list[int], w2: list[int], budget: Budget) -> IsoCoset:
     if not w1 and not w2:
         return IsoCoset.full(group)
     for w in (w1, w2):
@@ -306,7 +297,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
             img[i] = index[(side, *partition.image(inside[side][c], letters, g))]
         images.append(Permutation(img))
     hom = GroupHom(group, nv, images)
-    res = graph_iso_under_group(gx, gy, hom.image(), budget=ctx.budget)
+    res = graph_iso_under_group(gx, gy, hom.image(), budget=budget)
     return hom.pull_back(res)
 
 
@@ -328,19 +319,19 @@ def _quick_mismatch(x: PStringFamily, y: PStringFamily) -> bool:
 
 
 def _gsi_group(group: PermGroup, partition: PPartition,
-               x: PStringFamily, y: PStringFamily, ctx: _Ctx) -> IsoCoset:
-    ctx.budget.tick()
+               x: PStringFamily, y: PStringFamily, budget: Budget) -> IsoCoset:
+    budget.tick()
     if _quick_mismatch(x, y):
         return IsoCoset.empty()
     n = group.degree
-    if group.order() <= ctx.cfg.direct_cutoff:
+    if group.order() <= DIRECT_ENUM_CUTOFF:
         return IsoCoset.from_elements(list(_iso_elements(group, x, y)), n)
 
     orbits = group.orbits()
     if len(orbits) > 1:
         current = IsoCoset.full(group)
         for orb in orbits:
-            current = _enforce_window(current, partition, x, y, orb, ctx)
+            current = _enforce_window(current, partition, x, y, orb, budget)
             if current.is_empty:
                 return current
         window = list(orbits[0])
@@ -348,7 +339,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
             y_aligned = (y.apply(current.rep.inverse())
                          if not current.rep.is_identity() else y)
             inner = _combine_group(current.group, partition, x, y_aligned,
-                                   window, list(orb), ctx)
+                                   window, list(orb), budget)
             if inner.is_empty:
                 return inner
             current = inner.shifted(current.rep)
@@ -356,11 +347,11 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         return current
 
     # transitive: balance, then standard Luks reduction
-    bal = balance_orbits(group, partition, x, y, ctx)
+    bal = balance_orbits(group, partition, x, y, budget)
     if bal.is_empty:
         return IsoCoset.empty()
     if bal.group.order() < group.order():
-        return _gsi_coset(bal, partition, x, y, ctx)
+        return _gsi_coset(bal, partition, x, y, budget)
 
     # in both loops below, a union that reaches the group's order holds
     # every later piece
@@ -369,7 +360,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     if primitive:
         union = CosetUnion(n)
         trivial = PermGroup([], n)
-        for delta in _iso_elements(group, x, y, ctx.budget.tick):
+        for delta in _iso_elements(group, x, y, budget.tick):
             if union.add(IsoCoset(trivial, delta)) and union.order() == order:
                 break
         return union.result()
@@ -377,26 +368,26 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     kernel = hom.kernel()
     union = CosetUnion(n)
     for delta in transversal_cosets(group, hom):
-        ctx.budget.tick()
-        if (union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, ctx))
+        budget.tick()
+        if (union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, budget))
                 and union.order() == order):
             break
     return union.result()
 
 
 def _gsi_coset(coset: IsoCoset, partition: PPartition,
-               x: PStringFamily, y: PStringFamily, ctx: _Ctx) -> IsoCoset:
+               x: PStringFamily, y: PStringFamily, budget: Budget) -> IsoCoset:
     if coset.is_empty:
         return coset
     if coset.rep.is_identity():
-        return _gsi_group(coset.group, partition, x, y, ctx)
-    inner = _gsi_group(coset.group, partition, x, y.apply(coset.rep.inverse()), ctx)
+        return _gsi_group(coset.group, partition, x, y, budget)
+    inner = _gsi_group(coset.group, partition, x, y.apply(coset.rep.inverse()), budget)
     return inner.shifted(coset.rep)
 
 
 def _enforce_window(coset: IsoCoset, partition: PPartition,
                     x: PStringFamily, y: PStringFamily,
-                    window: Sequence[int], ctx: _Ctx) -> IsoCoset:
+                    window: Sequence[int], budget: Budget) -> IsoCoset:
     """{gamma in coset : gamma[W] in Iso(x[W], y[W])} via a restricted call."""
     group, shift = coset.group, coset.rep
     y_aligned = y.apply(shift.inverse()) if not shift.is_identity() else y
@@ -405,31 +396,26 @@ def _enforce_window(coset: IsoCoset, partition: PPartition,
     y_w = y_aligned.restrict(window)
     if x_w.partition != y_w.partition:
         return IsoCoset.empty()
-    res = _gsi_group(sub, x_w.partition, x_w, y_w, ctx)
+    res = _gsi_group(sub, x_w.partition, x_w, y_w, budget)
     pulled = hom.pull_back(res)
     if pulled.is_empty:
         return pulled
     return IsoCoset(pulled.group, pulled.rep * shift)
 
 
-def generalized_string_iso(inst: GsiInstance,
-                           cfg: Optional[SolverConfig] = None) -> IsoCoset:
+def generalized_string_iso(inst: GsiInstance, budget: BudgetArg = None) -> IsoCoset:
     """Exactly Iso_Gamma(x, y) for a generalized string instance."""
-    cfg = cfg or SolverConfig()
-    ctx = _Ctx(cfg)
-    return _gsi_group(inst.group, inst.partition, inst.x, inst.y, ctx)
+    return _gsi_group(inst.group, inst.partition, inst.x, inst.y, Budget.of(budget))
 
 
 def set_of_strings_iso(group: PermGroup, xs: Sequence[ColoredString],
                        ys: Sequence[ColoredString],
-                       cfg: Optional[SolverConfig] = None) -> IsoCoset:
+                       budget: BudgetArg = None) -> IsoCoset:
     """Set-of-strings isomorphism: the trivial-partition special case."""
-    n = group.degree
-    part = PPartition.trivial(n)
-    from .pstrings import make_family
-    fx = make_family(part, [PString(0, s) for s in sorted({s.letters for s in xs})])
-    fy = make_family(part, [PString(0, s) for s in sorted({s.letters for s in ys})])
-    return generalized_string_iso(GsiInstance(group, part, fx, fy), cfg)
+    part = PPartition.trivial(group.degree)
+    fx = make_family(part, [PString(0, s) for s in {s.letters for s in xs}])
+    fy = make_family(part, [PString(0, s) for s in {s.letters for s in ys}])
+    return generalized_string_iso(GsiInstance(group, part, fx, fy), budget)
 
 
 def normalize_instance(inst: GsiInstance, d: int):

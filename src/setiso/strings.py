@@ -6,6 +6,10 @@ group query by shifting the second string; an intransitive window is chained
 orbit by orbit; a transitive window decomposes over the transversal of the
 block-stabilizer of a minimal block system.  Every returned set is
 ``Iso_K^W(x, y)`` exactly.
+
+``Budget`` is the one work bound of a query: every public query converts
+its budget argument once, with ``Budget.of``, and hands that object to
+every nested call, so all its recursion nodes count against one limit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ class BudgetExceeded(RuntimeError):
     """The recursion explored more nodes than the configured cap."""
 
 
+@dataclass
+class SolverConfig:
+    """The node cap of a query, in the form older callers pass it."""
+
+    budget: Optional[int] = None
+
+
 class Budget:
     """Mutable recursion-node counter shared by one query."""
 
@@ -32,6 +43,20 @@ class Budget:
         self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceeded("recursion budget of %d nodes exceeded" % self.limit)
+
+    @classmethod
+    def of(cls, arg: "BudgetArg") -> "Budget":
+        """The budget of a query: a ``Budget`` goes on with the count of the
+        query that holds it; a node cap, a ``SolverConfig`` or None (no cap)
+        starts a count of its own."""
+        if isinstance(arg, Budget):
+            return arg
+        if isinstance(arg, SolverConfig):
+            arg = arg.budget
+        return cls(arg)
+
+
+BudgetArg = Union[int, SolverConfig, Budget, None]
 
 
 # Below this order the recursion setup costs more than checking elements
@@ -64,8 +89,7 @@ class ColoredString:
 class StringQuery:
     """Iso_K^W(x, y) for K either a group or a coset ``group * shift``.
 
-    ``budget`` caps the recursion nodes: a number starts a count of its own,
-    and a ``Budget`` goes on with the count of the query that holds it.
+    ``budget`` caps the recursion nodes, as ``Budget.of`` reads it.
     """
 
     group: PermGroup
@@ -73,7 +97,7 @@ class StringQuery:
     y: ColoredString
     window: Optional[Sequence[int]] = None
     shift: Optional[Permutation] = None
-    budget: Union[int, Budget, None] = None
+    budget: BudgetArg = None
 
 
 def _window_orbits(group: PermGroup, window: frozenset) -> list[tuple[int, ...]]:
@@ -168,7 +192,7 @@ def string_iso(query: StringQuery) -> IsoCoset:
     for g in group.generators:
         if g.apply_set(window) != window:
             raise ValueError("window is not invariant under the group part")
-    budget = query.budget if isinstance(query.budget, Budget) else Budget(query.budget)
+    budget = Budget.of(query.budget)
     shift = query.shift if query.shift is not None else Permutation.identity(group.degree)
     return _iso_coset(IsoCoset(group, shift), query.x, query.y, window, budget)
 
@@ -228,7 +252,7 @@ def _joint_letter_ids(graphs: Sequence[ColoredGraph]) -> dict:
 
 def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
                           shift: Optional[Permutation] = None,
-                          budget: Union[int, Budget, None] = None) -> IsoCoset:
+                          budget: BudgetArg = None) -> IsoCoset:
     """{gamma in group*shift : gamma maps g1 onto g2, colors and all}.
 
     Encodes each graph as a string over Omega + Omega^2 (vertex colors on the

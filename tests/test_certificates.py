@@ -15,6 +15,8 @@ from setiso.pstrings import PPartition, PString, make_family
 from setiso.solver import family_image_key
 from setiso.structure import PartitionChain
 
+from util import golden_certify_case
+
 
 def s2_wr_s5():
     """S2 wr S5 on 10 points, blocks {2i, 2i+1}."""
@@ -309,3 +311,24 @@ class TestLocalCertificatePair:
         with pytest.raises(ValueError):
             local_certificate_pair(fam, fam, g, rep, [0, 1], [2, 3],
                                    part, chain, d=4)
+
+    def test_empty_test_sets_rejected(self):
+        fx, fy, group, rep, _, _, part, chain = golden_certify_case()
+        with pytest.raises(ValueError, match="at least one point"):
+            local_certificate_pair(fx, fy, group, rep, [], [], part, chain, d=5)
+
+    def test_test_set_stabilizer_built_once_per_test_set(self, monkeypatch):
+        # the first side and the comparison run share the stabilizer of T1,
+        # so equal test sets need one setwise stabilizer per side, not three
+        calls = []
+        setwise = PermGroup.setwise_stabilizer
+
+        def counting(self, points, *args, **kwargs):
+            calls.append(tuple(points))
+            return setwise(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "setwise_stabilizer", counting)
+        res = local_certificate_pair(*golden_certify_case(), d=5)
+        assert calls == [(0, 1, 2, 3, 4)] * 2
+        assert not res.compare_empty
+        assert res.compare_group.order() == 6

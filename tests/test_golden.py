@@ -138,10 +138,10 @@ CASES = {
 }
 
 
-def run_case(name):
+def run_case(name, extra=()):
     """Exit code and stdout of one CLI case, run from the golden directory."""
     argv = [a if not a.endswith((".grp", ".str", ".cg", ".hg", ".psf", ".hfs"))
-            else os.path.join(GOLDEN, a) for a in CASES[name]]
+            else os.path.join(GOLDEN, a) for a in CASES[name]] + list(extra)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
@@ -185,6 +185,15 @@ def _read(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_machine_output(name):
     assert run_case(name) == _read(name + ".out")
+
+
+@pytest.mark.parametrize("name, total", [("iso_excluded_minor", 260), ("certify", 726)])
+def test_budget_bounds_the_whole_query(name, total, capsys):
+    # the query ticks `total` nodes across all its nested calls: one node
+    # less stops it, exactly that many prints the golden bytes
+    assert run_case(name, ["--budget", str(total - 1)]) == "exit 2\n"
+    assert "recursion budget of %d nodes exceeded" % (total - 1) in capsys.readouterr().err
+    assert run_case(name, ["--budget", str(total)]) == _read(name + ".out")
 
 
 def test_element_order_digests():

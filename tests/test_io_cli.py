@@ -221,6 +221,25 @@ class TestCli:
         assert "test sets must lie in 0..4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("t", ["-1", "0"])
+    def test_certify_rejects_a_test_set_below_one(self, tmp_path, t):
+        code, out, err = run_cli(["certify", "--d", "5", "--t", t]
+                                 + self._certify_inputs(tmp_path))
+        assert code == 2
+        assert "test sets must hold at least one point" in err
+        assert "comparison" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "p3.cg"],
+        ["normalize", "--d", "2", "--group", "s4.grp", "fx.psf"],
+        ["oracle", "--kind", "string", "a.str", "b.str"],
+    ], ids=["refine", "normalize", "oracle"])
+    def test_budget_is_refused_where_no_recursion_runs(self, fixture_dir, argv):
+        argv = [str(fixture_dir / a) if "." in a else a for a in argv]
+        code, _, err = run_cli(argv + ["--budget", "1"])
+        assert code == 2
+        assert "unrecognized arguments: --budget" in err
+
     def test_oracle(self, fixture_dir):
         code, out, _ = run_cli(["oracle", "--kind", "hyper",
                                 "--group", str(fixture_dir / "s4.grp"),

@@ -13,7 +13,6 @@ from setiso.perm import (
     Permutation,
     SearchCapExceeded,
     is_giant,
-    orbits_and_blocks,
     transversal_cosets,
 )
 
@@ -141,7 +140,8 @@ class TestOrbitsAndBlocks:
 
     def test_orbits_and_blocks_surface(self):
         g = PermGroup([Permutation.from_cycles(5, [0, 1], [2, 3])], 5)
-        orbits, blocks = orbits_and_blocks(g)
+        orbits = g.orbits()
+        blocks = {orb: g.minimal_block_system(orb) for orb in orbits if len(orb) > 1}
         assert orbits == [(0, 1), (2, 3), (4,)]
         assert set(blocks) == {(0, 1), (2, 3)}
 

@@ -12,8 +12,9 @@ from setiso.solver import (
     combine_windows,
     family_image_key,
     generalized_string_iso,
+    set_of_strings_iso,
 )
-from setiso.strings import BudgetExceeded
+from setiso.strings import DIRECT_ENUM_CUTOFF, BudgetExceeded, ColoredString
 
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
@@ -85,6 +86,29 @@ class TestGsiBasics:
                 if s is not None:
                     fy = fx.apply(s)
             assert solver_set(g, part, fx, fy) == brute_gsi(g, fx, fy)
+
+    def test_set_of_strings_against_brute_force(self):
+        rng = random.Random(4711)
+        nonempty = 0
+        for _ in range(80):
+            n = rng.randint(2, 6)
+            g = rand_group(rng, n)
+            # duplicates allowed: the query compares the sets of strings
+            xs = [ColoredString(tuple(rng.randrange(3) for _ in range(n)))
+                  for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                elements = list(g.elements())
+                h = elements[rng.randrange(len(elements))]
+                ys = [s.apply(h) for s in reversed(xs)]
+            else:
+                ys = [ColoredString(tuple(rng.randrange(3) for _ in range(n)))
+                      for _ in range(len(xs))]
+            want = {s.letters for s in ys}
+            brute = frozenset(e.images for e in g.elements()
+                              if {s.apply(e).letters for s in xs} == want)
+            assert set_of_strings_iso(g, xs, ys).element_set() == brute
+            nonempty += bool(brute)
+        assert nonempty >= 30
 
 
 class TestBalanceOrbits:
@@ -346,18 +370,23 @@ class TestBudget:
             init(self, limit)
 
         monkeypatch.setattr(setiso.strings.Budget, "__init__", recording_init)
-        # S2 wr S2 with the blocks as classes; the occupancies (2, 1) make
-        # balance_orbits ask a nested string query
-        g = PermGroup([Permutation([1, 0, 2, 3]), Permutation([2, 3, 0, 1])], 4)
-        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
-        fx = make_family(part, [PString(0, (0, 1)), PString(0, (1, 0)), PString(1, (0, 0))])
-        inst = GsiInstance(g, part, fx, fx.apply(Permutation([2, 3, 0, 1])))
-        assert generalized_string_iso(inst, SolverConfig(direct_cutoff=1)).order() == 4
+        # S2 wr S4 (order 384, past the direct cutoff) with the blocks as
+        # classes; the occupancies (2, 1, 1, 2) make balance_orbits ask a
+        # nested string query
+        g = PermGroup([Permutation.from_cycles(8, [0, 1]),
+                       Permutation.from_cycles(8, [0, 2], [1, 3]),
+                       Permutation.from_cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])], 8)
+        part = PPartition.from_classes(8, [[2 * i, 2 * i + 1] for i in range(4)])
+        fx = make_family(part, [PString(0, (0, 1)), PString(0, (1, 0)), PString(1, (0, 0)),
+                                PString(2, (1, 1)), PString(3, (0, 1)), PString(3, (1, 1))])
+        inst = GsiInstance(g, part, fx, fx.apply(Permutation([3, 2, 6, 7, 1, 0, 4, 5])))
+        assert g.order() > DIRECT_ENUM_CUTOFF
+        assert generalized_string_iso(inst).order() == 8
         assert len(budgets) == 1
         total = budgets[0].used
         with pytest.raises(BudgetExceeded):
-            generalized_string_iso(inst, SolverConfig(direct_cutoff=1, budget=total - 1))
-        assert generalized_string_iso(inst, SolverConfig(direct_cutoff=1, budget=total)).order() == 4
+            generalized_string_iso(inst, SolverConfig(budget=total - 1))
+        assert generalized_string_iso(inst, SolverConfig(budget=total)).order() == 8
 
 
 def _restrict(g, points):

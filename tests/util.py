@@ -1,15 +1,20 @@
-"""Shared helpers: seeded random test objects and a CLI runner."""
+"""Shared helpers: seeded random test objects, a CLI runner and the golden
+certify case."""
 
 import os
 import random
 import subprocess
 import sys
 
+from setiso import fileio
+from setiso.certificates import find_giant_rep
 from setiso.perm import Permutation, PermGroup
 from setiso.pstrings import PPartition, PString, make_family
+from setiso.structure import PartitionChain
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run_cli(args):
@@ -94,3 +99,19 @@ def rand_family_on(rng, partition, max_members=8, colors=2):
         c = rng.randrange(partition.num_classes)
         members.add((c, tuple(rng.randrange(colors) for _ in partition.members(c))))
     return make_family(partition, [PString(c, l) for c, l in sorted(members)])
+
+
+def golden_certify_case():
+    """The arguments of ``local_certificate_pair`` that the golden ``certify``
+    case passes: S2 wr S5, the families f3 and f4, and test sets 0..4."""
+    group = fileio.read_group(os.path.join(GOLDEN, "w10.grp"))
+    fx = fileio.read_family(os.path.join(GOLDEN, "f3.psf"))
+    fy = fileio.read_family(os.path.join(GOLDEN, "f4.psf"))
+    part = fx.partition
+    chain = PartitionChain.from_partitions(range(part.n), [
+        [frozenset(range(part.n))],
+        [frozenset(c) for c in part.classes()],
+        [frozenset({p}) for p in range(part.n)],
+    ])
+    t = list(range(5))
+    return fx, fy, group, find_giant_rep(group), t, t, part, chain
