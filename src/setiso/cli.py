@@ -5,11 +5,11 @@ a human summary or a machine block: ``ISO`` followed by the representative
 image table, the automorphism generator tables and the exact order, or
 ``NONISO``.  Exit codes: 0 isomorphic, 1 not isomorphic, 2 error.
 
-``--d``, the composition-width promise, is an option of ``normalize`` and
-``certify`` only, the two subcommands that read it.  ``--budget`` caps the
-recursion nodes of the whole query, nested calls included; the subcommands
-that run no recursion (``refine``, ``normalize``, ``oracle``) do not take
-it.  Output is byte-identical from run to run.
+``--d``, the composition-width promise, is an option of ``certify`` only, the
+one subcommand that reads it.  ``--budget`` caps the recursion nodes of the
+whole query, nested calls included; the subcommands that run no recursion
+(``refine``, ``normalize``, ``oracle``) do not take it.  Output is
+byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ def _cmd_iso_psf(args) -> int:
         print("NONISO")
         return 1
     group = _group_for(args.group, f1.partition.n)
-    for g in group.generators:
-        if not f1.partition.is_invariant_under(g):
-            raise ValueError("partition is not invariant under the group")
     inst = GsiInstance(group, f1.partition, f1, f2)
     res = generalized_string_iso(inst, args.budget)
     return _emit(res, args.machine)
@@ -151,7 +148,7 @@ def _cmd_refine(args) -> int:
 def _cmd_normalize(args) -> int:
     fam = fileio.read_family(args.objects[0])
     group = _group_for(args.group, fam.partition.n)
-    norm = normalize_families(group, fam.partition, [fam], args.d)
+    norm = normalize_families(group, fam.partition, [fam])
     print("domain %d" % norm.domain_size)
     print("certified-d %d" % norm.certified_d)
     print("chain-levels %d" % len(norm.chain.levels))
@@ -262,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="recursion node cap of the whole query")
         return p
 
-    def width(p):
-        p.add_argument("--d", type=int, default=2,
-                       help="composition-width promise for the virtual size")
-        return p
-
     common(sub.add_parser("iso-string", help="string isomorphism")).set_defaults(fn=_cmd_iso_string)
     common(sub.add_parser("iso-hyper", help="hypergraph isomorphism")).set_defaults(fn=_cmd_iso_hyper)
     common(sub.add_parser("iso-graph", help="colored graph isomorphism under a group")).set_defaults(fn=_cmd_iso_graph)
@@ -288,11 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
                objects=1, group=False, budget=False)
     p.set_defaults(fn=_cmd_refine)
 
-    p = width(common(sub.add_parser("normalize", help="normalize a generalized string instance"),
-                     objects=1, budget=False))
+    p = common(sub.add_parser("normalize", help="normalize a generalized string instance"),
+               objects=1, budget=False)
     p.set_defaults(fn=_cmd_normalize)
 
-    p = width(common(sub.add_parser("certify", help="local certificate diagnostics")))
+    p = common(sub.add_parser("certify", help="local certificate diagnostics"))
+    p.add_argument("--d", type=int, default=2,
+                   help="composition-width promise for the virtual size")
     p.add_argument("--t", type=int, default=None, help="test set size")
     p.set_defaults(fn=_cmd_certify)
 

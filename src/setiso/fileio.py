@@ -162,11 +162,13 @@ def read_colored_graph(path: str) -> ColoredGraph:
     n, m = _ints(path, 1, lines[0], 2)
     if len(lines) < 1 + n + m:
         raise ParseError(path, len(lines) + 1, "expected %d more lines" % (1 + n + m - len(lines)))
-    vcolors = [0] * n
+    vcolors = {}
     for i in range(n):
         v, color = _ints(path, 2 + i, lines[1 + i], 2)
         if not 0 <= v < n:
             raise ParseError(path, 2 + i, "vertex %d out of range" % v)
+        if v in vcolors:
+            raise ParseError(path, 2 + i, "vertex %d is listed twice" % v)
         vcolors[v] = color
     arcs = {}
     for i in range(m):
@@ -176,10 +178,12 @@ def read_colored_graph(path: str) -> ColoredGraph:
                 raise ParseError(path, 2 + n + i, "vertex %d out of range" % w)
         if u == v:
             raise ParseError(path, 2 + n + i, "loops are not allowed")
+        if (u, v) in arcs:
+            raise ParseError(path, 2 + n + i, "edge %d %d is listed twice" % (u, v))
         arcs[(u, v)] = cuv
         arcs[(v, u)] = cvu
     try:
-        return ColoredGraph.build(n, arcs, vcolors)
+        return ColoredGraph.build(n, arcs, [vcolors[v] for v in range(n)])
     except ValueError as exc:
         raise ParseError(path, 1, str(exc))
 

@@ -1,14 +1,16 @@
 """Instance (re)normalization: rebuild the group action over tree branches so
 that an almost d-ary partition chain through the class partition exists.
 
-Both entry points share one assembler.  A structure tree is put together from
-three layers: a prefix tree over the coarse chain levels, a middle tree per
-block built from iterated minimal block systems of the induced action on the
-classes inside the block, and one bottom tree per class.  Middle and bottom
-pieces are built once per orbit representative and transported along a
-deterministic transversal, which keeps the whole graph closed under the group
-action (validated, not assumed).  Class vertices are padded to a common depth
-so the translated class partition is a single level of the resulting chain.
+Both entry points share one assembler, which only puts layers together; the
+trees themselves are built, moved and read by ``structure``.  A structure
+tree has three layers: a prefix tree over the coarse chain levels, a middle
+tree per block built from iterated minimal block systems of the induced
+action on the classes inside the block, and one bottom tree per class.
+Middle and bottom pieces are built once per orbit representative and
+transported along breadth-first movers (``PermGroup.orbit_transversal``),
+which keeps the whole graph closed under the group action (validated, not
+assumed).  Class vertices are padded to a common depth so the translated
+class partition is a single level of the resulting chain.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .structure import (
     certify_chain,
     chain_of_branches,
     invariant_chain,
-    relabel_token,
+    map_token,
+    orbit_trees,
+    relabel_arcs,
     tree_from_chain,
     unfold_and_act,
 )
@@ -127,35 +131,24 @@ def _assemble(group: PermGroup, partition: PPartition,
             mid_levels = invariant_chain(index_group, orbit_idx)
             mid_root, mid_arcs = tree_from_chain(orbit_idx, mid_levels, tag="mid")
 
-            def to_cls(tok):
-                if tok[0] == "leaf":
-                    return class_tokens[cls_ids[tok[1]]]
-                if tok[0] == "grp":
-                    return ("grp", ("mid",) + tok[1], frozenset(to_cls(t) for t in tok[2]))
-                raise ValueError
+            def mid_vertex(tok):
+                return map_token(tok, lambda q: class_tokens[cls_ids[q]],
+                                 lambda t: ("mid",) + t)
 
-            sub_arcs.append((prefix_tok(last, b0), to_cls(mid_root)))
-            sub_arcs.extend((to_cls(u), to_cls(v)) for u, v in mid_arcs)
+            sub_arcs.append((prefix_tok(last, b0), mid_vertex(mid_root)))
+            sub_arcs.extend((mid_vertex(u), mid_vertex(v)) for u, v in mid_arcs)
 
             # bottom tree for the representative class, transported in-orbit
             p0 = cls_ids[q0]
             pieces0 = bottom_builder(classes[p0])
-            for q in orbit_idx:
-                delta = deltas[q]
-                cls_tok = relabel_token(class_tokens[p0], delta)
-                for sub_root, piece_arcs in pieces0:
-                    sub_arcs.append((cls_tok, relabel_token(sub_root, delta)))
-                    sub_arcs.extend(
-                        (relabel_token(u, delta), relabel_token(v, delta))
-                        for u, v in piece_arcs)
+            cls_arcs = [(class_tokens[p0], r) for r, _ in pieces0]
+            cls_arcs += [a for _, piece in pieces0 for a in piece]
+            for delta in deltas.values():
+                sub_arcs.extend(relabel_arcs(cls_arcs, delta))
 
         # transport the whole block subgraph across the block orbit
-        for idx, mover in sorted(movers.items()):
-            if idx == b_idx:
-                arcs.extend(sub_arcs)
-            else:
-                arcs.extend((relabel_token(u, mover), relabel_token(v, mover))
-                            for u, v in sub_arcs)
+        for mover in movers.values():
+            arcs.extend(relabel_arcs(sub_arcs, mover))
 
     # pad every class vertex to a common depth
     arcs = _pad_class_vertices(arcs, set(class_tokens.values()),
@@ -167,10 +160,8 @@ def _assemble(group: PermGroup, partition: PPartition,
 
 def _pad_class_vertices(arcs: list[tuple], cls_tokens: set, root) -> list[tuple]:
     children: dict = {}
-    parents: dict = {}
     for u, v in arcs:
         children.setdefault(u, []).append(v)
-        parents.setdefault(v, []).append(u)
     depth = {root: 0}
     queue = [root]
     while queue:
@@ -249,49 +240,28 @@ def _finish(group: PermGroup, partition: PPartition,
 
 
 def normalize_families(group: PermGroup, partition: PPartition,
-                       families: Sequence[PStringFamily], d: int
-                       ) -> NormalizedInstance:
+                       families: Sequence[PStringFamily]) -> NormalizedInstance:
     """Normalize a generalized string instance from scratch.
 
     Bottom trees come from iterated minimal block systems of each class
-    stabilizer (best-effort replacement for the general construction, which
-    may certify a larger arity than requested).
+    stabilizer, a best-effort replacement for the general construction: no
+    target arity is taken, and ``certified_d`` reports the arity reached.
     """
     for g in group.generators:
         if not partition.is_invariant_under(g):
             raise ValueError("partition is not invariant under the group")
     classes = sorted((frozenset(pts) for pts in partition.classes()), key=min)
 
-    if len(classes) > 1:
-        def bottom_builder(points: tuple) -> list[tuple]:
-            idx = classes.index(frozenset(points))
-            stab = group.block_stabilizer(classes, idx)
-            return _orbit_chain_pieces(stab, points)
-    else:
-        def bottom_builder(points: tuple) -> list[tuple]:
-            return _orbit_chain_pieces(group, points)
+    def bottom_builder(points: tuple) -> list[tuple]:
+        # per-orbit minimal-block-system trees of the class stabilizer
+        if len(classes) == 1:
+            return orbit_trees(group, points, "blk")
+        stab = group.block_stabilizer(classes, classes.index(frozenset(points)))
+        return orbit_trees(stab, points, "blk")
 
     sg, class_tokens = _assemble(group, partition, [[frozenset(range(group.degree))]],
                                  bottom_builder)
     return _finish(group, partition, families, sg, class_tokens)
-
-
-def _orbit_chain_pieces(stab: PermGroup, points: Sequence[int]) -> list[tuple]:
-    """Per-orbit minimal-block-system trees of the class stabilizer."""
-    pieces = []
-    remaining = sorted(points)
-    seen: set[int] = set()
-    for p in remaining:
-        if p in seen:
-            continue
-        orb = [q for q in stab.orbit(p) if q in set(remaining)]
-        seen.update(orb)
-        levels = invariant_chain(stab, orb)
-        if len(levels) == 1:
-            pieces.append((("leaf", orb[0]), []))
-        else:
-            pieces.append(tree_from_chain(orb, levels, tag="blk"))
-    return pieces
 
 
 def renormalize_families(group: PermGroup, partition: PPartition,
@@ -320,11 +290,7 @@ def renormalize_families(group: PermGroup, partition: PPartition,
                 "semi-regular action" % (w.level, sorted(w.block), w.fanout))
 
     def bottom_builder(points: tuple) -> list[tuple]:
-        sub = chain.restrict(points, start=j)
-        if len(sub.levels) == 1:
-            (p,) = points
-            return [(("leaf", p), [])]
-        return [tree_from_chain(points, sub.levels, tag="sub")]
+        return [tree_from_chain(points, chain.restrict(points, start=j).levels, tag="sub")]
 
     sg, class_tokens = _assemble(group, partition, chain.levels[:j], bottom_builder)
     return _finish(group, partition, families, sg, class_tokens)

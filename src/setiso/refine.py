@@ -78,8 +78,7 @@ def color_refinement(graph: ColoredGraph,
         ids = new
 
 
-def tcr_sequence(graph: ColoredGraph, individualize: Sequence[int], t: int,
-                 start: Optional[Sequence[int]] = None
+def tcr_sequence(graph: ColoredGraph, individualize: Sequence[int], t: int
                  ) -> tuple[Coloring, bool, list[tuple]]:
     """Alternate refinement with splitting of classes of size <= t.
 
@@ -90,8 +89,7 @@ def tcr_sequence(graph: ColoredGraph, individualize: Sequence[int], t: int,
     """
     n = graph.n
     sset = set(individualize)
-    base = list(start) if start is not None else list(graph.vertex_colors)
-    init = [("s", v) if v in sset else ("c", base[v]) for v in range(n)]
+    init = [("s", v) if v in sset else ("c", graph.vertex_colors[v]) for v in range(n)]
     ids = _rank_dense(init)
     trace: list[tuple] = [("init", tuple(sorted(_sizes(ids))))]
     while True:

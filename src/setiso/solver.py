@@ -418,7 +418,7 @@ def set_of_strings_iso(group: PermGroup, xs: Sequence[ColoredString],
     return generalized_string_iso(GsiInstance(group, part, fx, fy), budget)
 
 
-def normalize_instance(inst: GsiInstance, d: int):
+def normalize_instance(inst: GsiInstance):
     """Normalized copy of an instance, plus the translation record.
 
     The returned instance carries the almost d'-ary chain through its class
@@ -426,7 +426,7 @@ def normalize_instance(inst: GsiInstance, d: int):
     record's monomorphism.
     """
     from .normalize import normalize_families
-    norm = normalize_families(inst.group, inst.partition, [inst.x, inst.y], d)
+    norm = normalize_families(inst.group, inst.partition, [inst.x, inst.y])
     nx, ny = norm.families
     new_inst = GsiInstance(norm.group, norm.partition, nx, ny, chain=norm.chain)
     return new_inst, norm

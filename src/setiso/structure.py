@@ -1,8 +1,13 @@
 """Structure trees and graphs, tree unfolding, and almost d-ary chains.
 
-Vertices are canonical tokens built from the points they sit above, so the
-group action on a structure graph is ordinary relabeling and equivariance of
-constructed graphs can be validated instead of trusted.  Token kinds:
+This module is the one place that builds, transports and reads structure
+trees: ``orbit_trees`` and ``tree_from_chain`` build them from invariant
+partition chains, ``map_token``/``relabel_arcs`` move pieces between blocks
+and under group elements, and ``chain_of_branches`` reads a partition chain
+off the maximal branches.  Vertices are canonical tokens built from the
+points they sit above, so the group action on a structure graph is ordinary
+relabeling and equivariance of constructed graphs can be validated instead of
+trusted.  Token kinds:
 
     ('leaf', p)            a domain point
     ('grp', tag, fs)       a vertex above the frozenset ``fs`` of tokens
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .perm import GroupHom, PermGroup, Permutation, transversal_cosets
+from .perm import GroupHom, PermGroup, Permutation
 
 
 class BranchCapExceeded(RuntimeError):
@@ -29,17 +34,29 @@ class InvalidStructureGraph(ValueError):
 DEFAULT_BRANCH_CAP = 10 ** 6
 
 
-def relabel_token(tok, g: Permutation):
+def map_token(tok, leaf, retag=None):
+    """Rebuild a token bottom-up: ``leaf(p)`` replaces each ``('leaf', p)``,
+    and ``retag``, when given, maps the tags of 'grp' and 'tag' vertices."""
     kind = tok[0]
     if kind == "leaf":
-        return ("leaf", g.images[tok[1]])
+        return leaf(tok[1])
     if kind == "grp":
-        return ("grp", tok[1], frozenset(relabel_token(t, g) for t in tok[2]))
+        return ("grp", retag(tok[1]) if retag else tok[1],
+                frozenset(map_token(t, leaf, retag) for t in tok[2]))
     if kind == "pad":
-        return ("pad", tok[1], relabel_token(tok[2], g))
+        return ("pad", tok[1], map_token(tok[2], leaf, retag))
     if kind == "tag":
-        return tok
+        return ("tag", retag(tok[1])) if retag else tok
     raise ValueError("unknown token kind %r" % (kind,))
+
+
+def relabel_token(tok, g: Permutation):
+    return map_token(tok, lambda p: ("leaf", g.images[p]))
+
+
+def relabel_arcs(arcs: Iterable[tuple], g: Permutation) -> list[tuple]:
+    """The image of a piece's arcs under a group element."""
+    return [(relabel_token(u, g), relabel_token(v, g)) for u, v in arcs]
 
 
 def token_key(tok):
@@ -68,8 +85,7 @@ class StructureGraph:
     """
 
     def __init__(self, group: PermGroup, root, arcs: Iterable[tuple],
-                 action_maps: Optional[Sequence[dict]] = None,
-                 leaf_points: Optional[Sequence[int]] = None):
+                 action_maps: Optional[Sequence[dict]] = None):
         self.group = group
         self.root = root
         self.arcs = frozenset(arcs)
@@ -79,8 +95,7 @@ class StructureGraph:
         for u, v in sorted(self.arcs, key=lambda a: (token_key(a[0]), token_key(a[1]))):
             self._children[u].append(v)
             self._parents[v].append(u)
-        self.leaf_points = (sorted(leaf_points) if leaf_points is not None
-                            else list(range(group.degree)))
+        self.leaf_points = list(range(group.degree))
         if action_maps is not None:
             action_maps = [dict(m) for m in action_maps]
             if len(action_maps) != len(group.generators):
@@ -96,9 +111,6 @@ class StructureGraph:
 
     def depth(self, v) -> int:
         return self._depth[v]
-
-    def leaves(self) -> list:
-        return [("leaf", p) for p in self.leaf_points]
 
     def _layering(self) -> dict:
         # undirected BFS distance from the root
@@ -188,8 +200,7 @@ def branch_leaf(branch: tuple) -> int:
     return branch[-1][1]
 
 
-def unfold_and_act(sg: StructureGraph, cap: int = DEFAULT_BRANCH_CAP
-                   ) -> tuple[StructureGraph, GroupHom, list[tuple]]:
+def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:
     """Tree unfolding plus the standard action on maximal branches.
 
     Returns ``(tree, psi, branches)``: the unfolded structure tree for the
@@ -197,7 +208,7 @@ def unfold_and_act(sg: StructureGraph, cap: int = DEFAULT_BRANCH_CAP
     branches in their canonical order.  L commutes: the leaf of a mapped
     branch is the image of the branch's leaf.
     """
-    branches = sg.maximal_branches(cap)
+    branches = sg.maximal_branches()
     index = {b: i for i, b in enumerate(branches)}
     gen_images = []
     for amap in sg._generator_maps():
@@ -390,7 +401,7 @@ def tree_from_chain(points: Sequence[int], partitions: Sequence[Sequence[frozens
     Vertices are ``('grp', (tag, level), block)`` tokens, except the last
     level which maps to leaf tokens.  Blocks that become singletons early are
     carried down by unary arcs until the final level.  Returns
-    ``(root, arcs)``.
+    ``(root, arcs)``; a one-point chain gives the bare leaf and no arcs.
     """
     pts = sorted(points)
 
@@ -410,79 +421,60 @@ def tree_from_chain(points: Sequence[int], partitions: Sequence[Sequence[frozens
     return tok(0, frozenset(pts)), arcs
 
 
-def chain_of_branches(branches: Sequence[tuple]) -> PartitionChain:
-    """The partition chain of the unfolded tree, levels indexed by depth."""
-    n = len(branches)
-    maxlen = max(len(b) for b in branches)
+def orbit_trees(group: PermGroup, points: Iterable[int], tag) -> list[tuple]:
+    """One structure tree ``(root, arcs)`` per orbit of ``group`` on the
+    invariant set ``points``, from ``invariant_chain``; a fixed point is a
+    bare leaf.  Orbits come in order of their least point."""
+    pieces = []
+    seen: set[int] = set()
+    for p in sorted(points):
+        if p not in seen:
+            orb = group.orbit(p)
+            seen.update(orb)
+            pieces.append(tree_from_chain(orb, invariant_chain(group, orb), tag))
+    return pieces
+
+
+def chain_of_branches(branches: Sequence[tuple], label=None) -> PartitionChain:
+    """The partition chain of maximal branches, levels indexed by depth: two
+    branches share a block at depth k iff their first k+1 vertices agree.
+
+    Points are branch indices, or ``label(branch)`` when given.
+    """
+    points = [label(b) for b in branches] if label else list(range(len(branches)))
     parts = []
-    for k in range(maxlen):
+    for k in range(max(len(b) for b in branches)):
         groups: dict[tuple, list[int]] = {}
-        for i, b in enumerate(branches):
-            groups.setdefault(b[: k + 1], []).append(i)
+        for p, b in zip(points, branches):
+            groups.setdefault(b[: k + 1], []).append(p)
         parts.append([frozenset(v) for v in groups.values()])
-    return PartitionChain.from_partitions(range(n), parts)
+    return PartitionChain.from_partitions(points, parts)
 
 
-def join_under_root(group: PermGroup, pieces: Sequence[tuple], tag="join") -> StructureGraph:
-    """New root above the roots of the given (root, arcs) pieces."""
-    root = ("tag", (tag,))
-    arcs = []
-    for piece_root, piece_arcs in pieces:
-        arcs.append((root, piece_root))
-        arcs.extend(piece_arcs)
-    return StructureGraph(group, root, arcs)
-
-
-def build_structure_graph(group: PermGroup, d: int
-                          ) -> tuple[StructureGraph, int, PartitionChain]:
+def build_structure_graph(group: PermGroup) -> tuple[StructureGraph, int, PartitionChain]:
     """Best-effort almost d-ary structure tree for an arbitrary group.
 
     Builds the chain of iterated minimal block systems per orbit and joins the
     orbit trees under a fresh root.  Always succeeds; the returned arity is
-    the smallest d' for which the result is certifiably almost d'-ary, and it
-    may exceed the requested d.
+    the smallest d' for which the result is certifiably almost d'-ary.
     """
-    orbits = group.orbits()
-    if len(orbits) == 1:
-        levels = invariant_chain(group, orbits[0])
-        if len(levels) == 1:
-            # single-point domain: the root is the leaf itself
-            sg = StructureGraph(group, ("leaf", orbits[0][0]), [])
-        else:
-            root, arcs = tree_from_chain(orbits[0], levels, tag="lvl")
-            sg = StructureGraph(group, root, arcs)
+    pieces = orbit_trees(group, range(group.degree), "lvl")
+    if len(pieces) == 1:
+        root, arcs = pieces[0]
     else:
-        pieces = []
-        for orb in orbits:
-            levels = invariant_chain(group, orb)
-            if len(levels) == 1:
-                (p,) = orb
-                pieces.append((("leaf", p), []))
-            else:
-                pieces.append(tree_from_chain(orb, levels, tag="lvl"))
-        sg = join_under_root(group, pieces)
-    branches = sg.maximal_branches()
-    chain = chain_of_tree(sg, branches)
-    dprime = certified_arity(chain, group)
-    return sg, dprime, chain
+        root = ("tag", ("join",))
+        arcs = [(root, r) for r, _ in pieces] + [a for _, piece in pieces for a in piece]
+    sg = StructureGraph(group, root, arcs)
+    chain = chain_of_tree(sg)
+    return sg, certified_arity(chain, group), chain
 
 
-def chain_of_tree(sg: StructureGraph, branches: Optional[Sequence[tuple]] = None
-                  ) -> PartitionChain:
+def chain_of_tree(sg: StructureGraph) -> PartitionChain:
     """Partition chain of a structure TREE over its own leaf points."""
-    if branches is None:
-        branches = sg.maximal_branches()
-    n_leaves = len(sg.leaf_points)
-    if len(branches) != n_leaves:
+    branches = sg.maximal_branches()
+    if len(branches) != len(sg.leaf_points):
         raise InvalidStructureGraph("graph is not a tree: branch and leaf counts differ")
-    maxlen = max(len(b) for b in branches)
-    parts = []
-    for k in range(maxlen):
-        groups: dict[tuple, set] = {}
-        for b in branches:
-            groups.setdefault(b[: k + 1], set()).add(branch_leaf(b))
-        parts.append([frozenset(v) for v in groups.values()])
-    return PartitionChain.from_partitions(sg.leaf_points, parts)
+    return chain_of_branches(branches, label=branch_leaf)
 
 
 def combine_along_blocks(group: PermGroup, blocks: Sequence[frozenset],
@@ -495,42 +487,25 @@ def combine_along_blocks(group: PermGroup, blocks: Sequence[frozenset],
     points are block indices, blocks sorted by minimum element).  ``bottoms``
     maps each block index to a structure graph piece given as ``(root, arcs)``
     whose leaves are the block's points; alternatively a single piece for
-    block 0 is transported to the other blocks along a deterministic
-    transversal.  The result exposes, for every block B, a node v_B with
-    L(G, v_B) = B; validation raises if the pieces are not equivariant.
+    block 0 is transported to the other blocks along the breadth-first
+    movers of the block action.  The result exposes, for every block B, a
+    node v_B with L(G, v_B) = B; validation raises if the pieces are not
+    equivariant.
     """
-    blocks = sorted((frozenset(b) for b in blocks), key=min)
     if isinstance(bottoms, dict):
         pieces = dict(bottoms)
     else:
-        # the first transversal element carrying block 0 onto each block
-        block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
-        a = min(blocks[0])
-        movers: dict[int, Permutation] = {}
-        for t in transversal_cosets(group, group.block_action(blocks)):
-            movers.setdefault(block_of[t.images[a]], t)
-            if len(movers) == len(blocks):
-                break
+        movers = group.orbit_transversal(0, group.block_action(blocks).gen_images)
         if len(movers) < len(blocks):
             raise InvalidStructureGraph("block action is not transitive; pass explicit bottoms")
         root0, arcs0 = bottoms
-        pieces = {idx: (relabel_token(root0, mover),
-                        [(relabel_token(u, mover), relabel_token(v, mover)) for u, v in arcs0])
-                  for idx, mover in sorted(movers.items())}
+        pieces = {idx: (relabel_token(root0, g), relabel_arcs(arcs0, g))
+                  for idx, g in movers.items()}
 
-    def transform(tok):
-        kind = tok[0]
-        if kind == "leaf":
-            return pieces[tok[1]][0]
-        if kind == "grp":
-            return ("grp", ("top", tok[1]), frozenset(transform(t) for t in tok[2]))
-        if kind == "pad":
-            return ("pad", tok[1], transform(tok[2]))
-        if kind == "tag":
-            return ("tag", ("top", tok[1]))
-        raise ValueError
+    def lift(tok):
+        return map_token(tok, lambda idx: pieces[idx][0], lambda t: ("top", t))
 
-    arcs = [(transform(u), transform(v)) for u, v in top.arcs]
-    for root_piece, piece_arcs in pieces.values():
+    arcs = [(lift(u), lift(v)) for u, v in top.arcs]
+    for _, piece_arcs in pieces.values():
         arcs.extend(piece_arcs)
-    return StructureGraph(group, transform(top.root), arcs)
+    return StructureGraph(group, lift(top.root), arcs)

@@ -293,7 +293,7 @@ def _random_structure_graph(rng):
     n = rng.randint(2, 7)
     gens = rand_gens(rng, n)
     group = PermGroup(gens, n)
-    sg, dprime, chain = build_structure_graph(group, 2)
+    sg, dprime, chain = build_structure_graph(group)
     if rng.random() < 0.4 and len(chain.levels) >= 3:
         level = 1
         dup_arcs = set(sg.arcs)
@@ -347,7 +347,7 @@ class TestCriterion5:
                                           for _ in part.members(c))))
                 return make_family(part, [PString(c, l) for c, l in sorted(members)])
             fx, fy = rand_fam(), rand_fam()
-            norm = normalize_families(group, part, [fx, fy], 2)
+            norm = normalize_families(group, part, [fx, fy])
             nx, ny = norm.families
             for e in group.elements():
                 before = family_image_key(fx, e) == fy.key()
@@ -623,7 +623,7 @@ class TestCriterion9:
             ["iso-genus", "--g", "0", "--machine",
              str(tmp_path / "k4.cg"), str(tmp_path / "k4b.cg")],
             ["refine", str(tmp_path / "p3.cg")],
-            ["normalize", "--d", "2", "--group", str(tmp_path / "w4.grp"),
+            ["normalize", "--group", str(tmp_path / "w4.grp"),
              str(tmp_path / "fx.psf")],
             ["certify", "--d", "5", "--group", str(tmp_path / "w10.grp"),
              str(tmp_path / "w.psf"), str(tmp_path / "w.psf")],

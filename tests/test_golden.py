@@ -133,7 +133,7 @@ CASES = {
     "iso_hfs": ["iso-hfs", "--machine", "t1.hfs", "t2.hfs"],
     "iso_excluded_minor": ["iso-excluded-minor", "--h", "3", "--machine",
                            "prism5.cg", "prism5b.cg"],
-    "normalize": ["normalize", "--d", "2", "--group", "s2wrs4.grp", "f1.psf"],
+    "normalize": ["normalize", "--group", "s2wrs4.grp", "f1.psf"],
     "certify": ["certify", "--d", "5", "--group", "w10.grp", "f3.psf", "f4.psf"],
 }
 

@@ -67,6 +67,15 @@ class TestRoundTrips:
             fileio.read_hypergraph(path)
         assert err.value.line == 2
 
+    def test_colored_graph_rejects_a_repeated_vertex(self, tmp_path):
+        # vertex 0 is listed twice and vertex 1 never: 1 must not keep color 0
+        path = tmp_path / "rep.cg"
+        path.write_text("4 3\n0 1\n0 2\n2 0\n3 0\n0 1 0 0\n1 2 0 0\n0 1 5 5\n")
+        with pytest.raises(fileio.ParseError) as err:
+            fileio.read_colored_graph(str(path))
+        assert err.value.line == 3
+        assert "vertex 0 is listed twice" in str(err.value)
+
 
 @pytest.fixture
 def fixture_dir(tmp_path):
@@ -177,17 +186,25 @@ class TestCli:
         assert out.splitlines()[0] == "classes 2"
 
     def test_normalize(self, fixture_dir):
-        code, out, _ = run_cli(["normalize", "--d", "2",
-                                "--group", str(fixture_dir / "s4.grp"),
-                                str(fixture_dir / "fx.psf")])
-        assert code == 2 or code == 0
+        code, out, err = run_cli(["normalize",
+                                  "--group", str(fixture_dir / "s4.grp"),
+                                  str(fixture_dir / "fx.psf")])
         # S4 does not leave the pair partition invariant: expect an error
         assert code == 2
+        assert "partition is not invariant under the group" in err
+
+    def test_normalize_refuses_d(self, fixture_dir):
+        # normalize reads no arity, so it takes no --d
+        code, out, err = run_cli(["normalize", "--d", "2",
+                                  "--group", str(fixture_dir / "s4.grp"),
+                                  str(fixture_dir / "fx.psf")])
+        assert code == 2
+        assert "unrecognized arguments: --d" in err
 
     def test_normalize_valid_group(self, fixture_dir):
         fileio.write_group(str(fixture_dir / "w.grp"), PermGroup([
             Permutation([1, 0, 2, 3]), Permutation([2, 3, 0, 1])], 4))
-        code, out, _ = run_cli(["normalize", "--d", "2",
+        code, out, _ = run_cli(["normalize",
                                 "--group", str(fixture_dir / "w.grp"),
                                 str(fixture_dir / "fx.psf")])
         assert code == 0
@@ -231,7 +248,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["refine", "p3.cg"],
-        ["normalize", "--d", "2", "--group", "s4.grp", "fx.psf"],
+        ["normalize", "--group", "s4.grp", "fx.psf"],
         ["oracle", "--kind", "string", "a.str", "b.str"],
     ], ids=["refine", "normalize", "oracle"])
     def test_budget_is_refused_where_no_recursion_runs(self, fixture_dir, argv):
@@ -246,6 +263,15 @@ class TestCli:
                                 str(fixture_dir / "cyc.hg"), str(fixture_dir / "cyc2.hg")])
         assert code == 0
         assert out.splitlines()[0] == "count 8"
+
+    def test_refine_rejects_a_repeated_edge(self, fixture_dir):
+        # the last line repeats edge {0, 1}: its colors must not overwrite the first
+        bad = fixture_dir / "rep.cg"
+        bad.write_text("4 3\n0 1\n1 2\n2 0\n3 0\n0 1 0 0\n1 2 0 0\n1 0 5 5\n")
+        code, out, err = run_cli(["refine", str(bad)])
+        assert code == 2
+        assert "rep.cg:8: edge 1 0 is listed twice" in err
+        assert out == ""
 
     def test_parse_error_exit_2(self, fixture_dir):
         bad = fixture_dir / "bad.hg"

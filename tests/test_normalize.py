@@ -59,7 +59,7 @@ class TestNormalize:
         g = PermGroup([], 3)
         part = PPartition.trivial(3)
         fam = rand_family_on(random.Random(1), part)
-        res = normalize_families(g, part, [fam], 2)
+        res = normalize_families(g, part, [fam])
         assert res.domain_size == 3
         assert sorted(res.point_map) == [0, 1, 2]
 
@@ -70,7 +70,7 @@ class TestNormalize:
             g = rand_group(rng, n)
             part = rand_invariant_partition(rng, g)
             fam = rand_family_on(rng, part)
-            res = normalize_families(g, part, [fam], 2)
+            res = normalize_families(g, part, [fam])
             assert res.domain_size == n
             assert sorted(res.point_map) == list(range(n))
 
@@ -81,7 +81,7 @@ class TestNormalize:
             g = rand_group(rng, n)
             part = rand_invariant_partition(rng, g)
             fam = rand_family_on(rng, part)
-            res = normalize_families(g, part, [fam], 2)
+            res = normalize_families(g, part, [fam])
             level = set(res.chain.levels[res.chain_index])
             assert level == {frozenset(pts) for pts in res.partition.classes()}
             ok, _ = is_almost_d_ary(res.chain, res.group, res.certified_d)
@@ -95,7 +95,7 @@ class TestNormalize:
             part = rand_invariant_partition(rng, g)
             fx = rand_family_on(rng, part)
             fy = rand_family_on(rng, part)
-            res = normalize_families(g, part, [fx, fy], 2)
+            res = normalize_families(g, part, [fx, fy])
             nx, ny = res.families
             for e in g.elements():
                 before = fx.apply(e).key() == fy.key()
@@ -108,7 +108,7 @@ class TestNormalize:
         fx = make_family(part, [PString(0, (1, 1, 0, 0)), PString(0, (0, 1, 1, 0))])
         s = Permutation([1, 2, 3, 0])
         fy = fx.apply(s)
-        res = normalize_families(g, part, [fx, fy], 2)
+        res = normalize_families(g, part, [fx, fy])
         nx, ny = res.families
         before = {e.images for e in brute_iso(g, part, fx, fy)}
         after = {e.images for e in g.elements()

@@ -67,7 +67,7 @@ def build_simplify_instance(rng, n_max=12, group_cap=2000):
         part0 = PPartition.trivial(n)
     else:
         part0 = PPartition.from_classes(n, [set(o) for o in base.orbits()])
-    norm = normalize_families(base, part0, [], d=2)
+    norm = normalize_families(base, part0, [])
     group, part, chain = norm.group, norm.partition, norm.chain
     d = norm.certified_d
     m = group.degree

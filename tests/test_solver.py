@@ -248,7 +248,7 @@ class TestNormalizeInstanceWrapper:
             fx = rand_family_on(rng, part)
             fy = rand_family_on(rng, part)
             inst = GsiInstance(g, part, fx, fy)
-            new_inst, record = normalize_instance(inst, 2)
+            new_inst, record = normalize_instance(inst)
             assert new_inst.chain is not None
             before = generalized_string_iso(inst)
             after = generalized_string_iso(new_inst)

@@ -14,6 +14,7 @@ from setiso.structure import (
     combine_along_blocks,
     invariant_chain,
     is_almost_d_ary,
+    orbit_trees,
     relabel_token,
     branch_leaf,
     tree_from_chain,
@@ -40,6 +41,16 @@ def wreath_c2_c2():
         Permutation.from_cycles(4, [2, 3]),
         Permutation.from_cycles(4, [0, 2], [1, 3]),
     ], 4)
+
+
+def s2_wr_sk(k):
+    # blocks {0,1}, {2,3}, ...; the top group is Sym(k)
+    n = 2 * k
+    gens = [Permutation.from_cycles(n, [0, 1]),
+            Permutation.from_cycles(n, [0, 2], [1, 3])]
+    if k > 2:
+        gens.append(Permutation.from_cycles(n, list(range(0, n, 2)), list(range(1, n, 2))))
+    return PermGroup(gens, n)
 
 
 class TestStructureGraphBasics:
@@ -93,7 +104,7 @@ class TestLCommutation:
         for _ in range(30):
             n = rng.randint(2, 7)
             g = rand_group(rng, n)
-            sg, _, _ = build_structure_graph(g, 2)
+            sg, _, _ = build_structure_graph(g)
             tree, psi, branches = unfold_and_act(sg)
             for gen in g.generators:
                 img = psi.apply(gen)
@@ -105,26 +116,38 @@ class TestLCommutation:
         for _ in range(20):
             n = rng.randint(1, 6)
             g = rand_group(rng, n)
-            sg, _, _ = build_structure_graph(g, 2)
+            sg, _, _ = build_structure_graph(g)
             tree, psi, branches = unfold_and_act(sg)
             assert len(tree.leaf_points) == len(branches) == sg.count_maximal_branches()
 
 
 class TestBuildStructureGraph:
     def test_s4_primitive_one_level(self):
-        sg, dprime, chain = build_structure_graph(s4(), 4)
+        sg, dprime, chain = build_structure_graph(s4())
         assert dprime == 4
         assert len(chain.levels) == 2
 
     def test_c4_certified_two(self):
-        sg, dprime, chain = build_structure_graph(c4(), 2)
+        sg, dprime, chain = build_structure_graph(c4())
         assert dprime == 2
         # chain {0..3} > {{0,2},{1,3}} > singletons
         assert chain.levels[1] == (frozenset({0, 2}), frozenset({1, 3}))
 
+    def test_orbit_trees_one_piece_per_orbit(self):
+        # orbits {0,1,2}, {3,4} and the fixed point 5
+        g = PermGroup([Permutation.from_cycles(6, [0, 1, 2]),
+                       Permutation.from_cycles(6, [3, 4])], 6)
+        pieces = orbit_trees(g, range(6), "t")
+        assert len(pieces) == 3
+        leaves = [{v[1] for _, v in arcs if v[0] == "leaf"} for _, arcs in pieces]
+        assert leaves[:2] == [{0, 1, 2}, {3, 4}]
+        assert pieces[2] == (("leaf", 5), [])
+        assert [root for root, _ in orbit_trees(g, [3, 4, 5], "t")] == \
+            [block_token(("t", 0), [3, 4]), ("leaf", 5)]
+
     def test_intransitive_root_join(self):
         g = PermGroup([Permutation.from_cycles(3, [0, 1])], 3)
-        sg, dprime, chain = build_structure_graph(g, 2)
+        sg, dprime, chain = build_structure_graph(g)
         assert dprime == 2
         assert sg.count_maximal_branches() == 3
 
@@ -133,7 +156,7 @@ class TestBuildStructureGraph:
         for _ in range(25):
             n = rng.randint(2, 7)
             g = rand_group(rng, n)
-            sg, dprime, chain = build_structure_graph(g, 2)
+            sg, dprime, chain = build_structure_graph(g)
             ok, _ = is_almost_d_ary(chain, g, dprime)
             assert ok
             if dprime > 2:
@@ -200,7 +223,7 @@ class TestCombine:
         g = wreath_c2_c2()
         blocks = [frozenset({0, 1}), frozenset({2, 3})]
         hom = g.block_action(blocks)
-        top, _, _ = build_structure_graph(hom.image(), 2)
+        top, _, _ = build_structure_graph(hom.image())
         bottom_root, bottom_arcs = (
             block_token(("cls",), [0, 1]),
             [(block_token(("cls",), [0, 1]), ("leaf", 0)),
@@ -215,7 +238,7 @@ class TestCombine:
         g = wreath_c2_c2()
         blocks = [frozenset({0, 1}), frozenset({2, 3})]
         hom = g.block_action(blocks)
-        top, _, _ = build_structure_graph(hom.image(), 2)
+        top, _, _ = build_structure_graph(hom.image())
         bottoms = {}
         for i, blk in enumerate(blocks):
             tok = block_token(("cls",), blk)
@@ -224,6 +247,22 @@ class TestCombine:
         assert combined.count_maximal_branches() == 4
         chain = chain_of_tree(combined)
         assert certified_arity(chain, g) == 2
+
+    @pytest.mark.parametrize("k", [2, 3], ids=["S2wrS2", "S2wrS3"])
+    def test_transported_bottom_equals_explicit_bottoms(self, k):
+        g = s2_wr_sk(k)
+        blocks = [frozenset({2 * i, 2 * i + 1}) for i in range(k)]
+        top, _, _ = build_structure_graph(g.block_action(blocks).image())
+
+        def piece(blk):
+            tok = block_token(("cls",), blk)
+            return tok, [(tok, ("leaf", p)) for p in sorted(blk)]
+
+        one = combine_along_blocks(g, blocks, top, piece(blocks[0]))
+        each = combine_along_blocks(g, blocks, top, {i: piece(b) for i, b in enumerate(blocks)})
+        assert one.root == each.root
+        assert one.arcs == each.arcs
+        assert one.count_maximal_branches() == 2 * k
 
 
 class TestChainOps:
