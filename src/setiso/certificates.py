@@ -96,8 +96,8 @@ def _set_mover(rep: GiantRep, t1: Sequence[int], t2: Sequence[int]) -> Optional[
     """A source-group element whose image maps T1 onto T2 setwise."""
     k = rep.k
     t1, t2 = sorted(t1), sorted(t2)
-    c1 = [p for p in range(k) if p not in set(t1)]
-    c2 = [p for p in range(k) if p not in set(t2)]
+    c1 = sorted(set(range(k)) - set(t1))
+    c2 = sorted(set(range(k)) - set(t2))
     images = [0] * k
     for a, b in zip(t1, t2):
         images[a] = b
@@ -165,8 +165,9 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
             stab = state.group.pointwise_stabilizer([alpha])
             if is_giant(psi_group(stab), range(len(t_sorted))) is None:
                 affected.append(alpha)
-        if set(affected) <= set(state.window):
-            inert = sorted(set(range(state.group.degree)) - set(state.window))
+        window = set(state.window)
+        if set(affected) <= window:
+            inert = sorted(set(range(state.group.degree)) - window)
             fixer = state.group.pointwise_stabilizer(inert) if inert else state.group
             if is_giant(psi_group(fixer), range(len(t_sorted))) is None:
                 raise LocalCertificateError(
@@ -175,8 +176,8 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
                     % len(t_sorted))
             return "full", state, {"iterations": iteration, "fixer": fixer, "psi": psi}
 
-        grow = sorted(set(affected) | set(state.window))
-        new_window = [p for p in grow if p not in set(state.window)]
+        grow = sorted(window | set(affected))
+        new_window = [p for p in grow if p not in window]
 
         coset = balance_orbits(state.group, state.partition, state.x, state.y, budget)
         if self_pair:

@@ -105,10 +105,11 @@ def lemma_small_class(graph: ColoredGraph, coloring, v1: Sequence[int],
     if refined.num_classes != coloring.num_classes:
         return SmallClassReport(False, None, "hypothesis failed: coloring is not stable")
     neighbors = graph.neighbor_table()
+    interior = set(v2s)
     boundary = set()
     for v in v2s:
         for w in neighbors[v]:
-            if w not in set(v2s):
+            if w not in interior:
                 boundary.add(w)
     if boundary != set(v1s):
         return SmallClassReport(False, None, "hypothesis failed: N(V2) differs from V1")
@@ -183,9 +184,9 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         except NotTCRBounded:
             return None  # signals a stall that the screen did not catch
 
-    results = [examine(triple) for triple in triples]
     union = CosetUnion(n)
-    for res in results:
+    for triple in triples:
+        res = examine(triple)
         if res is None:
             return _stall_fallback(g1, g2)
         union.add(res)

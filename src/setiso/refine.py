@@ -5,12 +5,23 @@ Refinement ranks signatures lexicographically each round, so color ids are
 canonical: isomorphic inputs refined separately end up with identical ids.
 The t-CR iso test never compares raw split ids across graphs; every
 cross-graph matching is delegated to the coset machinery.
+
+The replay carries an isomorphism coset from each class list to the next,
+finer one by one rule, ``_lift``.  Each refined class on each side is named
+(parent old class, tag), the tag being its refinement string, its rank among
+the singletons of a split class, or, for the first list, its color; a
+vertex is the untagged child of its discrete class.  A permutation g of the
+old classes sends the class (p, tag) to (g(p), tag^g), where only a string
+tag moves under g.  Generators are read against the first side's names and
+the representative against the second's; a missing name gives the empty
+coset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation
@@ -43,7 +54,7 @@ class Coloring:
         return [tuple(out[c]) for c in sorted(out)]
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.classes()))
+        return tuple(sorted(Counter(self.ids).values()))
 
     def is_discrete(self) -> bool:
         return self.num_classes == len(self.ids)
@@ -91,28 +102,18 @@ def tcr_sequence(graph: ColoredGraph, individualize: Sequence[int], t: int
     sset = set(individualize)
     init = [("s", v) if v in sset else ("c", graph.vertex_colors[v]) for v in range(n)]
     ids = _rank_dense(init)
-    trace: list[tuple] = [("init", tuple(sorted(_sizes(ids))))]
+    trace: list[tuple] = [("init", Coloring(ids).class_sizes())]
     while True:
         refined = color_refinement(graph, ids)
         trace.append(("refine", refined.class_sizes()))
-        sizes: dict[int, int] = {}
-        for c in refined.ids:
-            sizes[c] = sizes.get(c, 0) + 1
+        sizes = Counter(refined.ids)
         split = [("v", v) if 1 < sizes[refined.ids[v]] <= t else ("c", refined.ids[v])
                  for v in range(n)]
-        new_ids = _rank_dense(split)
-        trace.append(("split", tuple(sorted(_sizes(new_ids)))))
-        if len(set(new_ids)) == len(set(ids)):
-            final = Coloring(tuple(new_ids))
-            return final, final.is_discrete(), trace
-        ids = new_ids
-
-
-def _sizes(ids: Sequence[int]) -> list[int]:
-    out: dict[int, int] = {}
-    for c in ids:
-        out[c] = out.get(c, 0) + 1
-    return list(out.values())
+        new = Coloring(_rank_dense(split))
+        trace.append(("split", new.class_sizes()))
+        if new.num_classes == len(set(ids)):
+            return new, new.is_discrete(), trace
+        ids = new.ids
 
 
 # -- isomorphism of t-CR-bounded pairs ------------------------------------------
@@ -196,170 +197,129 @@ def _split_classes(classes: list[tuple[int, ...]], groups: dict[int, tuple]
     return out
 
 
-class _PairState:
-    def __init__(self, g1: ColoredGraph, g2: ColoredGraph,
-                 cls1: list[tuple[int, ...]], cls2: list[tuple[int, ...]],
-                 coset: IsoCoset):
-        self.g1 = g1
-        self.g2 = g2
-        self.cls1 = cls1
-        self.cls2 = cls2
-        self.coset = coset  # group over cls1 indices, rep mapping onto cls2
+def _lift(gens: Sequence[Permutation], rep: Permutation, key1: list, key2: list,
+          act: Optional[Callable] = None,
+          kernel: Sequence[Permutation] = ()) -> IsoCoset:
+    """The coset ``<gens> * rep`` on old classes, carried to refined classes.
 
-    def empty(self, cls1=None, cls2=None) -> "_PairState":
-        return _PairState(self.g1, self.g2, cls1 or self.cls1,
-                          cls2 or self.cls2, IsoCoset.empty())
+    ``key1[i]`` and ``key2[i]`` name refined class i of each side as
+    (parent old class, tag); g sends (p, tag) to (g(p), act(tag, g)), or to
+    (g(p), tag) without ``act``.  Generators are looked up in side 1's names,
+    the representative in side 2's; ``kernel`` generators, which fix every
+    parent, go after the lifted ones.  Empty when an image name is missing.
+    """
+    index1 = {name: i for i, name in enumerate(key1)}
+    index2 = {name: i for i, name in enumerate(key2)}
+
+    def image(g: Permutation, index: dict) -> Optional[Permutation]:
+        img = []
+        for p, tag in key1:
+            j = index.get((g.images[p], tag if act is None else act(tag, g)))
+            if j is None:
+                return None
+            img.append(j)
+        return Permutation(img)
+
+    lifted = []
+    for g in gens:
+        h = image(g, index1)
+        if h is None:
+            return IsoCoset.empty()
+        lifted.append(h)
+    rep_img = image(rep, index2)
+    if rep_img is None:
+        return IsoCoset.empty()
+    return IsoCoset(PermGroup(lifted + list(kernel), len(key1)), rep_img)
 
 
-def _quotient_check(state: _PairState, budget: Budget) -> _PairState:
+def _permuted(letters: tuple, g: Permutation) -> tuple:
+    return ColoredString(letters).apply(g).letters
+
+
+def _quotient_check(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
+                    coset: IsoCoset, budget: Budget) -> IsoCoset:
     """Constrain the coset by isomorphism of the quotient graphs."""
-    if state.coset.is_empty:
-        return state
+    if coset.is_empty:
+        return coset
     encode: dict = {}
-    q1 = _quotient_graph(state.g1, state.cls1, encode)
-    q2 = _quotient_graph(state.g2, state.cls2, encode)
-    shift = state.coset.rep
-    q2_aligned = q2.apply(shift.inverse())
-    res = graph_iso_under_group(q1, q2_aligned, state.coset.group,
+    q1 = _quotient_graph(g1, cls1, encode)
+    q2 = _quotient_graph(g2, cls2, encode)
+    res = graph_iso_under_group(q1, q2.apply(coset.rep.inverse()), coset.group,
                                 budget=budget)
-    if res.is_empty:
-        return state.empty()
-    return _PairState(state.g1, state.g2, state.cls1, state.cls2,
-                      IsoCoset(res.group, res.rep * shift))
+    return res.shifted(coset.rep)
 
 
-def _replay_refinement(state: _PairState, budget: Budget
-                       ) -> tuple[_PairState, bool]:
+def _replay_refinement(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
+                       coset: IsoCoset, budget: Budget
+                       ) -> tuple[list, list, IsoCoset, bool]:
     """Replay refinement rounds: a set-of-strings instance per round, then
     the quotient-graph constraint on the refined classes."""
     progressed = False
     while True:
-        if state.coset.is_empty:
-            return state, progressed
+        if coset.is_empty:
+            return cls1, cls2, coset, progressed
         encode: dict = {}
-        str1 = _class_strings(state.g1, state.cls1, encode)
-        str2 = _class_strings(state.g2, state.cls2, encode)
-        new1 = _split_classes(state.cls1, str1)
-        new2 = _split_classes(state.cls2, str2)
-        if len(new1) == len(state.cls1) and len(new2) == len(state.cls2):
-            return state, progressed
+        str1 = _class_strings(g1, cls1, encode)
+        str2 = _class_strings(g2, cls2, encode)
+        new1 = _split_classes(cls1, str1)
+        new2 = _split_classes(cls2, str2)
+        if len(new1) == len(cls1) and len(new2) == len(cls2):
+            return cls1, cls2, coset, progressed
         progressed = True
         if len(new1) != len(new2):
-            return state.empty(new1, new2), progressed
+            return new1, new2, IsoCoset.empty(), progressed
 
-        shift = state.coset.rep
-        back = shift.inverse()
+        back = coset.rep.inverse()
         xs = [ColoredString(l) for l in str1.values()]
         ys = [ColoredString(l).apply(back) for l in str2.values()]
-        res = set_of_strings_iso(state.coset.group, xs, ys, budget)
+        res = set_of_strings_iso(coset.group, xs, ys, budget).shifted(coset.rep)
         if res.is_empty:
-            return state.empty(new1, new2), progressed
-        coset = IsoCoset(res.group, res.rep * shift)
-        state = _advance_to(state, new1, new2, str1, str2, coset)
-        state = _quotient_check(state, budget)
+            return new1, new2, res, progressed
+        # a refined class is named by its parent and its string
+        idx1, idx2 = _index_of(cls1), _index_of(cls2)
+        coset = _lift(res.group.generators, res.rep,
+                      [(idx1[c[0]], str1[c[0]]) for c in new1],
+                      [(idx2[c[0]], str2[c[0]]) for c in new2], act=_permuted)
+        cls1, cls2 = new1, new2
+        coset = _quotient_check(g1, g2, cls1, cls2, coset, budget)
 
 
-def _advance_to(state: _PairState, new1, new2, data1, data2,
-                coset: IsoCoset) -> _PairState:
-    """Push a coset on the old classes to the refined class domain.
-
-    A permutation of old classes respecting the string sets induces a map of
-    new classes: the class keyed by (parent, string) goes to the class keyed
-    by (image parent, permuted string)."""
-    m_new = len(new1)
-    idx_old1 = _index_of(state.cls1)
-    idx_old2 = _index_of(state.cls2)
-    parent_new1 = [idx_old1[new1[i][0]] for i in range(m_new)]
-    parent_new2 = [idx_old2[new2[i][0]] for i in range(m_new)]
-    key_new1 = {(parent_new1[i], data1[new1[i][0]]): i for i in range(m_new)}
-    key_new2 = {(parent_new2[i], data2[new2[i][0]]): i for i in range(m_new)}
-
-    def lift(g: Permutation, cross: bool):
-        lookup = key_new2 if cross else key_new1
-        img = [0] * m_new
-        for i in range(m_new):
-            d = data1[new1[i][0]]
-            key = (g.images[parent_new1[i]], ColoredString(d).apply(g).letters)
-            if key not in lookup:
-                return None
-            img[i] = lookup[key]
-        return Permutation(img)
-
-    gens = []
-    for g in coset.group.generators:
-        lifted = lift(g, cross=False)
-        if lifted is None:
-            return state.empty(new1, new2)
-        gens.append(lifted)
-    rep = lift(coset.rep, cross=True)
-    if rep is None:
-        return state.empty(new1, new2)
-    return _PairState(state.g1, state.g2, new1, new2,
-                      IsoCoset(PermGroup(gens, m_new), rep))
-
-
-def _replay_split(state: _PairState, t: int, budget: Budget
-                  ) -> tuple[_PairState, bool]:
+def _replay_split(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
+                  coset: IsoCoset, t: int, budget: Budget
+                  ) -> tuple[list, list, IsoCoset, bool]:
     """One splitting phase; always ends with the quotient-graph constraint
     (at discrete classes that constraint is full graph isomorphism)."""
-    if state.coset.is_empty:
-        return state, False
+    if coset.is_empty:
+        return cls1, cls2, coset, False
 
     def split(classes):
-        out = []
-        for cls in classes:
-            if 1 < len(cls) <= t:
-                out.extend(tuple([v]) for v in cls)
-            else:
-                out.append(cls)
-        return out
+        """The split classes, each named by its parent and its rank among
+        its siblings."""
+        out, names = [], []
+        for p, cls in enumerate(classes):
+            parts = [(v,) for v in cls] if 1 < len(cls) <= t else [cls]
+            out.extend(parts)
+            names.extend((p, r) for r in range(len(parts)))
+        return out, names
 
-    new1, new2 = split(state.cls1), split(state.cls2)
-    progressed = len(new1) != len(state.cls1)
-    if not progressed:
-        return _quotient_check(state, budget), False
+    (new1, key1), (new2, key2) = split(cls1), split(cls2)
+    if len(new1) == len(cls1):
+        return cls1, cls2, _quotient_check(g1, g2, cls1, cls2, coset, budget), False
     if len(new1) != len(new2):
-        return state.empty(new1, new2), True
+        return new1, new2, IsoCoset.empty(), True
 
-    m_new = len(new1)
-    idx_old1 = _index_of(state.cls1)
-    idx_old2 = _index_of(state.cls2)
-    parent1 = [idx_old1[new1[i][0]] for i in range(m_new)]
-    parent2 = [idx_old2[new2[i][0]] for i in range(m_new)]
-    children1: dict[int, list[int]] = {}
-    for j, p in enumerate(parent1):
-        children1.setdefault(p, []).append(j)
-    children2: dict[int, list[int]] = {}
-    for j, p in enumerate(parent2):
-        children2.setdefault(p, []).append(j)
-
-    # the lift: positional child maps over the group part, full symmetry
-    # inside each split class, positional rep across the pair
-    gens = []
-    for g in state.coset.group.generators:
-        img = [0] * m_new
-        for p, kids in children1.items():
-            tkids = children1[g.images[p]]
-            if len(kids) != len(tkids):
-                return state.empty(new1, new2), True
-            for a, b in zip(kids, tkids):
-                img[a] = b
-        gens.append(Permutation(img))
-    for p, kids in children1.items():
-        if len(kids) > 1:
-            gens.append(Permutation.from_cycles(m_new, [kids[0], kids[1]]))
-            if len(kids) > 2:
-                gens.append(Permutation.from_cycles(m_new, kids))
-    rep_img = [0] * m_new
-    for p, kids in children1.items():
-        tkids = children2[state.coset.rep.images[p]]
-        if len(kids) != len(tkids):
-            return state.empty(new1, new2), True
-        for a, b in zip(kids, tkids):
-            rep_img[a] = b
-    lifted = _PairState(state.g1, state.g2, new1, new2,
-                        IsoCoset(PermGroup(gens, m_new), Permutation(rep_img)))
-    return _quotient_check(lifted, budget), True
+    # full symmetry inside each split class: a transposition, and a cycle
+    # over all of its vertices when there are more than two
+    m = len(new1)
+    kernel = []
+    for j, (p, r) in enumerate(key1):
+        size = len(cls1[p])
+        if r == 0 and 1 < size <= t:
+            kernel.append(Permutation.from_cycles(m, [j, j + 1]))
+            if size > 2:
+                kernel.append(Permutation.from_cycles(m, list(range(j, j + size))))
+    coset = _lift(coset.group.generators, coset.rep, key1, key2, kernel=kernel)
+    return new1, new2, _quotient_check(g1, g2, new1, new2, coset, budget), True
 
 
 def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
@@ -369,10 +329,11 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
 
     ``group`` acts on the sorted positions of s1; ``theta`` maps s1 onto s2.
     The alternation is replayed round by round: refinement rounds become
-    set-of-strings instances over the current classes, splitting phases lift
-    the coset through per-class symmetric groups, and each phase ends with a
-    quotient-graph isomorphism under the lifted coset.  Raises NotTCRBounded
-    when the alternation stalls before both colorings are discrete.
+    set-of-strings instances over the current classes, and each phase ends
+    with a quotient-graph isomorphism under the coset.  Between phases the
+    coset is lifted to the refined classes by their (parent, tag) names, as
+    the module docstring describes.  Raises NotTCRBounded when the
+    alternation stalls before both colorings are discrete.
     """
     budget = Budget.of(budget)
     if g1.n != g2.n:
@@ -386,66 +347,43 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
         raise ValueError("group degree must equal the individualized set size")
 
     def initial_classes(graph, ss):
+        """The classes, and their names: position i of ``ss`` is (i, None),
+        and each color class is a child of the extra parent k, tagged by
+        its color."""
+        sset = set(ss)
         rest: dict[int, list[int]] = {}
         for v in range(graph.n):
-            if v not in set(ss):
+            if v not in sset:
                 rest.setdefault(graph.vertex_colors[v], []).append(v)
-        return ([tuple([v]) for v in ss]
-                + [tuple(sorted(rest[c])) for c in sorted(rest)])
+        colors = sorted(rest)
+        classes = [(v,) for v in ss] + [tuple(sorted(rest[c])) for c in colors]
+        return classes, [(i, None) for i in range(k)] + [(k, c) for c in colors]
 
-    cls1 = initial_classes(g1, s1_sorted)
-    cls2 = initial_classes(g2, s2_sorted)
+    cls1, key1 = initial_classes(g1, s1_sorted)
+    cls2, key2 = initial_classes(g2, s2_sorted)
     if len(cls1) != len(cls2):
         return IsoCoset.empty()
-    m = len(cls1)
-    colors1 = [g1.vertex_colors[cls[0]] for cls in cls1[k:]]
-    colors2 = [g2.vertex_colors[cls[0]] for cls in cls2[k:]]
-    if sorted(colors1) != sorted(colors2):
-        return IsoCoset.empty()
-
-    lift_gens = []
-    for g in group.generators:
-        img = list(range(m))
-        for i in range(k):
-            img[i] = g.images[i]
-        lift_gens.append(Permutation(img))
-    lifted = PermGroup(lift_gens, m)
     pos2 = {v: i for i, v in enumerate(s2_sorted)}
-    theta_img = [0] * m
-    for i in range(k):
-        theta_img[i] = pos2[theta[s1_sorted[i]]]
-    color_to_idx2: dict[int, list[int]] = {}
-    for i2 in range(k, m):
-        color_to_idx2.setdefault(colors2[i2 - k], []).append(i2)
-    for i1 in range(k, m):
-        cands = color_to_idx2.get(colors1[i1 - k])
-        if not cands:
-            return IsoCoset.empty()
-        theta_img[i1] = cands.pop(0)
-    state = _PairState(g1, g2, cls1, cls2,
-                       IsoCoset(lifted, Permutation(theta_img)))
+    theta_pos = Permutation([pos2[theta[v]] for v in s1_sorted] + [k])
+    coset = _lift([Permutation(g.images + (k,)) for g in group.generators],
+                  theta_pos, key1, key2)
 
     while True:
-        state, progress1 = _replay_refinement(state, budget)
-        state, progress2 = _replay_split(state, t, budget)
-        if state.coset.is_empty:
+        cls1, cls2, coset, progress1 = _replay_refinement(g1, g2, cls1, cls2, coset,
+                                                          budget)
+        cls1, cls2, coset, progress2 = _replay_split(g1, g2, cls1, cls2, coset, t,
+                                                     budget)
+        if coset.is_empty:
             return IsoCoset.empty()
-        if all(len(c) == 1 for c in state.cls1):
+        if all(len(c) == 1 for c in cls1):
             break
         if not progress1 and not progress2:
             raise NotTCRBounded(
                 "alternation stalled at %d classes before discreteness"
-                % len(state.cls1))
+                % len(cls1))
 
-    order1 = [cls[0] for cls in state.cls1]
-    order2 = [cls[0] for cls in state.cls2]
-    gens = []
-    for g in state.coset.group.generators:
-        img = [0] * n
-        for i, v in enumerate(order1):
-            img[v] = order1[g.images[i]]
-        gens.append(Permutation(img))
-    rep_img = [0] * n
-    for i, v in enumerate(order1):
-        rep_img[v] = order2[state.coset.rep.images[i]]
-    return IsoCoset(PermGroup(gens, n), Permutation(rep_img))
+    # vertex v is the untagged child of its class
+    idx1, idx2 = _index_of(cls1), _index_of(cls2)
+    return _lift(coset.group.generators, coset.rep,
+                 [(idx1[v], None) for v in range(n)],
+                 [(idx2[v], None) for v in range(n)])

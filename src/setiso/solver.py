@@ -193,8 +193,7 @@ def balance_orbits(group: PermGroup, partition: PPartition,
                                      budget=budget))
         if res.is_empty:
             return IsoCoset.empty()
-        refined = hom.pull_back(res)
-        new = IsoCoset(refined.group, refined.rep * shift)
+        new = hom.pull_back(res).shifted(shift)
         if new.group.order() >= sub.order():
             # all of Delta*delta respects the counts yet x[A] is unbalanced:
             # impossible for a transitive orbit, so this flags a logic error
@@ -397,10 +396,7 @@ def _enforce_window(coset: IsoCoset, partition: PPartition,
     if x_w.partition != y_w.partition:
         return IsoCoset.empty()
     res = _gsi_group(sub, x_w.partition, x_w, y_w, budget)
-    pulled = hom.pull_back(res)
-    if pulled.is_empty:
-        return pulled
-    return IsoCoset(pulled.group, pulled.rep * shift)
+    return hom.pull_back(res).shifted(shift)
 
 
 def generalized_string_iso(inst: GsiInstance, budget: BudgetArg = None) -> IsoCoset:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,13 +33,19 @@ def rand_graph(rng, n, colors=1):
     return ColoredGraph.plain(n, edges, [rng.randrange(colors) for _ in range(n)])
 
 
-def brute_iso_set(g1, g2):
-    n = g1.n
-    import itertools
+def brute_iso_set(g1, g2, s1=(), s2=(), group=None, theta=None):
+    """{sigma : g1^sigma = g2, sigma(s1) = s2, and the map of sorted
+    positions that sigma induces from s1 to s2 lies in group * theta}."""
+    s1s, s2s = sorted(s1), sorted(s2)
+    pos2 = {v: i for i, v in enumerate(s2s)}
+    theta_pos = Permutation([pos2[theta[v]] for v in s1s]) if theta else Permutation([])
+    group = group or PermGroup([], 0)
+    allowed = {(h * theta_pos).images for h in group.elements()}
     out = set()
-    for images in itertools.permutations(range(n)):
-        p = Permutation(images)
-        if g1.apply(p) == g2:
+    for images in itertools.permutations(range(g1.n)):
+        if tuple(pos2.get(images[v]) for v in s1s) not in allowed:
+            continue
+        if g1.apply(Permutation(images)) == g2:
             out.add(images)
     return out
 
@@ -158,7 +165,11 @@ class TestIsoTcrPairs:
         assert res.is_empty
 
     def test_agrees_with_brute_force(self):
+        # first no individualized vertices and t = n; then up to three, with
+        # a trivial or a transposition group on their positions, a random
+        # theta and t from 0 to 3
         rng = random.Random(5511)
+        cases = []
         for _ in range(25):
             n = rng.randint(2, 6)
             g1 = rand_graph(rng, n, colors=2)
@@ -167,12 +178,33 @@ class TestIsoTcrPairs:
                 g2 = g1.apply(s)
             else:
                 g2 = rand_graph(rng, n, colors=2)
+            cases.append((g1, [], g2, [], PermGroup([], 0), {}, n))
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            k = rng.randint(0, min(3, n))
+            t = rng.randint(0, 3)
+            g1 = rand_graph(rng, n, colors=2)
+            s1 = rng.sample(range(n), k)
+            if rng.random() < 0.6:
+                s = rand_perm(rng, n)
+                g2, s2 = g1.apply(s), [s.images[v] for v in s1]
+            else:
+                g2, s2 = rand_graph(rng, n, colors=2), rng.sample(range(n), k)
+            swap = k >= 2 and rng.random() < 0.5
+            group = PermGroup([Permutation.from_cycles(k, [0, 1])] if swap else [], k)
+            theta = dict(zip(sorted(s1), rng.sample(s2, k)))
+            cases.append((g1, s1, g2, s2, group, theta, t))
+        checked = nonempty = 0
+        for g1, s1, g2, s2, group, theta, t in cases:
             try:
-                res = iso_tcr_pairs(g1, [], g2, [], PermGroup([], 0), {}, t=n)
+                res = iso_tcr_pairs(g1, s1, g2, s2, group, theta, t=t)
             except NotTCRBounded:
                 continue
             got = res.element_set()
-            assert got == frozenset(brute_iso_set(g1, g2))
+            assert got == frozenset(brute_iso_set(g1, g2, s1, s2, group, theta))
+            checked += 1
+            nonempty += bool(got)
+        assert checked > 250 and nonempty > 100
 
     def test_not_bounded_reported(self):
         # two disjoint 3-cycles with t=1: refinement cannot separate them
