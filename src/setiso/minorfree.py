@@ -1,16 +1,25 @@
 """Isomorphism of 3-connected graphs promised to exclude a K_{3,h} minor.
 
-The pipeline individualizes one vertex triple of the first graph, loops over
-all ordered triples of the second, runs the (h-1)-CR alternation on both and
-solves the surviving candidates as t-CR-bounded pairs.  A stalled sequence is
-a diagnosable symptom of a broken promise: it falls back to brute force on
-small inputs and errors otherwise, never answering wrongly.
+The pipeline individualizes one vertex triple of the first graph and
+searches the ordered triples of the second as an individualization-
+refinement tree (McKay and Piperno, *Practical graph isomorphism II*, 2014):
+each prefix is individualized and refined, and a branch survives only while
+its refinement matches the first graph's.  The (h-1)-CR alternation runs on
+both sides of every surviving triple, which is then solved as a
+t-CR-bounded pair.  The prune is exact: refinement ids are canonical, so no
+isomorphism extends a dropped prefix, and a dropped triple could not have
+stalled either, because the replay stalls only on a first side that is not
+discrete, and that side is checked once up front (``iso_excluded_minor``
+gives the argument in full).  A stalled sequence is a diagnosable symptom of
+a broken promise: it falls back to brute force on small inputs and errors
+otherwise, never answering wrongly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -92,9 +101,7 @@ def lemma_small_class(graph: ColoredGraph, coloring, v1: Sequence[int],
     v1s, v2s = sorted(set(v1)), sorted(set(v2))
     if not v2s:
         return SmallClassReport(True, None, "vacuous: empty interior")
-    counts: dict[int, int] = {}
-    for v in range(graph.n):
-        counts[ids[v]] = counts.get(ids[v], 0) + 1
+    counts = Counter(ids)
     for v in v1s:
         if counts[ids[v]] != 1:
             return SmallClassReport(False, None,
@@ -145,10 +152,31 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
                        budget: BudgetArg = None) -> IsoCoset:
     """Isomorphisms of two 3-connected graphs under the full symmetric group.
 
-    Exhaustive and order-deterministic over the ordered triples of g2; each
-    candidate triple is first screened by the exact trace invariant of the
-    (h-1)-CR sequence, then decided as a t-CR-bounded pair with the trivial
-    group matching the triples.  One budget bounds the pairs of all triples.
+    The base triple (0, 1, 2) of g1 is matched against the ordered triples
+    of g2 by a depth-first search over prefixes.  At depth i = 0, 1, 2 the
+    prefix is individualized by position (prefix vertex j starts as
+    ("s", j), any other vertex as ("c", its color)) and refined, and so is
+    ``base_triple[:i]`` in g1.  A prefix whose sorted color ids differ from
+    g1's is dropped; otherwise it is extended, in increasing vertex order,
+    by the vertices whose id is that of ``base_triple[i]`` in g1.  So the
+    surviving triples come out in sorted order.  Each one is screened by
+    the exact trace invariant of the (h-1)-CR sequence and then decided as
+    a t-CR-bounded pair with the trivial group matching the triples.  One
+    budget bounds the pairs of all triples.
+
+    The search answers exactly what a loop over all ordered triples would:
+    - Refinement ids are canonical (signatures are ranked), so any
+      isomorphism sigma with sigma(base[:i]) = prefix carries g1's coloring
+      onto g2's, id for id.  A pruned triple has no isomorphism extending
+      it, its piece would be empty, and an empty piece leaves the
+      ``CosetUnion`` unchanged.
+    - A pruned triple cannot have stalled either.  ``iso_tcr_pairs`` raises
+      ``NotTCRBounded`` only when its side-1 classes stop before they are
+      discrete.  Side 1 is always (g1, base triple), and its replay walks
+      the partitions of ``tcr_sequence(g1, base_triple, t)`` (both refine
+      to the coarsest stable partition, then split the same small
+      classes).  That sequence is checked to be discrete before the
+      search, so side 1 progresses in every round until it is discrete.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
@@ -167,7 +195,29 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     if not discrete1:
         return _stall_fallback(g1, g2)
 
-    triples = sorted(itertools.permutations(range(n), 3))
+    def prefix_ids(graph, prefix):
+        pos = {v: j for j, v in enumerate(prefix)}
+        return color_refinement(graph, [
+            ("s", pos[v]) if v in pos else ("c", graph.vertex_colors[v])
+            for v in range(n)]).ids
+
+    base_ids = [prefix_ids(g1, base_triple[:i]) for i in range(3)]
+    base_sorted = [sorted(ids) for ids in base_ids]
+
+    def triples(prefix=()):
+        """The ordered triples of g2 that extend ``prefix`` and survive the
+        refinement prune, in sorted order."""
+        i = len(prefix)
+        if i == 3:
+            yield prefix
+            return
+        ids = prefix_ids(g2, prefix)
+        if sorted(ids) != base_sorted[i]:
+            return
+        target = base_ids[i][base_triple[i]]
+        for v in range(n):
+            if ids[v] == target and v not in prefix:
+                yield from triples(prefix + (v,))
 
     def examine(triple):
         col2, discrete2, trace2 = tcr_sequence(g2, triple, t)
@@ -185,7 +235,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
             return None  # signals a stall that the screen did not catch
 
     union = CosetUnion(n)
-    for triple in triples:
+    for triple in triples():
         res = examine(triple)
         if res is None:
             return _stall_fallback(g1, g2)

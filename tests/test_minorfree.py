@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from setiso import minorfree
 from setiso.graphs import ColoredGraph
 from setiso.minorfree import (
     MinorPromiseViolation,
@@ -15,8 +16,8 @@ from setiso.minorfree import (
     k3h_genus_table,
     lemma_small_class,
 )
-from setiso.perm import Permutation
-from setiso.refine import color_refinement, tcr_sequence
+from setiso.perm import PermGroup, Permutation
+from setiso.refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
 
 from util import rand_perm
 
@@ -66,6 +67,56 @@ def brute_iso_count(g1, g2):
         if g1.apply(Permutation(images)) == g2:
             count += 1
     return count
+
+
+def backtrack_iso_count(g1, g2):
+    """Isomorphisms g1 -> g2 counted by extending vertex maps one vertex at a
+    time; as exhaustive as ``brute_iso_count``, but cut where a partial map
+    already breaks a color or an adjacency."""
+    n = g1.n
+    if n != g2.n:
+        return 0
+    images = []
+
+    def extend(v):
+        if v == n:
+            return 1
+        count = 0
+        for w in range(n):
+            if w in images or g1.vertex_colors[v] != g2.vertex_colors[w]:
+                continue
+            if all(g1.has_edge(u, v) == g2.has_edge(images[u], w) for u in range(v)):
+                images.append(w)
+                count += extend(v + 1)
+                images.pop()
+        return count
+    return extend(0)
+
+
+def random_three_connected(rng, n, colored=0):
+    """A seeded random 3-connected graph; ``colored`` vertices get color 1."""
+    while True:
+        p = rng.uniform(0.4, 0.7)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        colors = [0] * n
+        for v in rng.sample(range(n), colored):
+            colors[v] = 1
+        g = ColoredGraph.plain(n, edges, colors)
+        if is_three_connected(g):
+            return g
+
+
+def moved_edge(rng, g):
+    """g with one edge moved to a non-edge, relabeled; 3-connected, with the
+    same vertex colors and edge count, and mostly not isomorphic to g."""
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    non = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if (i, j) not in edges]
+    while True:
+        moved = list(edges)
+        moved[rng.randrange(len(moved))] = rng.choice(non)
+        other = ColoredGraph.plain(g.n, moved, g.vertex_colors)
+        if is_three_connected(other):
+            return other.apply(rand_perm(rng, g.n))
 
 
 class TestGenusHelpers:
@@ -132,6 +183,63 @@ class TestIsoExcludedMinor:
             relabeled = g.apply(pi)
             res = iso_excluded_minor(g, relabeled, 3)
             assert res.order() == brute_iso_count(g, relabeled)
+
+    def test_random_three_connected_agree_with_brute_force(self):
+        rng = random.Random(1218)
+        for case in range(12):
+            n = rng.randint(6, 9)
+            colored = 2 if case % 2 else 0
+            g1 = random_three_connected(rng, n, colored)
+            g2 = moved_edge(rng, g1) if case % 3 == 2 else g1.apply(rand_perm(rng, n))
+            res = iso_excluded_minor(g1, g2, rng.randint(3, 4))
+            expected = backtrack_iso_count(g1, g2)
+            if n <= 7:
+                assert expected == brute_iso_count(g1, g2)
+            assert res.order() == expected
+            if expected:
+                assert g1.apply(res.rep) == g2
+                for gen in res.group.generators:
+                    assert g1.apply(gen) == g1
+
+    def test_search_replays_only_matching_triples(self, monkeypatch):
+        # the refinement prune leaves one triple per automorphism: 48 of the
+        # 192 triples that pass the trace screen on the cube
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return iso_tcr_pairs(*args)
+        monkeypatch.setattr(minorfree, "iso_tcr_pairs", counting)
+        cube = cube_graph()
+        res = iso_excluded_minor(cube, cube.apply(rand_perm(random.Random(5), 8)), 3)
+        assert res.order() == 48
+        assert len(calls) == 48
+        assert calls == sorted(calls)
+
+    def test_discrete_base_side_never_stalls(self):
+        # the prune may skip triples only because none of them can stall:
+        # with a discrete side 1, no screened triple makes the replay raise
+        rng = random.Random(77)
+        checked = 0
+        for case in range(9):
+            n = rng.randint(5, 7)
+            g1 = random_three_connected(rng, n, 2 * (case % 2))
+            g2 = g1.apply(rand_perm(rng, n)) if case % 3 else moved_edge(rng, g1)
+            t = rng.randint(2, 3)
+            _, discrete1, trace1 = tcr_sequence(g1, (0, 1, 2), t)
+            if not discrete1:
+                continue
+            for triple in itertools.permutations(range(n), 3):
+                _, discrete2, trace2 = tcr_sequence(g2, triple, t)
+                if not discrete2 or trace2 != trace1:
+                    continue
+                try:
+                    iso_tcr_pairs(g1, (0, 1, 2), g2, triple, PermGroup([], 3),
+                                  dict(zip((0, 1, 2), triple)), t)
+                except NotTCRBounded:
+                    pytest.fail("triple %s stalled" % (triple,))
+                checked += 1
+        assert checked > 0
 
     def test_rejects_non_three_connected(self):
         c5 = ColoredGraph.plain(5, [(i, (i + 1) % 5) for i in range(5)])
