@@ -25,10 +25,9 @@ Every enumeration runs through one loop, ``_products``: a depth-first walk
 over products of transversal elements that calls ``step(state,
 final_points, images)`` at each depth where some watched points get their
 final images, drops the prefix when ``step`` returns None and otherwise
-hands its return value to the next depth.  ``elements``, ``elements_where``,
-``search``, ``setwise_stabilizer`` and ``transversal_cosets`` are thin
-adapters over it, so pruning never changes the order in which the survivors
-come out.
+hands its return value to the next depth.  ``elements``, ``search``,
+``setwise_stabilizer`` and ``transversal_cosets`` are thin adapters over it,
+so pruning never changes the order in which the survivors come out.
 
 The constructions the reductions need live here too, so no other module
 builds them by hand: ``GroupHom.pull_back`` ({g : hom(g) in a coset}, from
@@ -350,15 +349,6 @@ class PermGroup:
         transversal representative (deeper factors applied first).
         """
         yield from _products(self._tables(), Permutation.identity(self.degree))
-
-    def elements_where(self, points: Iterable[int],
-                       ok: Callable[[int, int], bool]) -> Iterator[Permutation]:
-        """The elements g with ``ok(p, g(p))`` for every p in ``points``.
-
-        Yields them in the order of :meth:`elements`.
-        """
-        yield from _products(self._tables(), Permutation.identity(self.degree),
-                             points, True, _pointwise(ok))
 
     def search(self, points: Iterable[int], state: object,
                step: Callable[[object, list[int], tuple], object]) -> Iterator[Permutation]:

@@ -1,4 +1,5 @@
-"""The generalized string isomorphism solver.
+"""The generalized string isomorphism solver: the one Luks recursion of the
+package.  ``strings.string_iso`` sends a string here as a one-member family.
 
 Dispatch: an intransitive group is processed orbit by orbit (each orbit
 window enforced by a recursive call on the restricted instance) and the
@@ -6,18 +7,23 @@ per-orbit answers are merged pairwise with the bipartite window-combination
 step.  A transitive group is first balanced, then decomposed over the
 transversal of the block stabilizer of a minimal block system (standard Luks
 reduction; no giant-representation shortcut, which keeps answers exact at
-the cost of the quasipolynomial speedup).
+the cost of the quasipolynomial speedup).  The transversal lists only the
+shifts that carry every block onto a block with the same member cuts: each
+block's key is the sorted list, over the members, of the sorted letters of
+the member inside the block.  An isomorphism sends members to members, so a
+shift whose keys differ has an empty piece, and the filter is exact.
 
-Where the group is small or primitive, the isomorphisms are listed by a
-search pruned by letters (the first refiner of Leon's partition backtrack):
-it walks the stabilizer chain in the order of ``PermGroup.elements`` and
-drops a prefix as soon as, for some class whose points it has fixed, the
-letters of x at those points and of y at their images differ as multisets
-of member signatures.  The test is exact once every point is fixed, so the
-search yields exactly the elements a full scan would accept, in the same
-order, and the answers do not change.  The query's one ``Budget`` (see
-``strings``) is the only state the recursion carries; the nested string and
-graph queries tick it too.
+Where the group is small or primitive, or the kernel of the block action is
+trivial (each shift's piece is then one element), the isomorphisms are
+listed by a search pruned by letters (the first refiner of Leon's partition
+backtrack): it walks the stabilizer chain in the order of
+``PermGroup.elements`` and drops a prefix as soon as, for some class whose
+points it has fixed, the letters of x at those points and of y at their
+images differ as multisets of member signatures.  The test is exact once
+every point is fixed, so the search yields exactly the elements a full scan
+would accept, in the same order, and the answers do not change.  The
+query's one ``Budget`` (see ``strings``) is the only state the recursion
+carries; the nested string and graph queries tick it too.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
@@ -37,7 +43,6 @@ from .graphs import ColoredGraph
 from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
 from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
 from .strings import (
-    DIRECT_ENUM_CUTOFF,
     Budget,
     BudgetArg,
     ColoredString,
@@ -47,6 +52,10 @@ from .strings import (
     string_iso,
 )
 from .structure import PartitionChain
+
+# Below this order the recursion setup costs more than checking elements
+# one by one.
+DIRECT_ENUM_CUTOFF = 120
 
 
 @dataclass
@@ -356,17 +365,29 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     # every later piece
     order = group.order()
     blocks, primitive = group.minimal_block_system(range(n))
-    if primitive:
-        union = CosetUnion(n)
+    if not primitive:
+        hom = group.block_action(blocks)
+        kernel = hom.kernel()
+    union = CosetUnion(n)
+    if primitive or kernel.is_trivial():
         trivial = PermGroup([], n)
         for delta in _iso_elements(group, x, y, budget.tick):
             if union.add(IsoCoset(trivial, delta)) and union.order() == order:
                 break
         return union.result()
-    hom = group.block_action(blocks)
-    kernel = hom.kernel()
-    union = CosetUnion(n)
-    for delta in transversal_cosets(group, hom):
+    # the exact shift filter of the module docstring
+    block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
+
+    def cut_keys(fam: PStringFamily) -> list[list[tuple]]:
+        return [sorted(tuple(sorted(partition.cut(m.class_id, m.letters, blk)))
+                       for m in fam.members) for blk in blocks]
+
+    x_keys, y_keys = cut_keys(x), cut_keys(y)
+
+    def same_cuts(a: int, b: int) -> bool:
+        return x_keys[block_of[a]] == y_keys[block_of[b]]
+
+    for delta in transversal_cosets(group, hom, [min(blk) for blk in blocks], same_cuts):
         budget.tick()
         if (union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, budget))
                 and union.order() == order):

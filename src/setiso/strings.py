@@ -1,11 +1,12 @@
-"""Luks's String Isomorphism over a window, and graph isomorphism under a
-group via the string encoding.
+"""String isomorphism over a window, and graph isomorphism under a group
+via the string encoding.
 
-The recursion follows the classical scheme: a coset query is aligned to a
-group query by shifting the second string; an intransitive window is chained
-orbit by orbit; a transitive window decomposes over the transversal of the
-block-stabilizer of a minimal block system.  Every returned set is
-``Iso_K^W(x, y)`` exactly.
+``string_iso`` is a one-member family query: the string is the one member
+of a family on the trivial partition, and the family recursion of
+``solver`` answers ``Iso_K^W(x, y)`` exactly.  A window W that is not the
+whole domain is enforced as the solver enforces an orbit window: the query
+runs on the group restricted to W, which leaves W invariant, and the answer
+is pulled back.
 
 ``Budget`` is the one work bound of a query: every public query converts
 its budget argument once, with ``Budget.of``, and hands that object to
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .graphs import ColoredGraph
-from .perm import CosetUnion, IsoCoset, PermGroup, Permutation, transversal_cosets
+from .perm import IsoCoset, PermGroup, Permutation
+from .pstrings import PPartition, PString, PStringFamily
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,11 +61,6 @@ class Budget:
 BudgetArg = Union[int, SolverConfig, Budget, None]
 
 
-# Below this order the recursion setup costs more than checking elements
-# one by one.
-DIRECT_ENUM_CUTOFF = 120
-
-
 @dataclass(frozen=True)
 class ColoredString:
     """A string: one color id per domain point."""
@@ -100,101 +97,30 @@ class StringQuery:
     budget: BudgetArg = None
 
 
-def _window_orbits(group: PermGroup, window: frozenset) -> list[tuple[int, ...]]:
-    return [orb for orb in group.orbits() if orb[0] in window]
-
-
-def _iso_group(group: PermGroup, x: ColoredString, y: ColoredString,
-               window: frozenset, budget: Budget) -> IsoCoset:
-    """Iso_Gamma^W(x, y) for a plain group."""
-    budget.tick()
-    if not window:
-        return IsoCoset.full(group)
-    win = sorted(window)
-    if sorted(x.letters[a] for a in win) != sorted(y.letters[a] for a in win):
-        return IsoCoset.empty()
-
-    def same_letter(a: int, b: int) -> bool:
-        return x.letters[a] == y.letters[b]
-
-    if group.order() <= DIRECT_ENUM_CUTOFF:
-        return IsoCoset.from_elements(list(group.elements_where(win, same_letter)),
-                                      group.degree)
-
-    orbits = _window_orbits(group, window)
-    if len(orbits) > 1:
-        current = IsoCoset.full(group)
-        for orb in orbits:
-            current = _iso_coset(current, x, y, frozenset(orb), budget)
-            if current.is_empty:
-                return current
-        return current
-
-    # transitive on the window: decompose over a minimal block system
-    orb = orbits[0]
-    blocks, primitive = group.minimal_block_system(orb)
-    if primitive:
-        blocks = [frozenset({p}) for p in orb]
-    hom = group.block_action(blocks)
-    union = CosetUnion(group.degree)
-    kernel = hom.kernel()
-    order = group.order()
-    # With singleton blocks, or a trivial kernel, the kernel acts trivially
-    # on the window: a shift's piece is its whole kernel coset if the shift
-    # matches the letters, and empty if not.  Otherwise a shift that carries
-    # a block onto one with other letters has an empty piece.  Either way,
-    # only the shifts that can have a nonempty piece are listed.
-    trivial_on_window = len(blocks) == len(orb) or kernel.is_trivial()
-    if trivial_on_window:
-        points, test = win, same_letter
-    else:
-        block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
-        x_keys = [sorted(x.letters[p] for p in blk) for blk in blocks]
-        y_keys = [sorted(y.letters[p] for p in blk) for blk in blocks]
-
-        def same_block_letters(a: int, b: int) -> bool:
-            return x_keys[block_of[a]] == y_keys[block_of[b]]
-
-        points, test = [min(blk) for blk in blocks], same_block_letters
-    for delta in transversal_cosets(group, hom, points, test):
-        budget.tick()
-        if trivial_on_window:
-            piece = IsoCoset(kernel, delta)
-        else:
-            piece = _iso_coset(IsoCoset(kernel, delta), x, y, window, budget)
-        # a union that reaches the group's order holds every later piece
-        if union.add(piece) and union.order() == order:
-            break
-    return union.result()
-
-
-def _iso_coset(coset: IsoCoset, x: ColoredString, y: ColoredString,
-               window: frozenset, budget: Budget) -> IsoCoset:
-    """Iso over a coset, aligned to a group query by shifting y."""
-    if coset.is_empty:
-        return coset
-    shift = coset.rep
-    if shift.is_identity():
-        return _iso_group(coset.group, x, y, window, budget)
-    y_shifted = y.apply(shift.inverse())
-    inner = _iso_group(coset.group, x, y_shifted, window, budget)
-    return inner.shifted(shift)
-
-
 def string_iso(query: StringQuery) -> IsoCoset:
-    """Exactly ``Iso_K^W(x, y)`` as an IsoCoset."""
+    """Exactly ``Iso_K^W(x, y)`` as an IsoCoset: a one-member family query
+    on the trivial partition, cut to W when W is not the whole domain."""
+    from .solver import _enforce_window, _gsi_coset  # the solver imports this module
     group = query.group
-    if query.x.n != group.degree or query.y.n != group.degree:
+    n = group.degree
+    if query.x.n != n or query.y.n != n:
         raise ValueError("string domains must match the group degree")
-    if query.shift is not None and query.shift.degree != group.degree:
+    if query.shift is not None and query.shift.degree != n:
         raise ValueError("shift degree must match the group degree")
-    window = frozenset(query.window) if query.window is not None else frozenset(range(group.degree))
+    window = frozenset(query.window) if query.window is not None else frozenset(range(n))
     for g in group.generators:
         if g.apply_set(window) != window:
             raise ValueError("window is not invariant under the group part")
     budget = Budget.of(query.budget)
-    shift = query.shift if query.shift is not None else Permutation.identity(group.degree)
-    return _iso_coset(IsoCoset(group, shift), query.x, query.y, window, budget)
+    coset = IsoCoset.full(group, query.shift)
+    if not window:
+        budget.tick()
+        return coset
+    part = PPartition.trivial(n)
+    x, y = (PStringFamily(part, [PString(0, s.letters)]) for s in (query.x, query.y))
+    if len(window) < n:
+        return _enforce_window(coset, part, x, y, sorted(window), budget)
+    return _gsi_coset(coset, part, x, y, budget)
 
 
 # -- graph isomorphism under a group ------------------------------------------

@@ -1,0 +1,145 @@
+"""Differential tests: independent routes give the same coset.
+
+A graph query under a group and the same graph as an edge hypergraph must
+have the same isomorphisms, and ``string_iso`` must agree with the
+brute-force oracle's group enumeration, windows and shifts included.  Each
+answer's representative must lie in the other answer, and the orders must
+match.
+"""
+
+import random
+
+import pytest
+
+from setiso.graphs import ColoredGraph
+from setiso.oracle import enumerate_group
+from setiso.perm import PermGroup, Permutation
+from setiso.pstrings import Hypergraph, PPartition, hypergraph_to_family
+from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_iso
+from setiso.strings import ColoredString, StringQuery, graph_iso_under_group, string_iso
+
+from util import rand_perm
+
+
+def sym_on(n, points):
+    """Generators of Sym(points) as permutations of degree n."""
+    points = list(points)
+    if len(points) < 2:
+        return []
+    return [Permutation.from_cycles(n, points[:2]), Permutation.from_cycles(n, points)]
+
+
+def cyclic_on(n, points):
+    """Generator of the cyclic group on ``points`` as a permutation of degree n."""
+    points = list(points)
+    return [Permutation.from_cycles(n, points)] if len(points) > 1 else []
+
+
+def diagonal(k, copies):
+    """Sym(k) acting on ``copies`` disjoint copies of {0..k-1} at once."""
+    n = k * copies
+    gens = []
+    for cyc in ([0, 1], list(range(k))):
+        gens.append(Permutation.from_cycles(n, *[[c * k + p for p in cyc]
+                                                 for c in range(copies)]))
+    return PermGroup(gens, n)
+
+
+def ordered_pairs(k):
+    """Sym(k) on the k(k-1) ordered pairs of distinct points: transitive and
+    imprimitive, and it acts faithfully on every block system."""
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    gens = [Permutation([index[(g(a), g(b))] for a, b in pairs])
+            for g in sym_on(k, range(k))]
+    return PermGroup(gens, len(pairs))
+
+
+def assert_same_coset(a, b):
+    assert a.is_empty == b.is_empty
+    if not a.is_empty:
+        assert a.order() == b.order()
+        assert b.contains(a.rep) and a.contains(b.rep)
+
+
+def graph_groups(rng, n):
+    k = rng.randint(1, n - 1)
+    product = PermGroup(sym_on(n, range(k)) + cyclic_on(n, range(k, n)), n)
+    return [PermGroup(sym_on(n, range(n)), n), PermGroup(cyclic_on(n, range(n)), n), product]
+
+
+def test_graph_route_agrees_with_the_edge_hypergraph():
+    rng = random.Random(11)
+    for n in range(3, 9):
+        for group in graph_groups(rng, n):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+            g1 = ColoredGraph.plain(n, edges)
+            if rng.random() < 0.6:
+                g2 = g1.apply(rand_perm(rng, n))
+            else:
+                g2 = ColoredGraph.plain(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                            if rng.random() < 0.45])
+            h1, h2 = Hypergraph(n, g1.edges), Hypergraph(n, g2.edges)
+            via_graph = graph_iso_under_group(g1, g2, group)
+            via_family = generalized_string_iso(GsiInstance(
+                group, PPartition.trivial(n), hypergraph_to_family(h1),
+                hypergraph_to_family(h2)))
+            assert_same_coset(via_graph, via_family)
+
+
+def oracle_string_iso(group, x, y, window, shift):
+    """{h * shift : h in group, x(a) = y(a^(h*shift)) on the window}."""
+    n = group.degree
+    out = set()
+    for h in enumerate_group(group.generators, n):
+        g = tuple(shift.images[h[a]] for a in range(n))
+        if all(x.letters[a] == y.letters[g[a]] for a in window):
+            out.add(g)
+    return out
+
+
+def string_groups():
+    n = 7
+    return [
+        PermGroup(sym_on(n, range(3)) + sym_on(n, range(3, 7)), n),        # S3 x S4
+        PermGroup(sym_on(n, range(4)) + cyclic_on(n, range(4, 7)), n),      # S4 x C3
+        diagonal(4, 2),
+        diagonal(3, 3),
+        ordered_pairs(6),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_string_iso_agrees_with_the_oracle(index):
+    group = string_groups()[index]
+    n = group.degree
+    rng = random.Random(100 + index)
+    orbits = group.orbits()
+    for _ in range(6):
+        chosen = rng.sample(orbits, rng.randint(1, len(orbits)))
+        window = sorted(p for orb in chosen for p in orb)
+        shift = rand_perm(rng, n) if rng.random() < 0.5 else None
+        x = ColoredString(tuple(rng.randrange(2) for _ in range(n)))
+        if rng.random() < 0.6:
+            y = x.apply(rng.choice(list(group.elements())))
+            if shift is not None:
+                y = y.apply(shift)
+        else:
+            y = ColoredString(tuple(rng.randrange(2) for _ in range(n)))
+        res = string_iso(StringQuery(group, x, y, window=window, shift=shift))
+        want = oracle_string_iso(group, x, y, window,
+                                 shift or Permutation.identity(n))
+        assert res.order() == len(want)
+        assert res.is_empty or res.rep.images in want
+        assert all(res.contains(Permutation(g)) for g in want)
+
+
+def test_ordered_pairs_reach_the_trivial_kernel_branch():
+    # the group of the last string case is transitive, too large to list
+    # directly, and its minimal block system has a trivial kernel
+    group = ordered_pairs(6)
+    blocks, primitive = group.minimal_block_system(range(group.degree))
+    assert group.is_transitive_on(range(group.degree))
+    assert group.order() > DIRECT_ENUM_CUTOFF
+    assert not primitive
+    assert group.block_action(blocks).kernel().is_trivial()

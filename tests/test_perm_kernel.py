@@ -4,7 +4,7 @@ letter-pruned search, the chain-read kernel and the pull-back."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setiso.perm import IsoCoset, Permutation, PermGroup
+from setiso.perm import IsoCoset, Permutation, PermGroup, _pointwise
 from setiso.pstrings import PPartition, PString, make_family
 from setiso.solver import _iso_elements, family_image_key
 from setiso.strings import ColoredString, StringQuery, string_iso
@@ -31,7 +31,7 @@ def _homs(rng, g):
 
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_elements_where_is_the_filtered_enumeration(n, rng):
+def test_pointwise_search_is_the_filtered_enumeration(n, rng):
     g = rand_group(rng, n, order_cap=2000)
     pts = rng.sample(range(n), rng.randint(0, n))
     src = [rng.randint(0, 2) for _ in range(n)]
@@ -41,7 +41,7 @@ def test_elements_where_is_the_filtered_enumeration(n, rng):
         return src[p] == dst[q]
 
     expect = [h for h in g.elements() if all(ok(p, h(p)) for p in pts)]
-    assert list(g.elements_where(pts, ok)) == expect
+    assert list(g.search(pts, True, _pointwise(ok))) == expect
 
 
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
@@ -118,7 +118,7 @@ def test_kernel_of_a_trivial_image_keeps_the_source_generators():
     assert hom.kernel().generators == g.generators
 
 
-def test_elements_where_prunes_before_the_last_level():
+def test_pointwise_search_prunes_before_the_last_level():
     g = PermGroup([Permutation.from_cycles(6, [0, 1]),
                    Permutation.from_cycles(6, list(range(6)))], 6)
     calls = []
@@ -127,7 +127,8 @@ def test_elements_where_prunes_before_the_last_level():
         calls.append(p)
         return p == q
 
-    assert [h.images for h in g.elements_where([0, 1, 2, 3, 4, 5], ok)] == [tuple(range(6))]
+    found = g.search([0, 1, 2, 3, 4, 5], True, _pointwise(ok))
+    assert [h.images for h in found] == [tuple(range(6))]
     # a full scan would test six points on each of 720 elements
     assert len(calls) < 720
 

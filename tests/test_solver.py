@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import setiso.solver
 import setiso.strings
-from setiso.perm import IsoCoset, PermGroup, Permutation
+from setiso.perm import IsoCoset, PermGroup, Permutation, transversal_cosets
 from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
 from setiso.solver import (
+    DIRECT_ENUM_CUTOFF,
     GsiInstance,
     SolverConfig,
     balance_orbits,
@@ -14,7 +16,7 @@ from setiso.solver import (
     generalized_string_iso,
     set_of_strings_iso,
 )
-from setiso.strings import DIRECT_ENUM_CUTOFF, BudgetExceeded, ColoredString
+from setiso.strings import BudgetExceeded, ColoredString
 
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
@@ -235,6 +237,28 @@ class TestStructuredGroups:
                     fy = make_family(part, [PString(c, l) for c, l in sorted(members2)])
                 got = solver_set(group, part, fx, fy)
                 assert got == brute_gsi(group, fx, fy)
+
+    def test_block_cuts_filter_the_shifts(self, monkeypatch):
+        # S2 wr S4 (order 384): the block action onto S4 lists 24 shifts, but
+        # only the shifts that carry every block onto one with the same
+        # member cuts can have a nonempty piece
+        yields = []
+
+        def counting(*args):
+            yields.append(0)
+            for t in transversal_cosets(*args):
+                yields[-1] += 1
+                yield t
+
+        monkeypatch.setattr(setiso.solver, "transversal_cosets", counting)
+        g = PermGroup([Permutation.from_cycles(8, [0, 1]),
+                       Permutation.from_cycles(8, [0, 2], [1, 3]),
+                       Permutation.from_cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])], 8)
+        h = Hypergraph(8, frozenset(map(frozenset, [(0, 1, 2), (2, 4), (3, 5, 6), (1, 7)])))
+        relabel = Permutation([3, 2, 6, 7, 1, 0, 4, 5])
+        x, y = hypergraph_to_family(h), hypergraph_to_family(h.apply(relabel))
+        assert solver_set(g, PPartition.trivial(8), x, y) == brute_gsi(g, x, y)
+        assert yields == [2]
 
 
 class TestNormalizeInstanceWrapper:
