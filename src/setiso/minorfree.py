@@ -11,13 +11,12 @@ isomorphism extends a dropped prefix, and a dropped triple could not have
 stalled either, because the replay stalls only on a first side that is not
 discrete, and that side is checked once up front (``iso_excluded_minor``
 gives the argument in full).  A stalled sequence is a diagnosable symptom of
-a broken promise: it falls back to brute force on small inputs and errors
-otherwise, never answering wrongly.
+a broken promise: on small inputs it falls back to graph isomorphism under
+the full symmetric group, and otherwise it errors, never answering wrongly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,10 +25,10 @@ from typing import Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation
 from .refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
-from .strings import Budget, BudgetArg
+from .strings import Budget, BudgetArg, graph_iso_under_group
 
-# Largest vertex count the brute-force fallback for a stalled alternation
-# scans (10! permutations).
+# Largest vertex count for which a stalled alternation falls back to graph
+# isomorphism under the full symmetric group.
 BRUTE_FORCE_LIMIT = 10
 
 
@@ -135,17 +134,7 @@ def lemma_small_class(graph: ColoredGraph, coloring, v1: Sequence[int],
 
 class MinorPromiseViolation(RuntimeError):
     """The (h-1)-CR alternation stalled and the input is too large for the
-    brute-force fallback."""
-
-
-def _brute_force_iso(g1: ColoredGraph, g2: ColoredGraph) -> IsoCoset:
-    union = CosetUnion(g1.n)
-    trivial = PermGroup([], g1.n)
-    for images in itertools.permutations(range(g1.n)):
-        p = Permutation(images)
-        if g1.apply(p) == g2:
-            union.add(IsoCoset(trivial, p))
-    return union.result()
+    fallback to graph isomorphism under the full symmetric group."""
 
 
 def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
@@ -193,7 +182,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     base_triple = (0, 1, 2)
     col1, discrete1, trace1 = tcr_sequence(g1, base_triple, t)
     if not discrete1:
-        return _stall_fallback(g1, g2)
+        return _stall_fallback(g1, g2, budget)
 
     def prefix_ids(graph, prefix):
         pos = {v: j for j, v in enumerate(prefix)}
@@ -238,18 +227,21 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     for triple in triples():
         res = examine(triple)
         if res is None:
-            return _stall_fallback(g1, g2)
+            return _stall_fallback(g1, g2, budget)
         union.add(res)
     return union.result()
 
 
-def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph) -> IsoCoset:
-    if g1.n > BRUTE_FORCE_LIMIT:
+def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, budget: Budget) -> IsoCoset:
+    n = g1.n
+    if n > BRUTE_FORCE_LIMIT:
         raise MinorPromiseViolation(
             "the alternation stalled (excluded-minor promise violated?) and "
-            "%d vertices exceed the brute-force fallback limit %d"
-            % (g1.n, BRUTE_FORCE_LIMIT))
-    return _brute_force_iso(g1, g2)
+            "%d vertices exceed the fallback limit %d"
+            % (n, BRUTE_FORCE_LIMIT))
+    sym = PermGroup([Permutation.from_cycles(n, [0, 1]),
+                     Permutation.from_cycles(n, list(range(n)))], n)
+    return graph_iso_under_group(g1, g2, sym, budget=budget)
 
 
 def iso_genus(g1: ColoredGraph, g2: ColoredGraph, genus: int,

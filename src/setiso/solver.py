@@ -1,10 +1,15 @@
 """The generalized string isomorphism solver: the one Luks recursion of the
-package.  ``strings.string_iso`` sends a string here as a one-member family.
+package.  ``strings.string_iso`` sends a string here as a one-member family,
+and ``strings.graph_iso_under_group`` sends a graph as a family on its
+vertices.
 
 Dispatch: an intransitive group is processed orbit by orbit (each orbit
 window enforced by a recursive call on the restricted instance) and the
-per-orbit answers are merged pairwise with the bipartite window-combination
-step.  A transitive group is first balanced, then decomposed over the
+per-orbit answers are merged pairwise with the window-combination step.
+That step writes the co-membership of the two windows' pieces as a
+one-member string on the product V1 × V2 of the two piece sets (letter 1
+where a member has both pieces) and answers it under the group's product
+action.  A transitive group is first balanced, then decomposed over the
 transversal of the block stabilizer of a minimal block system (standard Luks
 reduction; no giant-representation shortcut, which keeps answers exact at
 the cost of the quasipolynomial speedup).  The transversal lists only the
@@ -13,24 +18,32 @@ block's key is the sorted list, over the members, of the sorted letters of
 the member inside the block.  An isomorphism sends members to members, so a
 shift whose keys differ has an empty piece, and the filter is exact.
 
+The recursion terminates: a family query spawns family queries of smaller
+degree or order (orbit windows, the balanced coset, block-kernel pieces)
+plus one-member string queries (occupancy strings and window products).  A
+one-member string is balanced on every orbit, and its windows combine on a
+1 × 1 product, a string under the trivial group; so its own recursion
+spawns only one-member queries of smaller degree or order.
+
 Where the group is small or primitive, or the kernel of the block action is
 trivial (each shift's piece is then one element), the isomorphisms are
 listed by a search pruned by letters (the first refiner of Leon's partition
 backtrack): it walks the stabilizer chain in the order of
 ``PermGroup.elements`` and drops a prefix as soon as, for some class whose
 points it has fixed, the letters of x at those points and of y at their
-images differ as multisets of member signatures.  The test is exact once
-every point is fixed, so the search yields exactly the elements a full scan
-would accept, in the same order, and the answers do not change.  The
-query's one ``Budget`` (see ``strings``) is the only state the recursion
-carries; the nested string and graph queries tick it too.
+images differ as multisets of member signatures.  The search fixes every
+point, and once it has, the test says exactly that g maps every member of
+x onto a member of y; so the search yields exactly the elements a full scan
+would accept, in the same order, with no check at the leaves.  The query's
+one ``Budget`` (see ``strings``) is the only state the recursion carries;
+the nested occupancy-string and window-product queries tick it too.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
-former, is the leaf check of the search.  The group work is ``perm``'s:
-answers on an orbit window, an occupancy string or a co-membership graph
-come back through ``GroupHom.pull_back`` of the restriction or induced
-action, and the isomorphisms a search lists become a coset through
+former, is the reference test of x^g = y.  The group work is ``perm``'s:
+answers on an orbit window, an occupancy string or a window product come
+back through ``GroupHom.pull_back`` of the restriction or induced action,
+and the isomorphisms a search lists become a coset through
 ``IsoCoset.from_elements``.
 """
 
@@ -39,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import ColoredGraph
 from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
 from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
 from .strings import (
@@ -48,7 +60,6 @@ from .strings import (
     ColoredString,
     SolverConfig,
     StringQuery,
-    graph_iso_under_group,
     string_iso,
 )
 from .structure import PartitionChain
@@ -150,10 +161,7 @@ def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
         return k + 1, new
 
     start = (0, [[()] * len(ms) for ms in y_letters])
-    y_key = y.key()
-    for g in group.search(range(group.degree), start, step):
-        if family_image_key(x, g) == y_key:
-            yield g
+    yield from group.search(range(group.degree), start, step)
 
 
 # -- BalanceOrbits --------------------------------------------------------------
@@ -230,8 +238,8 @@ def combine_windows(coset: IsoCoset, partition: PPartition,
 
     Requires both windows invariant and automorphic for the group part; the
     preconditions are re-checked.  Cross-window consistency is decided by a
-    graph isomorphism between the two bipartite co-membership graphs on
-    x[W1] ⊎ x[W2].
+    string isomorphism between the co-membership strings on the product of
+    the pieces of x[W1] and of x[W2].
     """
     budget = Budget.of(budget)
     if coset.is_empty:
@@ -270,43 +278,40 @@ def _combine_group(group: PermGroup, partition: PPartition,
               for w in windows]
 
     def pieces(fam: PStringFamily, side: int) -> list:
-        """Each member cut to a window and tagged with it; None where its
-        class misses the window.  The tag keeps equal cuts on the two
-        windows apart."""
-        return [(side, m.class_id, partition.cut(m.class_id, m.letters, windows[side]))
+        """Each member cut to a window, as (class, letters); None where its
+        class misses the window."""
+        return [(m.class_id, partition.cut(m.class_id, m.letters, windows[side]))
                 if inside[side][m.class_id] else None for m in fam.members]
 
     v1 = sorted(set(pieces(x, 0)) - {None})
     v2 = sorted(set(pieces(x, 1)) - {None})
-    index = {piece: i for i, piece in enumerate(v1 + v2)}
+    index = [{piece: i for i, piece in enumerate(v)} for v in (v1, v2)]
+    size = len(v1) * len(v2)
 
-    def edges_of(fam: PStringFamily):
-        out = set()
+    def product_string(fam: PStringFamily) -> Optional[ColoredString]:
+        """Letter 1 at (i, j) of V1 × V2 where a member has pieces i and j."""
+        letters = [0] * size
         for p1, p2 in zip(pieces(fam, 0), pieces(fam, 1)):
             if p1 is not None and p2 is not None:
-                if p1 not in index or p2 not in index:
+                if p1 not in index[0] or p2 not in index[1]:
                     return None
-                out.add((index[p1], index[p2]))
-        return out
+                letters[index[0][p1] * len(v2) + index[1][p2]] = 1
+        return ColoredString(tuple(letters))
 
-    ex = edges_of(x)
-    ey = edges_of(y)
-    if ey is None:
+    sx, sy = product_string(x), product_string(y)
+    if sy is None:
         return IsoCoset.empty()
-    nv = len(index)
-    colors = [0] * len(v1) + [1] * len(v2)
-    gx = ColoredGraph.plain(nv, sorted(ex), colors)
-    gy = ColoredGraph.plain(nv, sorted(ey), colors)
+
+    def piece_images(g: Permutation, side: int) -> list[int]:
+        return [index[side][partition.image(inside[side][c], letters, g)]
+                for c, letters in (v1, v2)[side]]
 
     images = []
     for g in group.generators:
-        img = [0] * nv
-        for (side, c, letters), i in index.items():
-            img[i] = index[(side, *partition.image(inside[side][c], letters, g))]
-        images.append(Permutation(img))
-    hom = GroupHom(group, nv, images)
-    res = graph_iso_under_group(gx, gy, hom.image(), budget=budget)
-    return hom.pull_back(res)
+        img1, img2 = piece_images(g, 0), piece_images(g, 1)
+        images.append(Permutation([i * len(v2) + j for i in img1 for j in img2]))
+    hom = GroupHom(group, size, images)
+    return hom.pull_back(string_iso(StringQuery(hom.image(), sx, sy, budget=budget)))
 
 
 # -- the dispatcher ---------------------------------------------------------------

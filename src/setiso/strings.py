@@ -1,12 +1,14 @@
-"""String isomorphism over a window, and graph isomorphism under a group
-via the string encoding.
+"""String isomorphism over a window, and graph isomorphism under a group.
 
-``string_iso`` is a one-member family query: the string is the one member
-of a family on the trivial partition, and the family recursion of
-``solver`` answers ``Iso_K^W(x, y)`` exactly.  A window W that is not the
-whole domain is enforced as the solver enforces an orbit window: the query
-runs on the group restricted to W, which leaves W invariant, and the answer
-is pulled back.
+Both are family queries on the trivial partition of the n points, answered
+exactly by the family recursion of ``solver``.  ``string_iso`` asks for
+``Iso_K^W(x, y)`` with the string as the one member.  A window W that is not
+the whole domain is enforced as the solver enforces an orbit window: the
+query runs on the group restricted to W, which leaves W invariant, and the
+answer is pulled back.  ``graph_iso_under_group`` writes a colored graph as
+one member for the vertex colors plus one member per edge, which carries the
+colors of its two arcs at its two ends, so the group acts on the n
+vertices themselves.
 
 ``Budget`` is the one work bound of a query: every public query converts
 its budget argument once, with ``Budget.of``, and hands that object to
@@ -125,55 +127,31 @@ def string_iso(query: StringQuery) -> IsoCoset:
 
 # -- graph isomorphism under a group ------------------------------------------
 
-_NON_EDGE = ("non-edge",)
+def _graph_families(g1: ColoredGraph, g2: ColoredGraph) -> list[PStringFamily]:
+    """Each graph as a family on its n points, on the trivial partition.
 
-
-def _pair_index(n: int, u: int, v: int) -> int:
-    return n + u * (n - 1) + (v if v < u else v - 1)
-
-
-def _pair_domain_size(n: int) -> int:
-    return n + n * (n - 1)
-
-
-def _lift_to_pairs(g: Permutation) -> Permutation:
-    """Diagonal action on Omega + ordered pairs (u, v), u != v."""
-    n = g.degree
-    images = [0] * _pair_domain_size(n)
-    for v in range(n):
-        images[v] = g.images[v]
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                images[_pair_index(n, u, v)] = _pair_index(n, g.images[u], g.images[v])
-    return Permutation(images)
-
-
-def _encode_graph(graph: ColoredGraph, letter_ids: dict) -> ColoredString:
-    n = graph.n
-    letters = [0] * _pair_domain_size(n)
-    for v in range(n):
-        letters[v] = letter_ids[("vertex", graph.vertex_colors[v])]
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if graph.has_edge(u, v):
-                val = ("arc", graph.arc_colors[(u, v)], graph.arc_colors[(v, u)])
-            else:
-                val = _NON_EDGE
-            letters[_pair_index(n, u, v)] = letter_ids[val]
-    return ColoredString(tuple(letters))
-
-
-def _joint_letter_ids(graphs: Sequence[ColoredGraph]) -> dict:
-    values = {_NON_EDGE}
-    for graph in graphs:
-        for c in graph.vertex_colors:
-            values.add(("vertex", c))
-        for (u, v), c in graph.arc_colors.items():
-            values.add(("arc", c, graph.arc_colors[(v, u)]))
-    return {val: i for i, val in enumerate(sorted(values, key=repr))}
+    One member holds the vertex colors; each edge uv is one member with the
+    color of arc (u, v) at u, that of (v, u) at v and the blank letter 0
+    elsewhere.  Vertex and arc colors get disjoint letters, numbered jointly
+    for both graphs, so a member of one kind never equals one of the other.
+    """
+    graphs = (g1, g2)
+    vertex = sorted({c for g in graphs for c in g.vertex_colors}, key=repr)
+    arc = sorted({c for g in graphs for c in g.arc_colors.values()}, key=repr)
+    letter = {("v", c): 1 + i for i, c in enumerate(vertex)}
+    letter.update((("a", c), 1 + len(vertex) + i) for i, c in enumerate(arc))
+    part = PPartition.trivial(g1.n)
+    families = []
+    for g in graphs:
+        members = [PString(0, tuple(letter[("v", c)] for c in g.vertex_colors))]
+        for e in g.edges:
+            u, v = sorted(e)
+            letters = [0] * g.n
+            letters[u] = letter[("a", g.arc_colors[(u, v)])]
+            letters[v] = letter[("a", g.arc_colors[(v, u)])]
+            members.append(PString(0, tuple(letters)))
+        families.append(PStringFamily(part, members))
+    return families
 
 
 def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
@@ -181,25 +159,20 @@ def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
                           budget: BudgetArg = None) -> IsoCoset:
     """{gamma in group*shift : gamma maps g1 onto g2, colors and all}.
 
-    Encodes each graph as a string over Omega + Omega^2 (vertex colors on the
-    points, directed color pairs or a non-edge marker on ordered pairs) and
-    runs string isomorphism under the induced diagonal action.  The returned
-    coset lives on the original n points.
+    A family query on the n vertices: a permutation maps g1 onto g2 exactly
+    when it maps the family of ``_graph_families`` for g1 onto that of g2.
     """
+    from .solver import _gsi_coset  # the solver imports this module
     if g1.n != g2.n:
         raise ValueError("graphs must share their vertex count")
     if group.degree != g1.n:
         raise ValueError("group degree must match the vertex count")
     if shift is not None and shift.degree != g1.n:
         raise ValueError("shift degree must match the vertex count")
-    n = g1.n
-    ids = _joint_letter_ids([g1, g2])
-    x = _encode_graph(g1, ids)
-    y = _encode_graph(g2, ids)
-    lifted = PermGroup([_lift_to_pairs(g) for g in group.generators], _pair_domain_size(n))
-    lifted_shift = _lift_to_pairs(shift) if shift is not None else None
-    result = string_iso(StringQuery(lifted, x, y, shift=lifted_shift, budget=budget))
-    if result.is_empty:
-        return result
-    aut = PermGroup([Permutation(g.images[:n]) for g in result.group.generators], n)
-    return IsoCoset(aut, Permutation(result.rep.images[:n]))
+    budget = Budget.of(budget)
+    coset = IsoCoset.full(group, shift)
+    if not g1.n:
+        budget.tick()
+        return coset
+    x, y = _graph_families(g1, g2)
+    return _gsi_coset(coset, x.partition, x, y, budget)

@@ -193,6 +193,61 @@ class TestCriterion1and2:
         report(2, "coset-soundness", sound, "verified on every answer")
 
 
+    def test_directed_colored_graphs(self):
+        # criterion 1 on graphs whose two arcs of an edge carry their own
+        # colors, under random, intransitive-product and diagonal groups
+        # and their cosets
+        rng = random.Random(0xD16)
+        t0 = time.time()
+        checked = 0
+        for case in range(600):
+            n = case % 8
+            group = PermGroup(graph_group_gens(rng, n, case // 8 % 3), n)
+            vertex_colors = [rng.randrange(2) for _ in range(n)]
+            arcs = {}
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < 0.5:
+                    arcs[(u, v)], arcs[(v, u)] = rng.randrange(3), rng.randrange(3)
+            g1 = ColoredGraph.build(n, arcs, vertex_colors)
+            shift = rand_perm(rng, n) if rng.random() < 0.5 else None
+            if rng.random() < 0.5:
+                g2 = g1.apply(rand_perm(rng, n))
+            else:  # every edge with its two arc colors swapped
+                g2 = ColoredGraph.build(n, {(u, v): c for (v, u), c in arcs.items()},
+                                        vertex_colors).apply(rand_perm(rng, n))
+            res = graph_iso_under_group(g1, g2, group, shift=shift)
+            s = shift or Permutation.identity(n)
+            want = {tuple(s.images[a] for a in h) for h in brute_force_iso(
+                group.generators, n, "graph", g1, g2.apply(s.inverse()))}
+            assert res.element_set() == frozenset(want)
+            assert check_coset(res, want, lambda g: g1.apply(g) == g2)
+            checked += 1
+        elapsed = time.time() - t0
+        report(1, "oracle-equivalence-directed-graphs", elapsed < 10,
+               "%d instances in %.1fs" % (checked, elapsed))
+
+
+def graph_group_gens(rng, n, kind):
+    """Generators of a random group (kind 0), of Sym(k) x C(n - k) on a
+    random split (kind 1), or of Sym(n // 2) acting at once on the two
+    halves, the last point fixed for odd n (kind 2)."""
+    if kind == 0:
+        return rand_gens(rng, n)
+    if kind == 1:
+        k = rng.randint(0, n)
+        gens = [Permutation.from_cycles(n, list(range(k)))] if k > 1 else []
+        if k > 2:
+            gens.append(Permutation.from_cycles(n, [0, 1]))
+        if n - k > 1:
+            gens.append(Permutation.from_cycles(n, list(range(k, n))))
+        return gens
+    h = n // 2
+    if h < 2:
+        return []
+    return [Permutation.from_cycles(n, [0, 1], [h, h + 1]),
+            Permutation.from_cycles(n, list(range(h)), list(range(h, 2 * h)))]
+
+
 class TestCriterion3:
     def test_virtual_size_lemmas(self):
         rng = random.Random(33)

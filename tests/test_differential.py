@@ -1,10 +1,11 @@
 """Differential tests: independent routes give the same coset.
 
 A graph query under a group and the same graph as an edge hypergraph must
-have the same isomorphisms, and ``string_iso`` must agree with the
-brute-force oracle's group enumeration, windows and shifts included.  Each
-answer's representative must lie in the other answer, and the orders must
-match.
+have the same isomorphisms, the excluded-minor pipeline must agree with the
+graph query under Sym(n) on 3-connected graphs, and ``string_iso`` must
+agree with the brute-force oracle's group enumeration, windows and shifts
+included.  Each answer's representative must lie in the other answer, and
+the orders must match.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from setiso.graphs import ColoredGraph
+from setiso.minorfree import iso_excluded_minor
 from setiso.oracle import enumerate_group
 from setiso.perm import PermGroup, Permutation
 from setiso.pstrings import Hypergraph, PPartition, hypergraph_to_family
@@ -19,6 +21,14 @@ from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_is
 from setiso.strings import ColoredString, StringQuery, graph_iso_under_group, string_iso
 
 from util import rand_perm
+
+from test_minorfree import (
+    complete_bipartite,
+    cube_graph,
+    moved_edge,
+    random_three_connected,
+    truncated_prism,
+)
 
 
 def sym_on(n, points):
@@ -85,6 +95,33 @@ def test_graph_route_agrees_with_the_edge_hypergraph():
                 group, PPartition.trivial(n), hypergraph_to_family(h1),
                 hypergraph_to_family(h2)))
             assert_same_coset(via_graph, via_family)
+
+
+def prism(k):
+    """C_k x K_2: the rims 0..k-1 and k..2k-1, joined by the rungs i, k + i."""
+    rims = [(r + i, r + (i + 1) % k) for r in (0, k) for i in range(k)]
+    return ColoredGraph.plain(2 * k, rims + [(i, k + i) for i in range(k)])
+
+
+def wheel(k):
+    """The hub 0 joined to every vertex of the rim cycle 1..k."""
+    return ColoredGraph.plain(k + 1, [(0, i) for i in range(1, k + 1)]
+                              + [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+def test_excluded_minor_agrees_with_the_graph_route():
+    rng = random.Random(1212)
+    named = [cube_graph(), truncated_prism(), complete_bipartite(3), prism(3),
+             prism(5), prism(6), wheel(5), wheel(7), wheel(11)]
+    generated = [random_three_connected(rng, rng.randint(6, 12), 2 * (i % 2))
+                 for i in range(6)]
+    pairs = [(g, g.apply(rand_perm(rng, g.n))) for g in named + generated]
+    pairs += [(g, moved_edge(rng, g)) for g in generated]
+    pairs += [(a, b.apply(rand_perm(rng, b.n))) for a in named for b in named
+              if a is not b and a.n == b.n]
+    for g1, g2 in pairs:
+        sym = PermGroup(sym_on(g1.n, range(g1.n)), g1.n)
+        assert_same_coset(iso_excluded_minor(g1, g2, 3), graph_iso_under_group(g1, g2, sym))
 
 
 def oracle_string_iso(group, x, y, window, shift):

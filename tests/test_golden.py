@@ -27,7 +27,7 @@ from setiso.graphs import ColoredGraph
 from setiso.hfs import HfsTerm
 from setiso.perm import PermGroup, Permutation, transversal_cosets
 from setiso.pstrings import Hypergraph, PPartition, PString, make_family
-from setiso.strings import ColoredString, _lift_to_pairs
+from setiso.strings import ColoredString
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -48,6 +48,22 @@ def _wreath(k, m):
         gens.append(Permutation.from_cycles(
             n, *[[i * k + j for i in range(m)] for j in range(k)]))
     return PermGroup(gens, n)
+
+
+def _on_points_and_pairs(g):
+    """g on its n points and, after them, on the ordered pairs (u, v), u != v,
+    pair (u, v) at n + u(n - 1) + v, less one where v > u."""
+    n = g.degree
+
+    def pair(u, v):
+        return n + u * (n - 1) + (v if v < u else v - 1)
+
+    images = list(g.images) + [0] * (n * (n - 1))
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                images[pair(u, v)] = pair(g.images[u], g.images[v])
+    return Permutation(images)
 
 
 def _relabel(rng, n):
@@ -164,7 +180,7 @@ def order_digests():
         ("elements S5", list(_sym(5).elements())),
         ("elements S2wrS4", list(w24.elements())),
         ("elements S4-on-pairs",
-         list(PermGroup([_lift_to_pairs(g) for g in s4.generators], 16).elements())),
+         list(PermGroup([_on_points_and_pairs(g) for g in s4.generators], 16).elements())),
         ("elements S3wrS3", list(_wreath(3, 3).elements())),
         ("transversal S2wrS4-blocks", list(transversal_cosets(w24, hom))),
         ("setwise-gens S6-{0,2,3}", _sym(6).setwise_stabilizer([0, 2, 3]).generators),

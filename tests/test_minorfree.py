@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from setiso.minorfree import (
 )
 from setiso.perm import PermGroup, Permutation
 from setiso.refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
+from setiso.strings import Budget, BudgetExceeded
 
 from util import rand_perm
 
@@ -250,6 +252,46 @@ class TestIsoExcludedMinor:
         tri = ColoredGraph.plain(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError):
             iso_excluded_minor(tri, tri, 3)
+
+
+def complete_bipartite(m):
+    return ColoredGraph.plain(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+
+class TestStallFallback:
+    """At h = 3 the alternation never makes a side of K_{m,m}, m >= 3,
+    discrete; up to ``BRUTE_FORCE_LIMIT`` vertices the query falls back to
+    graph isomorphism under the full symmetric group."""
+
+    @pytest.mark.parametrize("m, count", [(3, brute_iso_count), (4, backtrack_iso_count)],
+                             ids=["K33", "K44"])
+    def test_stalled_inputs_answer_exactly(self, monkeypatch, m, count):
+        calls = []
+        fallback = minorfree._stall_fallback
+
+        def counting(*args):
+            calls.append(args[0].n)
+            return fallback(*args)
+        monkeypatch.setattr(minorfree, "_stall_fallback", counting)
+        g = complete_bipartite(m)
+        pi = rand_perm(random.Random(m), 2 * m)
+        res = iso_excluded_minor(g, g.apply(pi), 3)
+        assert calls == [2 * m]
+        assert res.contains(pi)
+        assert res.order() == count(g, g.apply(pi)) == 2 * math.factorial(m) ** 2
+
+    def test_fallback_ticks_the_query_budget(self):
+        g = complete_bipartite(3)
+        budget = Budget()
+        iso_excluded_minor(g, g, 3, budget)
+        assert budget.used > 0
+        with pytest.raises(BudgetExceeded):
+            iso_excluded_minor(g, g, 3, budget.used - 1)
+
+    def test_too_large_to_fall_back(self):
+        g = complete_bipartite(6)
+        with pytest.raises(MinorPromiseViolation):
+            iso_excluded_minor(g, g, 3)
 
 
 class TestLemmaSmallClass:
