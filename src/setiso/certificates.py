@@ -240,7 +240,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
     Contracts: a Full certificate consists of automorphisms whose image
     induces at least Alt on the test set; a NonFull comparison coset contains
     every projection of an isomorphism aligning the test sets.  One budget
-    bounds the three growth loops.
+    bounds the three growth loops and the test-set stabilizer searches.
     """
     budget = Budget.of(budget)
     if rep.k < 5:
@@ -257,7 +257,7 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
 
     def t_stab(tset: list[int]) -> PermGroup:
         # {g : g^phi maps T onto itself}
-        image_stab = rep.hom.image().setwise_stabilizer(tset)
+        image_stab = rep.hom.image().setwise_stabilizer(tset, budget.tick)
         return rep.hom.pull_back(IsoCoset.full(image_stab)).group
 
     def run_side(fam: PStringFamily, tset: list[int], stab: PermGroup):

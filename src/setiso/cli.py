@@ -34,7 +34,7 @@ from .structure import PartitionChain
 def _group_for(path, n) -> PermGroup:
     if path is None:
         if n <= 1:
-            return PermGroup([], max(n, 1))
+            return PermGroup([], n)
         return PermGroup([Permutation.from_cycles(n, [0, 1]),
                           Permutation.from_cycles(n, list(range(n)))], n)
     group = fileio.read_group(path)

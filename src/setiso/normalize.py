@@ -24,6 +24,7 @@ from .structure import (
     PartitionChain,
     StructureGraph,
     block_token,
+    branch_action,
     branch_leaf,
     certified_arity,
     certify_chain,
@@ -33,7 +34,6 @@ from .structure import (
     orbit_trees,
     relabel_arcs,
     tree_from_chain,
-    unfold_and_act,
 )
 
 
@@ -189,7 +189,7 @@ def _pad_class_vertices(arcs: list[tuple], cls_tokens: set, root) -> list[tuple]
 def _finish(group: PermGroup, partition: PPartition,
             families: Sequence[PStringFamily], sg: StructureGraph,
             class_tokens: dict[int, tuple]) -> NormalizedInstance:
-    tree, psi, branches = unfold_and_act(sg)
+    psi, branches = branch_action(sg)
     new_n = len(branches)
     point_map = tuple(branch_leaf(b) for b in branches)
     chain = chain_of_branches(branches)

@@ -27,15 +27,17 @@ final_points, images)`` at each depth where some watched points get their
 final images, drops the prefix when ``step`` returns None and otherwise
 hands its return value to the next depth.  ``elements``, ``search``,
 ``setwise_stabilizer`` and ``transversal_cosets`` are thin adapters over it,
-so pruning never changes the order in which the survivors come out.
+so pruning never changes the order in which the survivors come out.  The
+setwise search has no cap of its own: it ticks its caller's budget on every
+accepted prefix.
 
 The constructions the reductions need live here too, so no other module
 builds them by hand: ``GroupHom.pull_back`` ({g : hom(g) in a coset}, from
 the kernel's generators and preimages of the coset's),
-``PermGroup.block_stabilizer`` (a pull-back through the block action),
+``PermGroup.block_stabilizer`` (a pull-back through the block action) and
 ``PermGroup.orbit_transversal`` (breadth-first movers along an orbit, also
-over an induced action on blocks or classes) and ``IsoCoset.from_elements``
-(the coset spanned by listed isomorphisms).
+over an induced action on blocks or classes).  ``CosetUnion`` merges listed
+isomorphisms and Luks pieces into one coset.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class DegreeMismatch(ValueError):
 
 class NotInvariant(ValueError):
     """Raised when a set that must be invariant under a group is not."""
-
-
-class SearchCapExceeded(RuntimeError):
-    """Raised when a backtrack or enumeration exceeds its node cap."""
 
 
 class Permutation:
@@ -417,53 +415,6 @@ class PermGroup:
 
     # -- block systems -----------------------------------------------------
 
-    def min_block_containing(self, a: int, b: int, domain: Sequence[int]) -> list[frozenset]:
-        """Finest block system (on ``domain``) whose blocks merge a with b.
-
-        Atkinson's union-find algorithm; the group must be transitive on
-        ``domain``.
-        """
-        parent: dict[int, int] = {p: p for p in domain}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> Optional[tuple[int, int]]:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return None
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return rx, ry
-
-        queue = []
-        merged = union(a, b)
-        if merged:
-            queue.append(merged)
-        while queue:
-            x, y = queue.pop(0)
-            for g in self.generators:
-                m = union(g.images[x], g.images[y])
-                if m:
-                    queue.append(m)
-        blocks: dict[int, list[int]] = {}
-        for p in domain:
-            blocks.setdefault(find(p), []).append(p)
-        return [frozenset(v) for _, v in sorted(blocks.items())]
-
-    def _has_nontrivial_blocks(self, domain: Sequence[int]) -> Optional[list[frozenset]]:
-        dom = sorted(domain)
-        a = dom[0]
-        for b in dom[1:]:
-            blocks = self.min_block_containing(a, b, dom)
-            if 1 < len(blocks) < len(dom):
-                return blocks
-        return None
-
     def minimal_block_system(self, domain: Sequence[int]) -> tuple[list[frozenset], bool]:
         """A coarsest nontrivial block system on ``domain`` (a transitive orbit).
 
@@ -475,7 +426,7 @@ class PermGroup:
         dom = sorted(domain)
         if len(dom) == 1:
             return [frozenset(dom)], True
-        blocks = self._has_nontrivial_blocks(dom)
+        blocks = _nontrivial_blocks(self.generators, dom)
         if blocks is None:
             return [frozenset([p]) for p in dom], True
         while True:
@@ -484,11 +435,10 @@ class PermGroup:
             for i, blk in enumerate(blocks):
                 for p in blk:
                     index[p] = i
-            action = PermGroup(
-                [Permutation([index[g.images[min(blocks[i])]] for i in range(len(blocks))])
-                 for g in self.generators],
-                len(blocks))
-            coarser = action._has_nontrivial_blocks(range(len(blocks)))
+            # the block action's generators; blocks need no group built on them
+            action = [Permutation([index[g.images[min(blk)]] for blk in blocks])
+                      for g in self.generators]
+            coarser = _nontrivial_blocks(action, range(len(blocks)))
             if coarser is None:
                 return blocks, False
             blocks = [frozenset().union(*(blocks[i] for i in blk)) for blk in coarser]
@@ -532,31 +482,21 @@ class PermGroup:
         gens = [g for g in gens if all(g.images[p] == p for p in pts)]
         return PermGroup(gens, self.degree)
 
-    def setwise_stabilizer(self, points: Sequence[int], node_cap: int = 4_000_000) -> "PermGroup":
+    def setwise_stabilizer(self, points: Sequence[int],
+                           tick: Optional[Callable[[], None]] = None) -> "PermGroup":
         """{g : points^g = points}, by a search over a chain based on the points.
 
         A prefix survives while every point it makes final stays inside or
         outside the set, as it was; the elements the search yields that the
         group found so far lacks become its generators.  Exponential in the
-        worst case; intended for desk-scale sets.  Raises SearchCapExceeded
-        once more than ``node_cap`` prefixes have been seen.
+        worst case; intended for desk-scale sets.  ``tick``, the caller's
+        budget, is called on every accepted prefix.
         """
         target = frozenset(points)
         if not target:
             return self
         chain = PermGroup(self.generators, self.degree, base_prefix=sorted(target))
-        nodes = 0
-
-        def step(state, final, images):
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchCapExceeded("setwise stabilizer search exceeded %d nodes" % node_cap)
-            for p in final:
-                if (p in target) != (images[p] in target):
-                    return None
-            return state
-
+        step = _pointwise(lambda p, q: (p in target) == (q in target), tick)
         found: list[Permutation] = []
         known = PermGroup([], self.degree)
         for g in chain.search(range(self.degree), True, step):
@@ -730,18 +670,6 @@ class IsoCoset:
     def full(cls, group: PermGroup, rep: Optional[Permutation] = None) -> "IsoCoset":
         return cls(group, rep if rep is not None else Permutation.identity(group.degree))
 
-    @classmethod
-    def from_elements(cls, found: Sequence[Permutation], degree: int) -> "IsoCoset":
-        """The coset spanned by listed isomorphisms, empty for an empty list.
-
-        The first one is the representative; g * rep^-1 over the list
-        generate the group.
-        """
-        if not found:
-            return cls.empty()
-        rep_inv = found[0].inverse()
-        return cls(PermGroup([g * rep_inv for g in found], degree), found[0])
-
     @property
     def is_empty(self) -> bool:
         return self.group is None
@@ -847,15 +775,70 @@ def transversal_cosets(group: PermGroup, hom: GroupHom, points: Iterable[int] = 
                          points, True, _pointwise(ok))
 
 
-def _pointwise(ok: Callable[[int, int], bool]):
+def _pointwise(ok: Callable[[int, int], bool],
+               tick: Optional[Callable[[], None]] = None):
     """The ``step`` that accepts a prefix when ``ok(p, image)`` holds for
-    each point it makes final; its state is a constant."""
+    each point it makes final, calling ``tick`` on each prefix it accepts;
+    its state is a constant."""
     def step(state, final, images):
         for p in final:
             if not ok(p, images[p]):
                 return None
+        if tick is not None:
+            tick()
         return state
     return step
+
+
+def _min_block_containing(gens: Sequence[Permutation], a: int, b: int,
+                          domain: Sequence[int]) -> list[frozenset]:
+    """Finest block system (on ``domain``) of <gens> whose blocks merge a
+    with b; the order and repeats of ``gens`` do not matter.
+
+    Atkinson's union-find algorithm; <gens> must be transitive on ``domain``.
+    """
+    parent: dict[int, int] = {p: p for p in domain}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> Optional[tuple[int, int]]:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return None
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        return rx, ry
+
+    queue = []
+    merged = union(a, b)
+    if merged:
+        queue.append(merged)
+    while queue:
+        x, y = queue.pop(0)
+        for g in gens:
+            m = union(g.images[x], g.images[y])
+            if m:
+                queue.append(m)
+    blocks: dict[int, list[int]] = {}
+    for p in domain:
+        blocks.setdefault(find(p), []).append(p)
+    return [frozenset(v) for _, v in sorted(blocks.items())]
+
+
+def _nontrivial_blocks(gens: Sequence[Permutation],
+                       domain: Sequence[int]) -> Optional[list[frozenset]]:
+    dom = sorted(domain)
+    a = dom[0]
+    for b in dom[1:]:
+        blocks = _min_block_containing(gens, a, b, dom)
+        if 1 < len(blocks) < len(dom):
+            return blocks
+    return None
 
 
 def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,

@@ -200,13 +200,12 @@ def branch_leaf(branch: tuple) -> int:
     return branch[-1][1]
 
 
-def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:
-    """Tree unfolding plus the standard action on maximal branches.
+def branch_action(sg: StructureGraph) -> tuple[GroupHom, list[tuple]]:
+    """The standard action on maximal branches.
 
-    Returns ``(tree, psi, branches)``: the unfolded structure tree for the
-    image group, the homomorphism psi onto Sym(branches), and the maximal
-    branches in their canonical order.  L commutes: the leaf of a mapped
-    branch is the image of the branch's leaf.
+    Returns ``(psi, branches)``: the homomorphism psi onto Sym(branches) and
+    the maximal branches in their canonical order.  L commutes: the leaf of
+    a mapped branch is the image of the branch's leaf.
     """
     branches = sg.maximal_branches()
     index = {b: i for i, b in enumerate(branches)}
@@ -217,8 +216,14 @@ def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[t
             mapped = tuple(amap[v] for v in b)
             images[i] = index[mapped]
         gen_images.append(Permutation(images))
-    psi = GroupHom(sg.group, len(branches), gen_images)
+    return GroupHom(sg.group, len(branches), gen_images), branches
 
+
+def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:
+    """``(tree, psi, branches)``: :func:`branch_action` plus the unfolded
+    structure tree for the image group."""
+    psi, branches = branch_action(sg)
+    index = {b: i for i, b in enumerate(branches)}
     prefixes: dict[tuple, int] = {}
     for b in branches:
         for k in range(1, len(b) + 1):
@@ -235,7 +240,7 @@ def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[t
             arcs.add((node(b[:k]), node(b[: k + 1])))
     image_group = psi.image()
     maps = []
-    for amap, img in zip(sg._generator_maps(), gen_images):
+    for amap in sg._generator_maps():
         m = {}
         for prefix in prefixes:
             mapped = tuple(amap[v] for v in prefix)

@@ -14,8 +14,9 @@ from setiso.minorfree import iso_excluded_minor
 from setiso.perm import PermGroup, Permutation
 from setiso.pstrings import PPartition, PString, hypergraph_to_family, make_family
 from setiso.simplify import simplify_on_window
-from setiso.solver import GsiInstance, generalized_string_iso
-from setiso.strings import StringQuery, graph_iso_under_group, string_iso
+from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_iso
+from setiso.strings import (Budget, BudgetExceeded, ColoredString, StringQuery,
+                            graph_iso_under_group, string_iso)
 from setiso.structure import PartitionChain
 
 from util import GOLDEN, golden_certify_case
@@ -97,3 +98,17 @@ def test_each_public_query_makes_one_budget(budgets, query):
     assert len(budgets) == 1
     assert budgets[0].used >= 1
 
+
+
+def test_the_listing_below_the_cutoff_ticks_every_prefix():
+    # a constant string under Sym(5), a group the solver lists directly:
+    # one tick for the query and one per accepted search prefix.  Listing
+    # all 120 isomorphisms would tick at least once per element; the union
+    # is all of Sym(5) long before, and the listing stops there.
+    group, x = _sym(5), ColoredString((0,) * 5)
+    assert group.order() <= DIRECT_ENUM_CUTOFF
+    budget = Budget()
+    assert string_iso(StringQuery(group, x, x, budget=budget)).order() == 120
+    assert budget.used == 46
+    with pytest.raises(BudgetExceeded):
+        string_iso(StringQuery(group, x, x, budget=45))

@@ -169,6 +169,21 @@ class TestCli:
                                 str(fixture_dir / "t1.hfs"), str(fixture_dir / "t2.hfs")])
         assert code == 0
 
+    @pytest.mark.parametrize("cmd, write", [
+        ("iso-string", lambda p: fileio.write_string(p, ColoredString(()))),
+        ("iso-hyper", lambda p: fileio.write_hypergraph(p, Hypergraph(0, frozenset()))),
+        ("iso-graph", lambda p: fileio.write_colored_graph(p, ColoredGraph.plain(0, []))),
+        ("iso-hfs", lambda p: fileio.write_hfs(p, 0, HfsTerm.make_set([]))),
+    ], ids=["string", "hyper", "graph", "hfs"])
+    def test_zero_point_objects_without_a_group(self, tmp_path, cmd, write):
+        # the default group of a 0-point object acts on 0 points, as the
+        # library's answer and `oracle` (count 1) do
+        path = str(tmp_path / "empty")
+        write(path)
+        code, out, err = run_cli([cmd, "--machine", path, path])
+        assert (code, err) == (0, "")
+        assert out == "ISO\nrep \naut-generators 0\naut-order 1\n"
+
     def test_iso_excluded_minor(self, fixture_dir):
         code, out, _ = run_cli(["iso-excluded-minor", "--h", "3", "--machine",
                                 str(fixture_dir / "k4.cg"), str(fixture_dir / "k4b.cg")])

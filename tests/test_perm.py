@@ -11,10 +11,11 @@ from setiso.perm import (
     NotInvariant,
     PermGroup,
     Permutation,
-    SearchCapExceeded,
     is_giant,
     transversal_cosets,
 )
+
+from setiso.strings import Budget, BudgetExceeded
 
 from util import closure, rand_group, rand_perm
 
@@ -221,8 +222,9 @@ class TestStabilizers:
             PermGroup(sym(4).generators, 4, base_prefix=[4])
 
     def test_setwise_stabilizer_search_cap(self):
-        with pytest.raises(SearchCapExceeded):
-            sym(8).setwise_stabilizer([0, 1, 2, 3], node_cap=50)
+        # the search has no cap of its own; it ticks the caller's budget
+        with pytest.raises(BudgetExceeded):
+            sym(8).setwise_stabilizer([0, 1, 2, 3], Budget(50).tick)
         assert sym(8).setwise_stabilizer([0, 1, 2, 3]).order() == 24 * 24
 
     def test_pointwise_stabilizer_rejects_outside_points(self):
