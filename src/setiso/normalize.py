@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perm import GroupHom, PermGroup, Permutation
+from .perm import GroupHom, PermGroup, Permutation, induced_action
 from .pstrings import PPartition, PString, PStringFamily
 from .structure import (
     PartitionChain,
@@ -110,12 +110,7 @@ def _assemble(group: PermGroup, partition: PPartition,
             stab = group
         cls_ids = sorted((c for c, pts in enumerate(classes) if set(pts) <= b0),
                          key=lambda c: classes[c][0])
-        index_acts = []
-        for g in stab.generators:
-            img = [0] * len(cls_ids)
-            for qi, c in enumerate(cls_ids):
-                img[qi] = cls_ids.index(partition.image_class(c, g))
-            index_acts.append(Permutation(img))
+        index_acts = induced_action(cls_ids, partition.image_class, stab.generators)
         index_group = PermGroup(index_acts, max(len(cls_ids), 1))
 
         sub_arcs: list[tuple] = []

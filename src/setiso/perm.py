@@ -29,10 +29,14 @@ hands its return value to the next depth.  ``elements``, ``search``,
 ``setwise_stabilizer`` and ``transversal_cosets`` are thin adapters over it,
 so pruning never changes the order in which the survivors come out.  The
 setwise search has no cap of its own: it ticks its caller's budget on every
-accepted prefix.
+accepted prefix, and an invariant set returns the group itself without a
+search.
 
 The constructions the reductions need live here too, so no other module
-builds them by hand: ``GroupHom.pull_back`` ({g : hom(g) in a coset}, from
+builds them by hand: ``induced_action`` (the action of a group's generators,
+or of any movers, on a derived list of names such as blocks, classes,
+window pieces or branches; an image missing from the list raises
+NotInvariant), ``GroupHom.pull_back`` ({g : hom(g) in a coset}, from
 the kernel's generators and preimages of the coset's),
 ``PermGroup.block_stabilizer`` (a pull-back through the block action) and
 ``PermGroup.orbit_transversal`` (breadth-first movers along an orbit, also
@@ -431,13 +435,8 @@ class PermGroup:
             return [frozenset([p]) for p in dom], True
         while True:
             blocks.sort(key=min)
-            index = {}
-            for i, blk in enumerate(blocks):
-                for p in blk:
-                    index[p] = i
             # the block action's generators; blocks need no group built on them
-            action = [Permutation([index[g.images[min(blk)]] for blk in blocks])
-                      for g in self.generators]
+            action = induced_action(blocks, lambda blk, g: g.apply_set(blk), self.generators)
             coarser = _nontrivial_blocks(action, range(len(blocks)))
             if coarser is None:
                 return blocks, False
@@ -446,19 +445,8 @@ class PermGroup:
     def block_action(self, blocks: Sequence[frozenset]) -> "GroupHom":
         """Homomorphism onto the induced action on an invariant block list."""
         blocks = sorted((frozenset(b) for b in blocks), key=min)
-        index = {}
-        for i, blk in enumerate(blocks):
-            for p in blk:
-                index[p] = i
-        images = []
-        for g in self.generators:
-            img = [0] * len(blocks)
-            for i, blk in enumerate(blocks):
-                j = index.get(g.images[min(blk)])
-                if j is None or blocks[j] != frozenset(g.images[p] for p in blk):
-                    raise NotInvariant("block list is not invariant under the group")
-                img[i] = j
-            images.append(Permutation(img))
+        # looking up each image block is the invariance check
+        images = induced_action(blocks, lambda blk, g: g.apply_set(blk), self.generators)
         return GroupHom(self, len(blocks), images)
 
     def block_stabilizer(self, blocks: Sequence[frozenset], idx: int) -> "PermGroup":
@@ -486,16 +474,20 @@ class PermGroup:
                            tick: Optional[Callable[[], None]] = None) -> "PermGroup":
         """{g : points^g = points}, by a search over a chain based on the points.
 
-        A prefix survives while every point it makes final stays inside or
-        outside the set, as it was; the elements the search yields that the
-        group found so far lacks become its generators.  Exponential in the
-        worst case; intended for desk-scale sets.  ``tick``, the caller's
-        budget, is called on every accepted prefix.
+        A set every generator maps onto itself gives the group itself.
+        Otherwise a prefix survives while every point it makes final stays
+        inside or outside the set, as it was; the elements the search yields
+        that the group found so far lacks become its generators.  Exponential
+        in the worst case; intended for desk-scale sets.  ``tick``, the
+        caller's budget, is called on every accepted prefix.  The chain is
+        built first, so a point past the degree raises ValueError.
         """
         target = frozenset(points)
         if not target:
             return self
         chain = PermGroup(self.generators, self.degree, base_prefix=sorted(target))
+        if all(g.apply_set(target) == target for g in self.generators):
+            return self
         step = _pointwise(lambda p, q: (p in target) == (q in target), tick)
         found: list[Permutation] = []
         known = PermGroup([], self.degree)
@@ -519,6 +511,29 @@ class PermGroup:
         pts = sorted(set(points))
         hom = GroupHom(self, len(pts), [g.restrict(pts) for g in self.generators])
         return hom.image(), hom
+
+
+def induced_action(names: Sequence, act: Callable[[object, object], object],
+                   movers: Iterable, targets: Optional[Sequence] = None
+                   ) -> list[Permutation]:
+    """The action of each mover on a list of names: position i goes to the
+    position of ``act(names[i], mover)`` in ``targets`` (``names`` when not
+    given).
+
+    Raises NotInvariant when an image is not listed; an error raised by
+    ``act`` propagates unchanged.
+    """
+    index = {name: i for i, name in enumerate(names if targets is None else targets)}
+    out = []
+    for m in movers:
+        img = []
+        for name in names:
+            j = index.get(act(name, m))
+            if j is None:
+                raise NotInvariant("the list is not invariant under the action")
+            img.append(j)
+        out.append(Permutation(img))
+    return out
 
 
 def is_giant(group: PermGroup, points: Sequence[int]) -> Optional[str]:

@@ -12,9 +12,10 @@ finer one by one rule, ``_lift``.  Each refined class on each side is named
 the singletons of a split class, or, for the first list, its color; a
 vertex is the untagged child of its discrete class.  A permutation g of the
 old classes sends the class (p, tag) to (g(p), tag^g), where only a string
-tag moves under g.  Generators are read against the first side's names and
-the representative against the second's; a missing name gives the empty
-coset.
+tag moves under g.  ``_lift`` is two calls of ``perm.induced_action`` on the
+first side's names: the generators act on them, and the representative maps
+them into the second side's names (``targets``).  A missing name, the
+action's NotInvariant, gives the empty coset.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .graphs import ColoredGraph
-from .perm import IsoCoset, PermGroup, Permutation
+from .perm import IsoCoset, NotInvariant, PermGroup, Permutation, induced_action
 from .solver import set_of_strings_iso
 from .strings import Budget, BudgetArg, ColoredString, graph_iso_under_group
 
@@ -208,26 +209,14 @@ def _lift(gens: Sequence[Permutation], rep: Permutation, key1: list, key2: list,
     the representative in side 2's; ``kernel`` generators, which fix every
     parent, go after the lifted ones.  Empty when an image name is missing.
     """
-    index1 = {name: i for i, name in enumerate(key1)}
-    index2 = {name: i for i, name in enumerate(key2)}
+    def image(name: tuple, g: Permutation) -> tuple:
+        p, tag = name
+        return g.images[p], tag if act is None else act(tag, g)
 
-    def image(g: Permutation, index: dict) -> Optional[Permutation]:
-        img = []
-        for p, tag in key1:
-            j = index.get((g.images[p], tag if act is None else act(tag, g)))
-            if j is None:
-                return None
-            img.append(j)
-        return Permutation(img)
-
-    lifted = []
-    for g in gens:
-        h = image(g, index1)
-        if h is None:
-            return IsoCoset.empty()
-        lifted.append(h)
-    rep_img = image(rep, index2)
-    if rep_img is None:
+    try:
+        lifted = induced_action(key1, image, gens)
+        [rep_img] = induced_action(key1, image, [rep], targets=key2)
+    except NotInvariant:
         return IsoCoset.empty()
     return IsoCoset(PermGroup(lifted + list(kernel), len(key1)), rep_img)
 

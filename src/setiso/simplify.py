@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .normalize import NormalizedInstance, renormalize_families
-from .perm import GroupHom, PermGroup, Permutation
+from .perm import GroupHom, PermGroup, Permutation, induced_action
 from .pstrings import PPartition, PString, PStringFamily
 from .solver import _check_window_automorphic
 from .strings import Budget, BudgetArg, ColoredString, StringQuery, string_iso
@@ -165,15 +165,13 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
 
     inside = [partition.cut(c, pts, wset) for c, pts in enumerate(partition.classes())]
 
-    def lift_perm(g: Permutation) -> Permutation:
-        img = [0] * n2
-        for i, (p, c, z) in enumerate(new_points):
-            c2, z2 = (partition.image(inside[c], z, g) if inside[c]
-                      else (partition.image_class(c, g), ()))
-            img[i] = point_index[(g.images[p], c2, z2)]
-        return Permutation(img)
+    def lift_point(pt: tuple, g: Permutation) -> tuple:
+        p, c, z = pt
+        c2, z2 = (partition.image(inside[c], z, g) if inside[c]
+                  else (partition.image_class(c, g), ()))
+        return g.images[p], c2, z2
 
-    psi = GroupHom(group, n2, [lift_perm(g) for g in group.generators])
+    psi = GroupHom(group, n2, induced_action(new_points, lift_point, group.generators))
     lifted_group = psi.image()
 
     split_classes: dict[tuple, list[int]] = {}

@@ -52,13 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .perm import CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, transversal_cosets
+from .perm import (CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, induced_action,
+                   transversal_cosets)
 from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
 from .strings import (
     Budget,
     BudgetArg,
     ColoredString,
-    SolverConfig,
     StringQuery,
     string_iso,
 )
@@ -303,14 +303,12 @@ def _combine_group(group: PermGroup, partition: PPartition,
     if sy is None:
         return IsoCoset.empty()
 
-    def piece_images(g: Permutation, side: int) -> list[int]:
-        return [index[side][partition.image(inside[side][c], letters, g)]
-                for c, letters in (v1, v2)[side]]
-
-    images = []
-    for g in group.generators:
-        img1, img2 = piece_images(g, 0), piece_images(g, 1)
-        images.append(Permutation([i * len(v2) + j for i in img1 for j in img2]))
+    # one action per side, |V1| + |V2| piece images per generator, composed
+    # into the action on V1 × V2
+    acts = [induced_action(v, lambda cl, g, ins=ins: partition.image(ins[cl[0]], cl[1], g),
+                           group.generators) for v, ins in zip((v1, v2), inside)]
+    images = [Permutation([i * len(v2) + j for i in a1.images for j in a2.images])
+              for a1, a2 in zip(*acts)]
     hom = GroupHom(group, size, images)
     return hom.pull_back(string_iso(StringQuery(hom.image(), sx, sy, budget=budget)))
 

@@ -40,6 +40,8 @@ class Budget:
     """Mutable recursion-node counter shared by one query."""
 
     def __init__(self, limit: Optional[int] = None):
+        if limit is not None and limit < 0:
+            raise ValueError("budget must be a non-negative node count")
         self.limit = limit
         self.used = 0
 

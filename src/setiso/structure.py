@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .perm import GroupHom, PermGroup, Permutation
+from .perm import GroupHom, PermGroup, Permutation, induced_action
 
 
 class BranchCapExceeded(RuntimeError):
@@ -208,14 +208,8 @@ def branch_action(sg: StructureGraph) -> tuple[GroupHom, list[tuple]]:
     a mapped branch is the image of the branch's leaf.
     """
     branches = sg.maximal_branches()
-    index = {b: i for i, b in enumerate(branches)}
-    gen_images = []
-    for amap in sg._generator_maps():
-        images = [0] * len(branches)
-        for b, i in index.items():
-            mapped = tuple(amap[v] for v in b)
-            images[i] = index[mapped]
-        gen_images.append(Permutation(images))
+    gen_images = induced_action(branches, lambda b, amap: tuple(amap[v] for v in b),
+                                sg._generator_maps())
     return GroupHom(sg.group, len(branches), gen_images), branches
 
 

@@ -99,6 +99,15 @@ def test_each_public_query_makes_one_budget(budgets, query):
     assert budgets[0].used >= 1
 
 
+def test_a_negative_node_cap_is_rejected():
+    x = ColoredString((0, 1))
+    for cap in (-1, setiso.strings.SolverConfig(budget=-1)):
+        with pytest.raises(ValueError, match="budget must be a non-negative node count"):
+            string_iso(StringQuery(_sym(2), x, x, budget=cap))
+    with pytest.raises(ValueError, match="non-negative"):
+        Budget(-5)
+    assert Budget(0).limit == 0
+
 
 def test_the_listing_below_the_cutoff_ticks_every_prefix():
     # a constant string under Sym(5), a group the solver lists directly:

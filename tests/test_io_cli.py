@@ -272,6 +272,14 @@ class TestCli:
         assert code == 2
         assert "unrecognized arguments: --budget" in err
 
+    def test_a_negative_budget_is_rejected(self, fixture_dir):
+        a = str(fixture_dir / "a.str")
+        code, out, err = run_cli(["iso-string", "--budget", "-1", a, a])
+        assert code == 2
+        assert "budget must be a non-negative node count" in err
+        assert "recursion budget" not in err
+        assert out == ""
+
     def test_oracle(self, fixture_dir):
         code, out, _ = run_cli(["oracle", "--kind", "hyper",
                                 "--group", str(fixture_dir / "s4.grp"),

@@ -11,6 +11,7 @@ from setiso.perm import (
     NotInvariant,
     PermGroup,
     Permutation,
+    induced_action,
     is_giant,
     transversal_cosets,
 )
@@ -209,6 +210,18 @@ class TestStabilizers:
             assert g.pointwise_stabilizer(pts).order() == len(pw)
             assert g.setwise_stabilizer(pts).order() == len(sw)
 
+    def test_setwise_stabilizer_of_an_invariant_set_is_the_group(self):
+        # no search: the parent walked 1,236 prefixes of Sym(6) here
+        g = sym(6)
+        assert g.setwise_stabilizer(range(6), Budget(0).tick) is g
+        two_orbits = PermGroup([Permutation.from_cycles(5, [0, 1, 2], [3, 4])], 5)
+        assert two_orbits.setwise_stabilizer([3, 4], Budget(0).tick) is two_orbits
+
+    def test_setwise_stabilizer_of_a_proper_subset_still_searches(self):
+        budget = Budget()
+        assert sym(6).setwise_stabilizer([0, 1], budget.tick).order() == 48
+        assert budget.used == 84
+
     def test_setwise_stabilizer_rejects_a_negative_point(self):
         # used to loop forever
         with pytest.raises(ValueError):
@@ -258,6 +271,12 @@ class TestHomTools:
         assert kernel.order() == 2 ** 4
         assert image.order() * kernel.order() == g.order()
 
+    def test_block_action_rejects_a_non_invariant_block_list(self):
+        g = PermGroup([Permutation.from_cycles(4, [0, 1, 2, 3])], 4)
+        with pytest.raises(NotInvariant):
+            g.block_action([frozenset({0, 1}), frozenset({2, 3})])
+        assert g.block_action([frozenset({0, 2}), frozenset({1, 3})]).image().order() == 2
+
     def test_identity_hom(self):
         g = sym(3)
         hom = GroupHom(g, 3, list(g.generators))
@@ -290,6 +309,34 @@ class TestHomTools:
             assert hom.image().order() * hom.kernel().order() == g.order()
             for kgen in hom.kernel().generators:
                 assert hom.apply(kgen).is_identity()
+
+
+class TestInducedAction:
+    def test_maps_names_to_their_images(self):
+        g = Permutation.from_cycles(4, [0, 1, 2, 3])
+        diagonals = [frozenset({0, 2}), frozenset({1, 3})]
+        acts = induced_action(diagonals, lambda blk, m: m.apply_set(blk), [g, g * g])
+        assert acts == [Permutation([1, 0]), Permutation([0, 1])]
+
+    def test_maps_through_targets(self):
+        g = Permutation.from_cycles(3, [0, 1, 2])
+        names = [(0, "x"), (1, "y"), (2, "z")]
+        targets = [(1, "x"), (0, "z"), (2, "y")]
+        [h] = induced_action(names, lambda nm, m: (m.images[nm[0]], nm[1]), [g], targets=targets)
+        # (0,x) -> (1,x) at 0, (1,y) -> (2,y) at 2, (2,z) -> (0,z) at 1
+        assert h == Permutation([0, 2, 1])
+
+    def test_raises_when_an_image_is_not_listed(self):
+        g = Permutation.from_cycles(4, [0, 1, 2, 3])
+        with pytest.raises(NotInvariant):
+            induced_action([frozenset({0, 1}), frozenset({2, 3})],
+                           lambda blk, m: m.apply_set(blk), [g])
+        with pytest.raises(NotInvariant):
+            induced_action([0, 1], lambda p, m: m.images[p], [g], targets=[0, 1])
+
+    def test_an_error_inside_the_action_propagates(self):
+        with pytest.raises(KeyError):
+            induced_action(["a"], lambda name, m: m[name], [{}])
 
 
 class TestIsGiant:

@@ -9,14 +9,13 @@ from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_famil
 from setiso.solver import (
     DIRECT_ENUM_CUTOFF,
     GsiInstance,
-    SolverConfig,
     balance_orbits,
     combine_windows,
     family_image_key,
     generalized_string_iso,
     set_of_strings_iso,
 )
-from setiso.strings import BudgetExceeded, ColoredString
+from setiso.strings import BudgetExceeded, ColoredString, SolverConfig
 
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
