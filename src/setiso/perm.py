@@ -12,14 +12,29 @@ generators are the first elements the enumeration of ``elements()`` or
 ``transversal_cosets`` finds, so any change to the chain's shape (base,
 generators placed at each level, tree shape) or to the enumeration order
 changes output bytes.  Work is saved only where it leaves the chain and the
-order as they are.  Two caches serve that:
+order as they are, so Schreier-Sims does each step once:
 
+- a chain is built on its first read (``order``, ``contains``, ``base``,
+  ``elements``, ...), not by the constructor, which only checks the
+  generators and the base prefix;
 - each chain level keeps the inverse of every transversal element next to
-  the element, and the tree edges whose Schreier generators are trivial;
+  the element, the inverse of every generator placed there, and the tree
+  edges whose Schreier generators are trivial;
+- a build remembers, per level, the Schreier generators that sifted to the
+  identity and never sifts them again.  Generators are only appended, so the
+  group below a level only grows and a proven member stays one; the first
+  non-member, and so the chain, is the one a full check finds;
+- the constructions here whose order follows exactly from data they hold
+  (kernel and image, pull-back, a rebased or conjugated copy, a pointwise
+  stabilizer) state it.  The product of the orbit lengths of a partial chain
+  is at most the group order, with equality exactly when the chain is
+  complete, so the build stops there with the chain a full check would end
+  with, and ``order`` needs no chain at all;
 - ``GroupHom`` keeps its two chains over the combined source and target
   action.  The target-first chain serves ``preimage`` and also ``kernel``,
   whose generators it already holds; the source-first chain is built on the
-  first ``apply``.
+  first ``apply``.  The target-first chain states no order: comparing its
+  order with the source's is the homomorphism check.
 
 Every enumeration runs through one loop, ``_products``: a depth-first walk
 over products of transversal elements that calls ``step(state,
@@ -46,6 +61,7 @@ isomorphisms and Luks pieces into one coset.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -183,24 +199,30 @@ class Permutation:
 class _Level:
     """One level of a stabilizer chain: a base point with its Schreier tree.
 
-    ``inverses[beta]`` is the inverse of ``transversal[beta]``.  ``edges``
-    holds the pairs (beta, k) whose tree generator k discovered a new point
-    from beta; their Schreier generators are the identity.
+    ``gen_invs[k]`` is the inverse of ``gens[k]``, and ``inverses[beta]``
+    that of ``transversal[beta]``.  ``edges`` holds the pairs (beta, k)
+    whose tree generator k discovered a new point from beta; their Schreier
+    generators are the identity.
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverses", "edges")
+    __slots__ = ("point", "gens", "gen_invs", "transversal", "inverses", "edges")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Permutation] = []
+        self.gen_invs: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
         self.inverses: dict[int, Permutation] = {}
         self.edges: set[tuple[int, int]] = set()
 
-    def rebuild(self, degree: int, tree_gens: Sequence[Permutation]) -> None:
+    def place(self, g: Permutation) -> None:
+        self.gens.append(g)
+        self.gen_invs.append(g.inverse())
+
+    def rebuild(self, degree: int, tree_gens: Sequence[Permutation],
+                gen_invs: Sequence[Permutation]) -> None:
         """Breadth-first Schreier tree; generator order fixes the shape."""
         ident = Permutation.identity(degree)
-        gen_invs = [g.inverse() for g in tree_gens]
         self.transversal = {self.point: ident}
         self.inverses = {self.point: ident}
         self.edges = set()
@@ -217,60 +239,99 @@ class _Level:
                     queue.append(gamma)
 
 
+def _chain_order(levels: Iterable[_Level]) -> int:
+    """The product of the levels' orbit lengths."""
+    return math.prod(len(lvl.transversal) for lvl in levels)
+
+
 class PermGroup:
-    """Permutation group with base, strong generating set and exact order."""
+    """Permutation group with base, strong generating set and exact order.
+
+    The chain is built on its first read.  ``_order``, when given, is the
+    group's order, known in advance: the build stops as soon as its orbit
+    lengths multiply to it, and ``order()`` answers without a chain.  A
+    build that ends without reaching the stated order raises RuntimeError,
+    which catches every order stated too large; one stated too small can
+    stop the build at an incomplete chain and cannot be detected, so only
+    this module's own constructions state one, each from data that fixes
+    the order exactly.
+    """
 
     def __init__(self, generators: Iterable[Permutation], degree: int,
-                 base_prefix: Sequence[int] = ()):
+                 base_prefix: Sequence[int] = (), _order: Optional[int] = None):
         gens = []
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree %d does not match %d" % (g.degree, degree))
             if not g.is_identity() and g not in gens:
                 gens.append(g)
+        for b in base_prefix:
+            if not 0 <= b < degree:
+                raise ValueError("points must lie in 0..%d" % (degree - 1))
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
-        self._levels: list[_Level] = []
-        self._build(base_prefix)
+        self._base_prefix = tuple(base_prefix)
+        self._order = _order
 
     # -- construction -----------------------------------------------------
 
-    def _tree_gens(self, i: int) -> list[Permutation]:
-        """Generators for the stabilizer at level i: those placed at levels >= i."""
-        out = []
+    @functools.cached_property
+    def _levels(self) -> list[_Level]:
+        # _build reads the chain it grows through this attribute
+        levels = self.__dict__["_levels"] = [_Level(b) for b in self._base_prefix]
+        self._build()
+        return levels
+
+    def _tree_gens(self, i: int) -> tuple[list[Permutation], list[Permutation]]:
+        """Generators for the stabilizer at level i, those placed at levels
+        >= i, and their inverses."""
+        gens, invs = [], []
         for lvl in self._levels[i:]:
-            out.extend(lvl.gens)
-        return out
+            gens.extend(lvl.gens)
+            invs.extend(lvl.gen_invs)
+        return gens, invs
 
     def _rebuild_from(self, j: int) -> None:
         # a new generator at level j can enlarge every tree at levels <= j
         for k in range(min(j, len(self._levels) - 1), -1, -1):
-            self._levels[k].rebuild(self.degree, self._tree_gens(k))
+            self._levels[k].rebuild(self.degree, *self._tree_gens(k))
 
-    def _build(self, base_prefix: Sequence[int]) -> None:
-        for b in base_prefix:
-            if not 0 <= b < self.degree:
-                raise ValueError("points must lie in 0..%d" % (self.degree - 1))
-            self._levels.append(_Level(b))
+    def _build(self) -> None:
+        """Deterministic Schreier-Sims on the base-prefix levels.
+
+        ``proven[i]`` holds the Schreier generators of level i that sifted
+        to the identity; the module docstring says why skipping them, and
+        stopping at a stated order, leave the chain unchanged.
+        """
+        levels = self._levels
         for g in self.generators:
             self._ensure_base_covers(g)
         for lvl, g in self._initial_placements():
-            self._levels[lvl].gens.append(g)
-        self._rebuild_from(len(self._levels) - 1)
-        i = len(self._levels) - 1
+            levels[lvl].place(g)
+        self._rebuild_from(len(levels) - 1)
+        proven: dict[int, set[tuple]] = collections.defaultdict(set)
+        i = len(levels) - 1
         while i >= 0:
-            residue_info = self._first_bad_schreier(i)
+            # the orbit lengths multiply to at most the order, with
+            # equality only on a complete chain: every check left passes
+            if self._order is not None and _chain_order(levels) == self._order:
+                return
+            residue_info = self._first_bad_schreier(i, proven[i])
             if residue_info is None:
                 i -= 1
                 continue
             residue, j = residue_info
             self._ensure_base_covers(residue)
-            j = min(j, len(self._levels) - 1)
-            self._levels[j].gens.append(residue)
+            j = min(j, len(levels) - 1)
+            levels[j].place(residue)
             # the deeper levels (index > j) keep their trees and passed
             # this check already, so resume at level j
             self._rebuild_from(j)
             i = j
+        if self._order is not None and _chain_order(levels) != self._order:
+            del self.__dict__["_levels"]
+            raise RuntimeError("stated order %d is not the group order %d"
+                               % (self._order, _chain_order(levels)))
 
     def _ensure_base_covers(self, g: Permutation) -> None:
         if g.is_identity():
@@ -292,10 +353,12 @@ class PermGroup:
                     break
         return out
 
-    def _first_bad_schreier(self, i: int) -> Optional[tuple[Permutation, int]]:
-        """Sift the Schreier generators of level i through the chain below."""
+    def _first_bad_schreier(self, i: int, proven: set[tuple]
+                            ) -> Optional[tuple[Permutation, int]]:
+        """Sift the Schreier generators of level i through the chain below,
+        skipping and extending ``proven``."""
         lvl = self._levels[i]
-        tree_gens = self._tree_gens(i)
+        tree_gens, _ = self._tree_gens(i)
         ident = tuple(range(self.degree))
         for beta in sorted(lvl.transversal):
             u = lvl.transversal[beta].images
@@ -304,9 +367,12 @@ class PermGroup:
                     continue
                 t_inv = lvl.inverses[g.images[beta]].images
                 schreier = tuple(map(t_inv.__getitem__, map(g.images.__getitem__, u)))
+                if schreier in proven:
+                    continue
                 residue, j = self._sift(schreier, i + 1)
                 if residue != ident:
                     return Permutation._raw(residue), j
+                proven.add(schreier)
         return None
 
     def _sift(self, r: tuple, start: int) -> tuple[tuple, int]:
@@ -330,10 +396,9 @@ class PermGroup:
         return tuple(lvl.point for lvl in self._levels)
 
     def order(self) -> int:
-        n = 1
-        for lvl in self._levels:
-            n *= max(1, len(lvl.transversal))
-        return n
+        if self._order is None:
+            self._order = _chain_order(self._levels)
+        return self._order
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -366,8 +431,7 @@ class PermGroup:
     def orbit(self, point: int) -> list[int]:
         seen = {point}
         queue = [point]
-        while queue:
-            a = queue.pop(0)
+        for a in queue:
             for g in self.generators:
                 b = g.images[a]
                 if b not in seen:
@@ -415,7 +479,8 @@ class PermGroup:
 
     def conjugate(self, s: Permutation) -> "PermGroup":
         s_inv = s.inverse()
-        return PermGroup([s_inv * g * s for g in self.generators], self.degree)
+        return PermGroup([s_inv * g * s for g in self.generators], self.degree,
+                         _order=self.order())
 
     # -- block systems -----------------------------------------------------
 
@@ -461,14 +526,16 @@ class PermGroup:
         pts = sorted(set(points))
         if not pts:
             return self
-        rebuilt = PermGroup(self.generators, self.degree, base_prefix=pts)
+        rebuilt = PermGroup(self.generators, self.degree, base_prefix=pts,
+                            _order=self.order())
+        below = rebuilt._levels[len(pts):]
         gens = []
-        for lvl in rebuilt._levels[len(pts):]:
+        for lvl in below:
             for g in lvl.gens:
                 if g not in gens:
                     gens.append(g)
         gens = [g for g in gens if all(g.images[p] == p for p in pts)]
-        return PermGroup(gens, self.degree)
+        return PermGroup(gens, self.degree, _order=_chain_order(below))
 
     def setwise_stabilizer(self, points: Sequence[int],
                            tick: Optional[Callable[[], None]] = None) -> "PermGroup":
@@ -479,13 +546,14 @@ class PermGroup:
         inside or outside the set, as it was; the elements the search yields
         that the group found so far lacks become its generators.  Exponential
         in the worst case; intended for desk-scale sets.  ``tick``, the
-        caller's budget, is called on every accepted prefix.  The chain is
-        built first, so a point past the degree raises ValueError.
+        caller's budget, is called on every accepted prefix.  The chain's
+        base is checked first, so a point past the degree raises ValueError.
         """
         target = frozenset(points)
         if not target:
             return self
-        chain = PermGroup(self.generators, self.degree, base_prefix=sorted(target))
+        chain = PermGroup(self.generators, self.degree, base_prefix=sorted(target),
+                          _order=self.order())
         if all(g.apply_set(target) == target for g in self.generators):
             return self
         step = _pointwise(lambda p, q: (p in target) == (q in target), tick)
@@ -584,7 +652,8 @@ class GroupHom:
         # only apply() reads this chain, so it is built on first use
         n = self.source.degree
         return PermGroup(self._combined, n + self.target_degree,
-                         base_prefix=self._moved(self._combined, 0, n))
+                         base_prefix=self._moved(self._combined, 0, n),
+                         _order=self.source.order())
 
     @staticmethod
     def _moved(perms: Sequence[Permutation], lo: int, hi: int) -> list[int]:
@@ -615,22 +684,31 @@ class GroupHom:
             raise ValueError("element is not in the source group")
         return Permutation([combined.images[n + j] - n for j in range(self.target_degree)])
 
+    def _target_prefix(self) -> int:
+        # The target-first chain starts with the moved target points; the
+        # levels after that prefix form a chain of the kernel, so the
+        # prefix's orbit lengths multiply to the image's order.
+        n = self.source.degree
+        return sum(1 for lvl in self._tgt_first._levels if lvl.point >= n)
+
     def image(self) -> PermGroup:
-        return PermGroup(self.gen_images, self.target_degree)
+        levels = self._tgt_first._levels[:self._target_prefix()]
+        return PermGroup(self.gen_images, self.target_degree, _order=_chain_order(levels))
 
     def kernel(self) -> PermGroup:
-        # The target-first chain starts with the moved target points; the
-        # strong generators placed after that prefix fix every target point
-        # and generate the kernel.  They are the generators a pointwise
-        # stabilizer of the prefix would return, so no chain is rebuilt.
+        # The strong generators placed after the target prefix fix every
+        # target point and generate the kernel.  They are the generators a
+        # pointwise stabilizer of the prefix would return, so no chain is
+        # rebuilt.
         n = self.source.degree
         chain = self._tgt_first
-        prefix = sum(1 for lvl in chain._levels if lvl.point >= n)
+        prefix = self._target_prefix()
         if prefix == 0:
             gens = chain.generators
         else:
             gens = [g for lvl in chain._levels[prefix:] for g in lvl.gens]
-        return PermGroup([Permutation._raw(g.images[:n]) for g in gens], n)
+        return PermGroup([Permutation._raw(g.images[:n]) for g in gens], n,
+                         _order=_chain_order(chain._levels[prefix:]))
 
     def preimage(self, h: Permutation) -> Optional[Permutation]:
         """Some source element mapping to ``h``, or None."""
@@ -656,13 +734,16 @@ class GroupHom:
         rep = self.preimage(coset.rep)
         if rep is None:
             return IsoCoset.empty()
-        gens = list(self.kernel().generators)
+        kernel = self.kernel()
+        gens = list(kernel.generators)
         for c in coset.group.generators:
             pre = self.preimage(c)
             if pre is None:
                 raise ValueError("coset does not lie in the image of the homomorphism")
             gens.append(pre)
-        return IsoCoset(PermGroup(gens, self.source.degree), rep)
+        # every generator has a preimage, so the coset's group lies in the image
+        return IsoCoset(PermGroup(gens, self.source.degree,
+                                  _order=kernel.order() * coset.group.order()), rep)
 
 
 @dataclass(frozen=True)
@@ -833,8 +914,7 @@ def _min_block_containing(gens: Sequence[Permutation], a: int, b: int,
     merged = union(a, b)
     if merged:
         queue.append(merged)
-    while queue:
-        x, y = queue.pop(0)
+    for x, y in queue:
         for g in gens:
             m = union(g.images[x], g.images[y])
             if m:

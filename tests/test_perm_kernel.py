@@ -1,5 +1,10 @@
 """Property tests for the pruned element enumeration, the solver's
-letter-pruned search, the chain-read kernel and the pull-back."""
+letter-pruned search, the chain-read kernel and the pull-back; the
+Schreier-Sims build against its written-out reference, and pinned counts of
+its work."""
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +14,8 @@ from setiso.pstrings import PPartition, PString, make_family
 from setiso.solver import _iso_elements, family_image_key
 from setiso.strings import ColoredString, StringQuery, string_iso
 
-from util import closure, rand_family_on, rand_group, rand_invariant_partition, rand_perm
+from util import (closure, rand_family_on, rand_group, rand_invariant_partition, rand_perm,
+                  reference_chain)
 
 
 def _homs(rng, g):
@@ -165,3 +171,129 @@ def test_iso_search_prunes_a_non_isomorphic_pair():
     assert list(_iso_elements(sym6, x, y, lambda: accepted.append(1))) == []
     # a full scan would test each of the 720 elements
     assert len(accepted) < 720 // 10
+
+
+def _chain(group):
+    """Level by level: base point, placed generators, transversal."""
+    return [(lvl.point, tuple(g.images for g in lvl.gens),
+             {beta: t.images for beta, t in lvl.transversal.items()})
+            for lvl in group._levels]
+
+
+def _rand_generators(rng, n):
+    """Up to three permutations, each moving a random subset of the points."""
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        pts = rng.sample(range(n), rng.randint(0, n))
+        images = list(range(n))
+        for a, b in zip(pts, rng.sample(pts, len(pts))):
+            images[a] = b
+        gens.append(Permutation(images))
+    return gens
+
+
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_chain_is_the_reference_chain(n, rng):
+    gens = _rand_generators(rng, n)
+    prefix = rng.sample(range(n), rng.randint(0, min(n, 4)))
+    expect = reference_chain(gens, n, prefix)
+    order = math.prod(len(tree) for _, _, tree in expect)
+    lazy = PermGroup(gens, n, base_prefix=prefix)
+    assert "_levels" not in vars(lazy)
+    assert _chain(lazy) == expect
+    assert lazy.order() == order
+    stated = PermGroup(gens, n, base_prefix=prefix, _order=order)
+    assert stated.order() == order
+    assert _chain(stated) == expect
+
+
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_stated_orders_give_the_unstated_chains(n, rng):
+    """Every group built with a stated order, by each construction that
+    states one, has the chain and the order of the same build without it."""
+    g = rand_group(rng, n, order_cap=2000)
+    stated = []
+    init = PermGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._order is not None:
+            stated.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PermGroup, "__init__", spy)
+        for hom in _homs(rng, g):
+            hom.kernel()
+            hom.apply(g.generators[0] if g.generators else Permutation.identity(n))
+            for coset in _image_cosets(rng, hom.image()):
+                hom.pull_back(coset)
+        pts = rng.sample(range(n), rng.randint(1, n))
+        g.pointwise_stabilizer(pts).contains(Permutation.identity(n))
+        g.setwise_stabilizer(pts)
+        g.conjugate(rand_perm(rng, n)).contains(Permutation.identity(n))
+    assert stated
+    for h in stated:
+        plain = PermGroup(h.generators, h.degree, base_prefix=h._base_prefix)
+        assert _chain(h) == _chain(plain)
+        assert h.order() == plain.order()
+
+
+def test_a_stated_order_above_the_group_order_raises():
+    gens = [Permutation.from_cycles(3, [0, 1]), Permutation.from_cycles(3, [0, 1, 2])]
+    g = PermGroup(gens, 3, _order=12)
+    assert g.order() == 12   # no chain is read
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            g.contains(gens[0])
+
+
+def _wreath(k, m):
+    """S_k wr S_m on the blocks {ik, ..., ik + k - 1}."""
+    n = k * m
+    return [Permutation.from_cycles(n, [0, 1]),
+            Permutation.from_cycles(n, list(range(k))),
+            Permutation.from_cycles(n, *([j, k + j] for j in range(k))),
+            Permutation.from_cycles(n, *(list(range(j, n, k)) for j in range(k)))]
+
+
+def _count_work(run):
+    """(sifts, chain builds) while ``run`` runs."""
+    counts = [0, 0]
+    sift, build = PermGroup._sift, PermGroup._build
+
+    def counted_sift(self, *args):
+        counts[0] += 1
+        return sift(self, *args)
+
+    def counted_build(self):
+        counts[1] += 1
+        return build(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PermGroup, "_sift", counted_sift)
+        mp.setattr(PermGroup, "_build", counted_build)
+        run()
+    return tuple(counts)
+
+
+def _seeded_wreath_string_query():
+    rng = random.Random(1)
+    gens = _wreath(2, 5)
+    x = ColoredString(tuple(rng.randrange(2) for _ in range(10)))
+    y = x
+    for _ in range(8):
+        y = y.apply(rng.choice(gens))
+    return StringQuery(PermGroup(gens, 10), x, y)
+
+
+def test_kernel_work_is_pinned():
+    """Exact sift and chain-build counts.  A change that moves one changes
+    the group kernel's work and pins the new count; the deterministic build
+    with every Schreier generator sifted took 299, 541 and 619 sifts."""
+    sym8 = [Permutation.from_cycles(8, [0, 1]), Permutation.from_cycles(8, list(range(8)))]
+    assert _count_work(lambda: PermGroup(sym8, 8).order()) == (116, 1)
+    assert _count_work(lambda: PermGroup(_wreath(3, 4), 12).order()) == (55, 1)
+    query = _seeded_wreath_string_query()
+    assert _count_work(lambda: string_iso(query)) == (288, 26)

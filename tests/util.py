@@ -115,3 +115,95 @@ def golden_certify_case():
     ])
     t = list(range(5))
     return fx, fy, group, find_giant_rep(group), t, t, part, chain
+
+
+def reference_chain(generators, degree, base_prefix=()):
+    """The deterministic Schreier-Sims chain, written out in full as the
+    reference for ``PermGroup``'s build: every level's Schreier tree is
+    rebuilt from scratch and every Schreier generator is sifted.
+
+    Returns one ``(base point, placed generators, {beta: transversal
+    image table})`` triple per level.
+    """
+    ident = tuple(range(degree))
+    gens = []
+    for g in generators:
+        if g.images != ident and g.images not in gens:
+            gens.append(g.images)
+
+    def inverse(t):
+        inv = [0] * degree
+        for i, j in enumerate(t):
+            inv[j] = i
+        return tuple(inv)
+
+    def mul(a, b):   # apply a, then b
+        return tuple(b[i] for i in a)
+
+    points = list(base_prefix)
+    placed = [[] for _ in points]
+    trees = [{} for _ in points]
+
+    def cover(g):
+        if g != ident and all(g[b] == b for b in points):
+            points.append(next(p for p in range(degree) if g[p] != p))
+            placed.append([])
+            trees.append({})
+
+    def tree_gens(i):
+        return [g for level in placed[i:] for g in level]
+
+    def rebuild(i):
+        tree = {points[i]: (ident, ident)}
+        edges = set()
+        queue = [points[i]]
+        for beta in queue:
+            u, u_inv = tree[beta]
+            for k, g in enumerate(tree_gens(i)):
+                if g[beta] not in tree:
+                    tree[g[beta]] = (mul(u, g), mul(inverse(g), u_inv))
+                    edges.add((beta, k))
+                    queue.append(g[beta])
+        trees[i] = (tree, edges)
+
+    def sift(r, start):
+        for j in range(start, len(points)):
+            beta = r[points[j]]
+            if beta != points[j]:
+                if beta not in trees[j][0]:
+                    return r, j
+                r = mul(r, trees[j][0][beta][1])
+        return r, len(points)
+
+    for g in gens:
+        cover(g)
+    for g in gens:
+        placed[next(i for i, b in enumerate(points) if g[b] != b)].append(g)
+    for i in range(len(points) - 1, -1, -1):
+        rebuild(i)
+    i = len(points) - 1
+    while i >= 0:
+        tree, edges = trees[i]
+        residue = None
+        for beta in sorted(tree):
+            for k, g in enumerate(tree_gens(i)):
+                if (beta, k) not in edges:
+                    schreier = mul(mul(tree[beta][0], g), tree[g[beta]][1])
+                    r, j = sift(schreier, i + 1)
+                    if r != ident:
+                        residue = (r, j)
+                        break
+            if residue:
+                break
+        if residue is None:
+            i -= 1
+            continue
+        r, j = residue
+        cover(r)
+        j = min(j, len(points) - 1)
+        placed[j].append(r)
+        for k in range(j, -1, -1):
+            rebuild(k)
+        i = j
+    return [(points[i], tuple(placed[i]), {b: t[0] for b, t in trees[i][0].items()})
+            for i in range(len(points))]
