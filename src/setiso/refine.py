@@ -16,6 +16,18 @@ tag moves under g.  ``_lift`` is two calls of ``perm.induced_action`` on the
 first side's names: the generators act on them, and the representative maps
 them into the second side's names (``targets``).  A missing name, the
 action's NotInvariant, gives the empty coset.
+
+The replay is pure class-and-coset bookkeeping, and one graph isomorphism
+test at the end makes it exact.  Let Iso be the isomorphisms g1 -> g2 that
+respect ``group * theta`` on s1; the first coset contains them.  Each step
+keeps every isomorphism that respects the coset before it:
+- a refinement round's set-of-strings query, because an isomorphism maps
+  the set of class strings of g1 onto that of g2;
+- the (parent, tag) lift, because it maps each refined class onto the one
+  with the image parent and the image tag;
+- a split step, which adds the full symmetric group on each split class.
+So the final coset contains Iso, and the graph test under it removes
+exactly the non-isomorphisms; checks between phases could only prune.
 """
 
 from __future__ import annotations
@@ -127,45 +139,6 @@ def _index_of(classes) -> dict[int, int]:
     return out
 
 
-def _quotient_graph(graph: ColoredGraph, classes: list[tuple[int, ...]],
-                    encode: dict) -> ColoredGraph:
-    """Vertex colors: multiset of original colors; arc colors: multisets of
-    original arc colors between the classes."""
-    idx = _index_of(classes)
-    m = len(classes)
-    vcolors = []
-    for cls in classes:
-        key = ("v", tuple(sorted(graph.vertex_colors[v] for v in cls)))
-        vcolors.append(encode.setdefault(key, len(encode)))
-    arcs: dict[tuple[int, int], list] = {}
-    for e in graph.edges:
-        u, v = sorted(e)
-        iu, iv = idx[u], idx[v]
-        if iu == iv:
-            # arcs inside one class are reflected in the vertex color instead
-            continue
-        arcs.setdefault((iu, iv), []).append(
-            (graph.arc_colors[(u, v)], graph.arc_colors[(v, u)]))
-        arcs.setdefault((iv, iu), []).append(
-            (graph.arc_colors[(v, u)], graph.arc_colors[(u, v)]))
-    # arcs within a class change the class's own color (loop data)
-    loop_data: dict[int, list] = {i: [] for i in range(m)}
-    for e in graph.edges:
-        u, v = sorted(e)
-        if idx[u] == idx[v]:
-            loop_data[idx[u]].append(tuple(sorted(
-                (graph.arc_colors[(u, v)], graph.arc_colors[(v, u)]))))
-    final_vcolors = []
-    for i in range(m):
-        key = ("vl", vcolors[i], tuple(sorted(loop_data[i])))
-        final_vcolors.append(encode.setdefault(key, len(encode)))
-    arc_color_map = {}
-    for (iu, iv), data in arcs.items():
-        key = ("a", tuple(sorted(data)))
-        arc_color_map[(iu, iv)] = encode.setdefault(key, len(encode))
-    return ColoredGraph.build(m, arc_color_map, final_vcolors)
-
-
 def _class_strings(graph: ColoredGraph, classes: list[tuple[int, ...]],
                    encode: dict) -> dict[int, tuple]:
     """For each vertex: its refinement string over the current classes."""
@@ -198,24 +171,26 @@ def _split_classes(classes: list[tuple[int, ...]], groups: dict[int, tuple]
     return out
 
 
-def _lift(gens: Sequence[Permutation], rep: Permutation, key1: list, key2: list,
-          act: Optional[Callable] = None,
+def _lift(coset: IsoCoset, key1: list, key2: list, act: Optional[Callable] = None,
           kernel: Sequence[Permutation] = ()) -> IsoCoset:
-    """The coset ``<gens> * rep`` on old classes, carried to refined classes.
+    """A coset on old classes, carried to refined classes.
 
     ``key1[i]`` and ``key2[i]`` name refined class i of each side as
     (parent old class, tag); g sends (p, tag) to (g(p), act(tag, g)), or to
     (g(p), tag) without ``act``.  Generators are looked up in side 1's names,
     the representative in side 2's; ``kernel`` generators, which fix every
-    parent, go after the lifted ones.  Empty when an image name is missing.
+    parent, go after the lifted ones.  Empty when the coset is, or when an
+    image name is missing.
     """
     def image(name: tuple, g: Permutation) -> tuple:
         p, tag = name
         return g.images[p], tag if act is None else act(tag, g)
 
+    if coset.is_empty:
+        return coset
     try:
-        lifted = induced_action(key1, image, gens)
-        [rep_img] = induced_action(key1, image, [rep], targets=key2)
+        lifted = induced_action(key1, image, coset.group.generators)
+        [rep_img] = induced_action(key1, image, [coset.rep], targets=key2)
     except NotInvariant:
         return IsoCoset.empty()
     return IsoCoset(PermGroup(lifted + list(kernel), len(key1)), rep_img)
@@ -225,24 +200,10 @@ def _permuted(letters: tuple, g: Permutation) -> tuple:
     return ColoredString(letters).apply(g).letters
 
 
-def _quotient_check(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
-                    coset: IsoCoset, budget: Budget) -> IsoCoset:
-    """Constrain the coset by isomorphism of the quotient graphs."""
-    if coset.is_empty:
-        return coset
-    encode: dict = {}
-    q1 = _quotient_graph(g1, cls1, encode)
-    q2 = _quotient_graph(g2, cls2, encode)
-    res = graph_iso_under_group(q1, q2.apply(coset.rep.inverse()), coset.group,
-                                budget=budget)
-    return res.shifted(coset.rep)
-
-
 def _replay_refinement(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
                        coset: IsoCoset, budget: Budget
                        ) -> tuple[list, list, IsoCoset, bool]:
-    """Replay refinement rounds: a set-of-strings instance per round, then
-    the quotient-graph constraint on the refined classes."""
+    """Replay refinement rounds, a set-of-strings instance per round."""
     progressed = False
     while True:
         if coset.is_empty:
@@ -262,25 +223,16 @@ def _replay_refinement(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: lis
         xs = [ColoredString(l) for l in str1.values()]
         ys = [ColoredString(l).apply(back) for l in str2.values()]
         res = set_of_strings_iso(coset.group, xs, ys, budget).shifted(coset.rep)
-        if res.is_empty:
-            return new1, new2, res, progressed
         # a refined class is named by its parent and its string
         idx1, idx2 = _index_of(cls1), _index_of(cls2)
-        coset = _lift(res.group.generators, res.rep,
-                      [(idx1[c[0]], str1[c[0]]) for c in new1],
+        coset = _lift(res, [(idx1[c[0]], str1[c[0]]) for c in new1],
                       [(idx2[c[0]], str2[c[0]]) for c in new2], act=_permuted)
         cls1, cls2 = new1, new2
-        coset = _quotient_check(g1, g2, cls1, cls2, coset, budget)
 
 
-def _replay_split(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
-                  coset: IsoCoset, t: int, budget: Budget
+def _replay_split(cls1: list, cls2: list, coset: IsoCoset, t: int
                   ) -> tuple[list, list, IsoCoset, bool]:
-    """One splitting phase; always ends with the quotient-graph constraint
-    (at discrete classes that constraint is full graph isomorphism)."""
-    if coset.is_empty:
-        return cls1, cls2, coset, False
-
+    """One splitting phase: every class of size at most t becomes discrete."""
     def split(classes):
         """The split classes, each named by its parent and its rank among
         its siblings."""
@@ -293,7 +245,7 @@ def _replay_split(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
 
     (new1, key1), (new2, key2) = split(cls1), split(cls2)
     if len(new1) == len(cls1):
-        return cls1, cls2, _quotient_check(g1, g2, cls1, cls2, coset, budget), False
+        return cls1, cls2, coset, False
     if len(new1) != len(new2):
         return new1, new2, IsoCoset.empty(), True
 
@@ -307,8 +259,7 @@ def _replay_split(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
             kernel.append(Permutation.from_cycles(m, [j, j + 1]))
             if size > 2:
                 kernel.append(Permutation.from_cycles(m, list(range(j, j + size))))
-    coset = _lift(coset.group.generators, coset.rep, key1, key2, kernel=kernel)
-    return new1, new2, _quotient_check(g1, g2, new1, new2, coset, budget), True
+    return new1, new2, _lift(coset, key1, key2, kernel=kernel), True
 
 
 def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
@@ -316,13 +267,16 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
                   t: int, budget: BudgetArg = None) -> IsoCoset:
     """{sigma : g1 ≅ g2 and sigma restricted to s1 lies in group*theta}.
 
-    ``group`` acts on the sorted positions of s1; ``theta`` maps s1 onto s2.
-    The alternation is replayed round by round: refinement rounds become
-    set-of-strings instances over the current classes, and each phase ends
-    with a quotient-graph isomorphism under the coset.  Between phases the
-    coset is lifted to the refined classes by their (parent, tag) names, as
-    the module docstring describes.  Raises NotTCRBounded when the
-    alternation stalls before both colorings are discrete.
+    ``group`` acts on the sorted positions of s1; ``theta`` must map s1
+    bijectively onto s2 (ValueError otherwise).  The alternation is replayed
+    round by round: refinement rounds become set-of-strings instances over
+    the current classes, and the coset is lifted to the refined classes by
+    their (parent, tag) names.  Once the classes are discrete, one
+    ``graph_iso_under_group`` call under the coset gives the exact answer,
+    as the module docstring argues; none runs if the replay empties the
+    coset first.  Raises NotTCRBounded only when side 1 stalls: its classes
+    stop refining before they are discrete.  Side 1's classes depend on g1,
+    s1 and t alone.
     """
     budget = Budget.of(budget)
     if g1.n != g2.n:
@@ -334,6 +288,8 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     k = len(s1_sorted)
     if group.degree != k:
         raise ValueError("group degree must equal the individualized set size")
+    if {theta.get(v) for v in s1_sorted} != set(s2_sorted):
+        raise ValueError("theta must map s1 bijectively onto s2")
 
     def initial_classes(graph, ss):
         """The classes, and their names: position i of ``ss`` is (i, None),
@@ -354,14 +310,13 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
         return IsoCoset.empty()
     pos2 = {v: i for i, v in enumerate(s2_sorted)}
     theta_pos = Permutation([pos2[theta[v]] for v in s1_sorted] + [k])
-    coset = _lift([Permutation(g.images + (k,)) for g in group.generators],
-                  theta_pos, key1, key2)
+    extended = PermGroup([Permutation(g.images + (k,)) for g in group.generators], k + 1)
+    coset = _lift(IsoCoset(extended, theta_pos), key1, key2)
 
     while True:
         cls1, cls2, coset, progress1 = _replay_refinement(g1, g2, cls1, cls2, coset,
                                                           budget)
-        cls1, cls2, coset, progress2 = _replay_split(g1, g2, cls1, cls2, coset, t,
-                                                     budget)
+        cls1, cls2, coset, progress2 = _replay_split(cls1, cls2, coset, t)
         if coset.is_empty:
             return IsoCoset.empty()
         if all(len(c) == 1 for c in cls1):
@@ -371,8 +326,12 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
                 "alternation stalled at %d classes before discreteness"
                 % len(cls1))
 
-    # vertex v is the untagged child of its class
+    # vertex v is the untagged child of its class (a lift between discrete
+    # classes is never empty); the coset now contains every isomorphism, and
+    # one graph test keeps exactly those
     idx1, idx2 = _index_of(cls1), _index_of(cls2)
-    return _lift(coset.group.generators, coset.rep,
-                 [(idx1[v], None) for v in range(n)],
-                 [(idx2[v], None) for v in range(n)])
+    coset = _lift(coset, [(idx1[v], None) for v in range(n)],
+                  [(idx2[v], None) for v in range(n)])
+    rep = coset.rep
+    return graph_iso_under_group(g1, g2.apply(rep.inverse()), coset.group,
+                                 budget=budget).shifted(rep)

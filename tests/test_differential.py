@@ -1,18 +1,21 @@
 """Differential tests: independent routes give the same coset.
 
 A graph query under a group and the same graph as an edge hypergraph must
-have the same isomorphisms, the excluded-minor pipeline must agree with the
+have the same isomorphisms, so must a hypergraph and its edge-set term as a
+hereditarily finite set, the excluded-minor pipeline must agree with the
 graph query under Sym(n) on 3-connected graphs, and ``string_iso`` must
 agree with the brute-force oracle's group enumeration, windows and shifts
 included.  Each answer's representative must lie in the other answer, and
 the orders must match.
 """
 
+import functools
 import random
 
 import pytest
 
 from setiso.graphs import ColoredGraph
+from setiso.hfs import HfsTerm, iso_hfs
 from setiso.minorfree import iso_excluded_minor
 from setiso.oracle import enumerate_group
 from setiso.perm import PermGroup, Permutation
@@ -95,6 +98,51 @@ def test_graph_route_agrees_with_the_edge_hypergraph():
                 group, PPartition.trivial(n), hypergraph_to_family(h1),
                 hypergraph_to_family(h2)))
             assert_same_coset(via_graph, via_family)
+
+
+def assert_same_answer(a, b):
+    """The same coset, by order, mutual generator containment and
+    representatives."""
+    assert_same_coset(a, b)
+    if not a.is_empty:
+        assert all(b.group.contains(g) for g in a.group.generators)
+        assert all(a.group.contains(g) for g in b.group.generators)
+
+
+def random_edges(rng, n, count):
+    """``count`` distinct nonempty hyperedges on n vertices."""
+    edges = set()
+    while len(edges) < count:
+        edges.add(frozenset(v for v in range(n) if rng.random() < 0.5)
+                  or frozenset([rng.randrange(n)]))
+    return frozenset(edges)
+
+
+def edge_set_term(h):
+    """The hereditarily finite set {{v in e} : e in E} of a hypergraph."""
+    return HfsTerm.make_set([HfsTerm.make_set([HfsTerm.make_atom(v) for v in e])
+                             for e in h.edges])
+
+
+def test_hfs_route_agrees_with_the_hypergraph_family():
+    rng = random.Random(1919)
+    for n in range(2, 9):
+        two_random = PermGroup([rand_perm(rng, n), rand_perm(rng, n)], n)
+        for group in (PermGroup(sym_on(n, range(n)), n),
+                      PermGroup(cyclic_on(n, range(n)), n), two_random):
+            for image in (True, False) * 3:
+                count = rng.randint(1, min(6, 2 ** n - 1))
+                h1 = Hypergraph(n, random_edges(rng, n, count))
+                if image:
+                    word = [rng.choice(group.generators) for _ in range(6)]
+                    h2 = h1.apply(functools.reduce(Permutation.__mul__, word))
+                else:
+                    h2 = Hypergraph(n, random_edges(rng, n, count))
+                via_hfs = iso_hfs(edge_set_term(h1), edge_set_term(h2), group)
+                via_family = generalized_string_iso(GsiInstance(
+                    group, PPartition.trivial(n), hypergraph_to_family(h1),
+                    hypergraph_to_family(h2)))
+                assert_same_answer(via_hfs, via_family)
 
 
 def prism(k):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import setiso.refine
 from setiso.graphs import ColoredGraph
 from setiso.perm import PermGroup, Permutation
 from setiso.refine import (
@@ -14,6 +15,8 @@ from setiso.refine import (
 )
 
 from util import rand_perm
+
+from test_minorfree import cube_graph
 
 
 def cycle_graph(n):
@@ -211,3 +214,34 @@ class TestIsoTcrPairs:
         g = ColoredGraph.plain(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(NotTCRBounded):
             iso_tcr_pairs(g, [], g, [], PermGroup([], 0), {}, t=1)
+
+    @pytest.mark.parametrize("theta", [{0: 0, 1: 3}, {0: 1, 1: 1}])
+    def test_theta_must_map_s1_onto_s2(self, theta):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="theta must map s1 bijectively onto s2"):
+            iso_tcr_pairs(g, [0, 1], g, [0, 1], PermGroup([], 2), theta, t=2)
+
+    def test_one_graph_test_per_pair(self, monkeypatch):
+        # the replay only narrows the coset; one graph isomorphism test at
+        # the end makes it exact, and none runs once the replay empties it
+        calls = []
+        real = setiso.refine.graph_iso_under_group
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(setiso.refine, "graph_iso_under_group", counted)
+        g1 = cube_graph()
+        s = Permutation([3, 6, 0, 7, 1, 5, 2, 4])
+        triple = [0, 1, 2]
+        res = iso_tcr_pairs(g1, triple, g1.apply(s), [s.images[v] for v in triple],
+                            PermGroup([], 3), {v: s.images[v] for v in triple}, t=2)
+        assert res.order() == 1 and res.rep == s
+        assert len(calls) == 1
+
+        calls.clear()
+        p4 = path_graph(4)
+        star = ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])
+        assert iso_tcr_pairs(p4, [], star, [], PermGroup([], 0), {}, t=4).is_empty
+        assert calls == []
