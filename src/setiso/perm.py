@@ -31,10 +31,21 @@ order as they are, so Schreier-Sims does each step once:
   complete, so the build stops there with the chain a full check would end
   with, and ``order`` needs no chain at all;
 - ``GroupHom`` keeps its two chains over the combined source and target
-  action.  The target-first chain serves ``preimage`` and also ``kernel``,
-  whose generators it already holds; the source-first chain is built on the
-  first ``apply``.  The target-first chain states no order: comparing its
-  order with the source's is the homomorphism check.
+  action, each built on first use.  The target-first chain serves
+  ``preimage``, ``image`` and also ``kernel``, whose generators it already
+  holds; the source-first chain serves ``apply``.  The combined group is
+  the graph {(g, hom(g))} when the images define a homomorphism, and the
+  projection onto the source is then an isomorphism, so its order is
+  exactly |source|.  The public constructor builds the target-first chain
+  with no stated order and compares its order with the source's: that is
+  the homomorphism check.  The induced actions built here and in the
+  reductions (``block_action``, ``restrict``, the solver's window-product
+  action, the branch action by token relabeling and the simplify point
+  lift) pass the images of the source's own action on an invariant list,
+  so g -> action(g) is a homomorphism by construction (the action of g * h
+  is the action of g followed by that of h); their target-first chain
+  states |source| and stops as soon as it is complete, with the chain the
+  check would build.
 
 Every enumeration runs through one loop, ``_products``: a depth-first walk
 over products of transversal elements that calls ``step(state,
@@ -150,8 +161,10 @@ class Permutation:
         return frozenset(self.images[p] for p in points)
 
     def restrict(self, points: Iterable[int]) -> "Permutation":
-        """The action on an invariant set, relabeled to 0..|A|-1 in point order."""
-        pts = sorted(set(points))
+        """The action on an invariant set, relabeled to 0..|A|-1 in point order.
+
+        Raises ValueError when a point lies outside 0..n-1."""
+        pts = _checked_points(points, self.degree)
         pos = {p: i for i, p in enumerate(pts)}
         try:
             # an injective map of a finite set into itself is a bijection
@@ -265,9 +278,7 @@ class PermGroup:
                 raise DegreeMismatch("generator degree %d does not match %d" % (g.degree, degree))
             if not g.is_identity() and g not in gens:
                 gens.append(g)
-        for b in base_prefix:
-            if not 0 <= b < degree:
-                raise ValueError("points must lie in 0..%d" % (degree - 1))
+        _checked_points(base_prefix, degree)
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self._base_prefix = tuple(base_prefix)
@@ -512,7 +523,7 @@ class PermGroup:
         blocks = sorted((frozenset(b) for b in blocks), key=min)
         # looking up each image block is the invariance check
         images = induced_action(blocks, lambda blk, g: g.apply_set(blk), self.generators)
-        return GroupHom(self, len(blocks), images)
+        return GroupHom(self, len(blocks), images, _induced=True)
 
     def block_stabilizer(self, blocks: Sequence[frozenset], idx: int) -> "PermGroup":
         """Setwise stabilizer of block ``idx`` (blocks sorted by minimum) of
@@ -574,11 +585,21 @@ class PermGroup:
         """Induced action on an invariant set, relabeled to 0..|A|-1.
 
         Points keep their relative order.  Returns the restricted group and
-        the projection homomorphism.
+        the projection homomorphism.  Raises ValueError when a point lies
+        outside 0..n-1.
         """
-        pts = sorted(set(points))
-        hom = GroupHom(self, len(pts), [g.restrict(pts) for g in self.generators])
+        pts = _checked_points(points, self.degree)
+        hom = GroupHom(self, len(pts), [g.restrict(pts) for g in self.generators],
+                       _induced=True)
         return hom.image(), hom
+
+
+def _checked_points(points: Iterable[int], degree: int) -> list[int]:
+    """The distinct points in increasing order; ValueError outside 0..degree-1."""
+    pts = sorted(set(points))
+    if pts and not (0 <= pts[0] and pts[-1] < degree):
+        raise ValueError("points must lie in 0..%d" % (degree - 1))
+    return pts
 
 
 def induced_action(names: Sequence, act: Callable[[object, object], object],
@@ -624,11 +645,16 @@ class GroupHom:
 
     Evaluation, kernel and preimage all run over a combined action on the
     disjoint union of source and target domains, so everything stays exact
-    and deterministic.
+    and deterministic.  The constructor checks that the images define a
+    homomorphism (ValueError otherwise) by building the target-first chain.
+    ``_induced`` says that the images are the source's own action on an
+    invariant list, a homomorphism by construction: the check is skipped,
+    and the target-first chain states the source's order and is built on
+    first use (see the module docstring).
     """
 
     def __init__(self, source: PermGroup, target_degree: int,
-                 images: Sequence[Permutation]):
+                 images: Sequence[Permutation], _induced: bool = False):
         if len(images) != len(source.generators):
             raise ValueError("need one image per source generator")
         for im in images:
@@ -637,19 +663,25 @@ class GroupHom:
         self.source = source
         self.target_degree = target_degree
         self.gen_images = tuple(images)
-        n, k = source.degree, target_degree
+        self._induced = _induced
+        n = source.degree
         self._combined = [
             Permutation(tuple(g.images) + tuple(n + j for j in im.images))
             for g, im in zip(source.generators, images)
         ]
-        self._tgt_first = PermGroup(self._combined, n + k,
-                                    base_prefix=self._moved(self._combined, n, n + k))
-        if self._tgt_first.order() != source.order():
+        if not _induced and self._tgt_first.order() != source.order():
             raise ValueError("generator images do not define a homomorphism")
 
     @functools.cached_property
+    def _tgt_first(self) -> PermGroup:
+        n, k = self.source.degree, self.target_degree
+        return PermGroup(self._combined, n + k,
+                         base_prefix=self._moved(self._combined, n, n + k),
+                         _order=self.source.order() if self._induced else None)
+
+    @functools.cached_property
     def _src_first(self) -> PermGroup:
-        # only apply() reads this chain, so it is built on first use
+        # only apply() reads this chain
         n = self.source.degree
         return PermGroup(self._combined, n + self.target_degree,
                          base_prefix=self._moved(self._combined, 0, n),

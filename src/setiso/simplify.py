@@ -171,7 +171,8 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
                   else (partition.image_class(c, g), ()))
         return g.images[p], c2, z2
 
-    psi = GroupHom(group, n2, induced_action(new_points, lift_point, group.generators))
+    psi = GroupHom(group, n2, induced_action(new_points, lift_point, group.generators),
+                   _induced=True)
     lifted_group = psi.image()
 
     split_classes: dict[tuple, list[int]] = {}

@@ -309,7 +309,8 @@ def _combine_group(group: PermGroup, partition: PPartition,
                            group.generators) for v, ins in zip((v1, v2), inside)]
     images = [Permutation([i * len(v2) + j for i in a1.images for j in a2.images])
               for a1, a2 in zip(*acts)]
-    hom = GroupHom(group, size, images)
+    # the product of two induced actions is an action of the group
+    hom = GroupHom(group, size, images, _induced=True)
     return hom.pull_back(string_iso(StringQuery(hom.image(), sx, sy, budget=budget)))
 
 

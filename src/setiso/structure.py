@@ -205,12 +205,15 @@ def branch_action(sg: StructureGraph) -> tuple[GroupHom, list[tuple]]:
 
     Returns ``(psi, branches)``: the homomorphism psi onto Sym(branches) and
     the maximal branches in their canonical order.  L commutes: the leaf of
-    a mapped branch is the image of the branch's leaf.
+    a mapped branch is the image of the branch's leaf.  Token relabeling is
+    an action of the group, so without ``action_maps`` psi is a
+    homomorphism by construction; given maps are checked.
     """
     branches = sg.maximal_branches()
     gen_images = induced_action(branches, lambda b, amap: tuple(amap[v] for v in b),
                                 sg._generator_maps())
-    return GroupHom(sg.group, len(branches), gen_images), branches
+    return (GroupHom(sg.group, len(branches), gen_images, _induced=sg.action_maps is None),
+            branches)
 
 
 def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:

@@ -285,6 +285,11 @@ class TestHomTools:
         p = Permutation([2, 0, 1])
         assert preimage(p) == p
 
+    def test_constructor_rejects_images_that_are_no_homomorphism(self):
+        # (0 1) -> identity and (0 1 2) -> (0 1): the relation (0 1 2)^3 = 1 fails
+        with pytest.raises(ValueError, match="do not define a homomorphism"):
+            GroupHom(sym(3), 2, [Permutation.identity(2), Permutation.from_cycles(2, [0, 1])])
+
     def test_preimage_absent(self):
         c4 = PermGroup([Permutation([1, 2, 3, 0])], 4)
         sq = Permutation([2, 3, 0, 1])
@@ -394,6 +399,18 @@ class TestRestrictAction:
         g = PermGroup(gens, 5)
         sub, _ = g.restrict([3, 4])
         assert sub.order() == 2
+
+    def test_permutation_restrict_rejects_outside_points(self):
+        p = Permutation.from_cycles(4, [0, 1])
+        for pts in ([-1, 3], [0, 1, 4]):
+            with pytest.raises(ValueError, match="points must lie in 0..3"):
+                p.restrict(pts)
+
+    def test_group_restrict_rejects_outside_points(self):
+        for g in (sym(4), PermGroup([], 4)):
+            for pts in ([0, 1, 7], [-1]):
+                with pytest.raises(ValueError, match="points must lie in 0..3"):
+                    g.restrict(pts)
 
 
 class TestIsoCosetAndUnions:

@@ -5,13 +5,14 @@ its work."""
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setiso.perm import IsoCoset, Permutation, PermGroup, _pointwise
+from setiso.perm import GroupHom, IsoCoset, Permutation, PermGroup, _pointwise
 from setiso.pstrings import PPartition, PString, make_family
-from setiso.solver import _iso_elements, family_image_key
+from setiso.solver import GsiInstance, _iso_elements, family_image_key, generalized_string_iso
 from setiso.strings import ColoredString, StringQuery, string_iso
 
 from util import (closure, rand_family_on, rand_group, rand_invariant_partition, rand_perm,
@@ -240,6 +241,54 @@ def test_stated_orders_give_the_unstated_chains(n, rng):
         assert h.order() == plain.order()
 
 
+def _shifted(perms, offset, n):
+    """The permutations moved onto the points offset, offset + 1, ... of Sym(n)."""
+    return [Permutation(list(range(offset)) + [offset + i for i in p.images]
+                        + list(range(offset + p.degree, n))) for p in perms]
+
+
+def test_solver_homs_give_the_unstated_chains():
+    """Every homomorphism a multi-orbit family query builds is an induced
+    action whose target-first chain states |source|: it has the chain of
+    the same build without the order, and that build's order is |source|,
+    which is the check the public constructor makes."""
+    rng = random.Random(3)
+    # S2 wr S4 x S3 wr S2 on 8 + 6 points, the blocks as classes
+    n = 14
+    group = PermGroup(_shifted(_wreath(2, 4), 0, n) + _shifted(_wreath(3, 2), 8, n), n)
+    part = PPartition.from_classes(n, [{0, 1}, {2, 3}, {4, 5}, {6, 7},
+                                       {8, 9, 10}, {11, 12, 13}])
+    built = []
+    init = GroupHom.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        callers = set()
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        built.append((self, callers))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroupHom, "__init__", spy)
+        for _ in range(12):
+            x = rand_family_on(rng, part)
+            g = Permutation.identity(n)
+            for _ in range(12):
+                g = g * rng.choice(group.generators)
+            y = x.apply(g) if rng.random() < 0.6 else rand_family_on(rng, part)
+            generalized_string_iso(GsiInstance(group, part, x, y))
+    for name in ("_combine_group", "balance_orbits", "_enforce_window"):
+        assert any(name in callers for _, callers in built)
+    for hom, _ in built:
+        assert hom._induced
+        chain = hom._tgt_first
+        plain = PermGroup(chain.generators, chain.degree, base_prefix=chain._base_prefix)
+        assert _chain(chain) == _chain(plain)
+        assert plain.order() == hom.source.order()
+
+
 def test_a_stated_order_above_the_group_order_raises():
     gens = [Permutation.from_cycles(3, [0, 1]), Permutation.from_cycles(3, [0, 1, 2])]
     g = PermGroup(gens, 3, _order=12)
@@ -296,4 +345,4 @@ def test_kernel_work_is_pinned():
     assert _count_work(lambda: PermGroup(sym8, 8).order()) == (116, 1)
     assert _count_work(lambda: PermGroup(_wreath(3, 4), 12).order()) == (55, 1)
     query = _seeded_wreath_string_query()
-    assert _count_work(lambda: string_iso(query)) == (288, 26)
+    assert _count_work(lambda: string_iso(query)) == (268, 26)

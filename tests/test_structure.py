@@ -16,6 +16,7 @@ from setiso.structure import (
     is_almost_d_ary,
     orbit_trees,
     relabel_token,
+    branch_action,
     branch_leaf,
     tree_from_chain,
     unfold_and_act,
@@ -88,6 +89,18 @@ class TestStructureGraphBasics:
         with pytest.raises(ValueError):
             StructureGraph(g, root, [(root, ("leaf", 0)), (root, ("leaf", 1))],
                            action_maps=maps)
+
+    def test_branch_action_checks_given_action_maps(self):
+        # (0 1 2) with the twin vertices u and v swapped: a valid graph
+        # automorphism, but it has order 6 on the branches and C3 has order 3
+        c = Permutation.from_cycles(3, [0, 1, 2])
+        root, u, v = ("tag", ("r",)), ("tag", ("u",)), ("tag", ("v",))
+        leaves = [("leaf", p) for p in range(3)]
+        arcs = [(root, u), (root, v)] + [(w, leaf) for w in (u, v) for leaf in leaves]
+        amap = {root: root, u: v, v: u, **{("leaf", p): ("leaf", c(p)) for p in range(3)}}
+        sg = StructureGraph(PermGroup([c], 3), root, arcs, action_maps=[amap])
+        with pytest.raises(ValueError, match="do not define a homomorphism"):
+            branch_action(sg)
 
     def test_branch_cap(self):
         g = PermGroup([], 1)
