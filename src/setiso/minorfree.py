@@ -4,15 +4,18 @@ The pipeline individualizes one vertex triple of the first graph and
 searches the ordered triples of the second as an individualization-
 refinement tree (McKay and Piperno, *Practical graph isomorphism II*, 2014):
 each prefix is individualized and refined, and a branch survives only while
-its refinement matches the first graph's.  The (h-1)-CR alternation runs on
-both sides of every surviving triple, which is then solved as a
-t-CR-bounded pair.  The prune is exact: refinement ids are canonical, so no
-isomorphism extends a dropped prefix, and a dropped triple could not have
-stalled either, because the replay stalls only on a first side that is not
-discrete, and that side is checked once up front (``iso_excluded_minor``
-gives the argument in full).  A stalled sequence is a diagnosable symptom of
-a broken promise: on small inputs it falls back to graph isomorphism under
-the full symmetric group, and otherwise it errors, never answering wrongly.
+its refinement matches the first graph's.  A surviving triple that the
+isomorphisms found so far already carry the base triple onto is skipped
+(the automorphism prune of the same tree); the (h-1)-CR alternation runs on
+both sides of every other one, which is then solved as a t-CR-bounded pair.
+Both prunes are exact: refinement ids are canonical, so no isomorphism
+extends a dropped prefix, a skipped triple's isomorphisms are already in the
+answer, and neither kind could have stalled, because the replay stalls only
+on a first side that is not discrete, and that side is checked once up
+front (``iso_excluded_minor`` gives the argument in full).  A stalled
+sequence is a diagnosable symptom of a broken promise: on small inputs it
+falls back to graph isomorphism under the full symmetric group, and
+otherwise it errors, never answering wrongly.
 """
 
 from __future__ import annotations
@@ -67,19 +70,50 @@ def is_connected(graph: ColoredGraph, removed: frozenset = frozenset()) -> bool:
 
 
 def is_three_connected(graph: ColoredGraph) -> bool:
-    """Brute force: delete every vertex pair and test connectivity."""
+    """At least 4 vertices, and no two of them cut the graph.
+
+    A pair {u, v} cuts G exactly when v cuts G - u or G - u is disconnected,
+    so one lowpoint search per deleted vertex decides it: O(n (n + m)).
+    """
     if graph.n < 4:
         return False
-    if not is_connected(graph):
-        return False
-    for u in range(graph.n):
-        if not is_connected(graph, frozenset({u})):
-            return False
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            if not is_connected(graph, frozenset({u, v})):
-                return False
-    return True
+    neighbors = graph.neighbor_table()
+    return not any(_has_cut_vertex(neighbors, u) for u in range(graph.n))
+
+
+def _has_cut_vertex(neighbors: Sequence[Sequence[int]], removed: int) -> bool:
+    """Whether the graph minus vertex ``removed`` is disconnected or has a
+    cut vertex: an iterative depth-first search with lowpoints (Hopcroft
+    and Tarjan 1973).  A non-root vertex p cuts exactly when some child c
+    has low[c] >= disc[p], and the root exactly when it has two children."""
+    n = len(neighbors)
+    root = 1 if removed == 0 else 0
+    disc = [-1] * n
+    low = [0] * n
+    disc[root] = 0
+    seen = 1
+    root_children = 0
+    stack = [(root, -1, iter(neighbors[root]))]
+    while stack:
+        v, parent, rest = stack[-1]
+        for w in rest:
+            if w == removed or w == parent:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                stack.append((w, v, iter(neighbors[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                if low[v] >= disc[parent]:
+                    return True
+                low[parent] = min(low[parent], low[v])
+    return root_children > 1 or seen < n - 1
 
 
 @dataclass
@@ -148,10 +182,15 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     ``base_triple[:i]`` in g1.  A prefix whose sorted color ids differ from
     g1's is dropped; otherwise it is extended, in increasing vertex order,
     by the vertices whose id is that of ``base_triple[i]`` in g1.  So the
-    surviving triples come out in sorted order.  Each one is screened by
-    the exact trace invariant of the (h-1)-CR sequence and then decided as
-    a t-CR-bounded pair with the trivial group matching the triples.  One
-    budget bounds the pairs of all triples.
+    surviving triples come out in sorted order.  A surviving triple that
+    is covered (below) is skipped; every other one is screened by the exact
+    trace invariant of the (h-1)-CR sequence and then decided as a
+    t-CR-bounded pair with the trivial group matching the triples.  Its
+    piece, {sigma : sigma(base) = triple}, goes into one ``CosetUnion``.
+    Whenever the union grows, the covered set becomes the images of the
+    base triple under the union: the orbit of the ordered base triple under
+    the union's group, mapped by its representative (``h * rep`` applies h
+    first).  One budget bounds the pairs of all triples.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -159,13 +198,22 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
       onto g2's, id for id.  A pruned triple has no isomorphism extending
       it, its piece would be empty, and an empty piece leaves the
       ``CosetUnion`` unchanged.
-    - A pruned triple cannot have stalled either.  ``iso_tcr_pairs`` raises
-      ``NotTCRBounded`` only when its side-1 classes stop before they are
-      discrete.  Side 1 is always (g1, base triple), and its replay walks
-      the partitions of ``tcr_sequence(g1, base_triple, t)`` (both refine
-      to the coarsest stable partition, then split the same small
-      classes).  That sequence is checked to be discrete before the
-      search, so side 1 progresses in every round until it is discrete.
+    - A covered triple's piece is already in the union.  A nonempty piece
+      is Stab * sigma, with Stab the automorphisms of g1 that fix the base
+      triple pointwise and sigma any isomorphism in the piece.  The first
+      nonempty piece makes the union's group contain Stab, and the group
+      only grows.  A covered triple is sigma(base) for some sigma in the
+      union, so its piece Stab * sigma lies in the union as well:
+      ``CosetUnion.add`` would find every candidate already a member and
+      leave the generators and the representative as they are.
+    - A pruned or skipped triple cannot have stalled either.
+      ``iso_tcr_pairs`` raises ``NotTCRBounded`` only when its side-1
+      classes stop before they are discrete.  Side 1 is always (g1, base
+      triple), and its replay walks the partitions of
+      ``tcr_sequence(g1, base_triple, t)`` (both refine to the coarsest
+      stable partition, then split the same small classes).  That sequence
+      is checked to be discrete before the search, so side 1 progresses in
+      every round until it is discrete.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
@@ -224,12 +272,31 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
             return None  # signals a stall that the screen did not catch
 
     union = CosetUnion(n)
+    covered: set[tuple[int, ...]] = set()
     for triple in triples():
+        if triple in covered:
+            continue
         res = examine(triple)
         if res is None:
             return _stall_fallback(g1, g2, budget)
-        union.add(res)
+        if union.add(res):
+            covered = _images(union.result(), base_triple)
     return union.result()
+
+
+def _images(coset: IsoCoset, points: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """{sigma(points) : sigma in coset}: the orbit of the tuple under the
+    group, mapped by the representative."""
+    orbit = {points}
+    queue = [points]
+    for p in queue:
+        for g in coset.group.generators:
+            q = tuple(g.images[a] for a in p)
+            if q not in orbit:
+                orbit.add(q)
+                queue.append(q)
+    rep = coset.rep.images
+    return {tuple(rep[a] for a in p) for p in orbit}
 
 
 def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, budget: Budget) -> IsoCoset:

@@ -40,7 +40,8 @@ order as they are, so Schreier-Sims does each step once:
   with no stated order and compares its order with the source's: that is
   the homomorphism check.  The induced actions built here and in the
   reductions (``block_action``, ``restrict``, the solver's window-product
-  action, the branch action by token relabeling and the simplify point
+  action, the branch action of a structure graph, whose vertex maps are
+  checked to be an action when the graph is built, and the simplify point
   lift) pass the images of the source's own action on an invariant list,
   so g -> action(g) is a homomorphism by construction (the action of g * h
   is the action of g followed by that of h); their target-first chain

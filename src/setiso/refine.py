@@ -27,7 +27,9 @@ keeps every isomorphism that respects the coset before it:
   with the image parent and the image tag;
 - a split step, which adds the full symmetric group on each split class.
 So the final coset contains Iso, and the graph test under it removes
-exactly the non-isomorphisms; checks between phases could only prune.
+exactly the non-isomorphisms; checks between phases could only prune.  A
+final coset with the trivial group is one permutation, and its graph test
+is one comparison of graphs.
 """
 
 from __future__ import annotations
@@ -271,12 +273,14 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     bijectively onto s2 (ValueError otherwise).  The alternation is replayed
     round by round: refinement rounds become set-of-strings instances over
     the current classes, and the coset is lifted to the refined classes by
-    their (parent, tag) names.  Once the classes are discrete, one
-    ``graph_iso_under_group`` call under the coset gives the exact answer,
-    as the module docstring argues; none runs if the replay empties the
-    coset first.  Raises NotTCRBounded only when side 1 stalls: its classes
-    stop refining before they are discrete.  Side 1's classes depend on g1,
-    s1 and t alone.
+    their (parent, tag) names.  Once the classes are discrete, one graph
+    test under the coset gives the exact answer, as the module docstring
+    argues; none runs if the replay empties the coset first.  When the
+    coset's group is trivial the test is ``g1.apply(rep) == g2`` and one
+    budget tick; otherwise it is one ``graph_iso_under_group`` call.
+    Raises NotTCRBounded only when side 1 stalls: its classes stop refining
+    before they are discrete.  Side 1's classes depend on g1, s1 and t
+    alone.
     """
     budget = Budget.of(budget)
     if g1.n != g2.n:
@@ -333,5 +337,12 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     coset = _lift(coset, [(idx1[v], None) for v in range(n)],
                   [(idx2[v], None) for v in range(n)])
     rep = coset.rep
+    if coset.group.is_trivial():
+        budget.tick()
+        if g1.apply(rep) != g2:
+            return IsoCoset.empty()
+        # no generators, as the solver answers: the lifted group may list
+        # identities, which a CosetUnion would carry into the answer
+        return IsoCoset(PermGroup([], n), rep)
     return graph_iso_under_group(g1, g2.apply(rep.inverse()), coset.group,
                                  budget=budget).shifted(rep)

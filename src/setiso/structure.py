@@ -81,7 +81,9 @@ class StructureGraph:
 
     ``action_maps`` gives one vertex map per group generator; when omitted the
     action is derived by token relabeling (only possible for canonical-token
-    graphs).
+    graphs).  Given maps must define a group action: each one a graph
+    automorphism extending its generator on the leaves, and together a
+    homomorphism into the permutations of the vertices.
     """
 
     def __init__(self, group: PermGroup, root, arcs: Iterable[tuple],
@@ -142,6 +144,15 @@ class StructureGraph:
                     raise InvalidStructureGraph("action does not extend the generator on leaves")
             if {(amap[u], amap[v]) for u, v in self.arcs} != self.arcs:
                 raise InvalidStructureGraph("action does not map arcs to arcs")
+        if self.action_maps is not None:
+            # given maps must also compose as the generators do
+            names = sorted(self.vertices, key=token_key)
+            images = induced_action(names, lambda v, amap: amap[v], self.action_maps)
+            try:
+                GroupHom(self.group, len(names), images)
+            except ValueError:
+                raise InvalidStructureGraph(
+                    "action maps do not define a group action") from None
 
     def _generator_maps(self) -> list[dict]:
         if self.action_maps is not None:
@@ -205,15 +216,14 @@ def branch_action(sg: StructureGraph) -> tuple[GroupHom, list[tuple]]:
 
     Returns ``(psi, branches)``: the homomorphism psi onto Sym(branches) and
     the maximal branches in their canonical order.  L commutes: the leaf of
-    a mapped branch is the image of the branch's leaf.  Token relabeling is
-    an action of the group, so without ``action_maps`` psi is a
-    homomorphism by construction; given maps are checked.
+    a mapped branch is the image of the branch's leaf.  The vertex maps are
+    a group action (token relabeling is one, and given maps are checked
+    when the graph is built), so psi is a homomorphism by construction.
     """
     branches = sg.maximal_branches()
     gen_images = induced_action(branches, lambda b, amap: tuple(amap[v] for v in b),
                                 sg._generator_maps())
-    return (GroupHom(sg.group, len(branches), gen_images, _induced=sg.action_maps is None),
-            branches)
+    return GroupHom(sg.group, len(branches), gen_images, _induced=True), branches
 
 
 def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from setiso.minorfree import (
     k3h_genus_table,
     lemma_small_class,
 )
-from setiso.perm import PermGroup, Permutation
+from setiso.perm import CosetUnion, PermGroup, Permutation
 from setiso.refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
 from setiso.strings import Budget, BudgetExceeded
 
@@ -61,6 +62,22 @@ def dodecahedron():
         (15, 16), (16, 17), (17, 18), (18, 19), (19, 15),
     ]
     return ColoredGraph.plain(20, edges)
+
+
+def prism(k, colored=()):
+    """C_k x K_2: rims 0..k-1 and k..2k-1 with rungs i -- k+i; the vertices
+    in ``colored`` get color 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return ColoredGraph.plain(2 * k, edges,
+                              [int(v in colored) for v in range(2 * k)])
+
+
+def wheel(k):
+    """The rim cycle 0..k-1 and the hub k."""
+    return ColoredGraph.plain(k + 1, [(i, (i + 1) % k) for i in range(k)]
+                              + [(i, k) for i in range(k)])
 
 
 def brute_iso_count(g1, g2):
@@ -155,6 +172,47 @@ class TestThreeConnectivity:
     def test_dodecahedron(self):
         assert is_three_connected(dodecahedron())
 
+    def test_agrees_with_pair_deletion(self):
+        def brute(g):
+            """At least 4 vertices, and deleting no set of at most two of
+            them disconnects the rest."""
+            if g.n < 4:
+                return False
+            nbrs = g.neighbor_table()
+
+            def connected(cut):
+                alive = [v for v in range(g.n) if v not in cut]
+                seen, stack = {alive[0]}, [alive[0]]
+                while stack:
+                    for w in nbrs[stack.pop()]:
+                        if w not in cut and w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                return len(seen) == len(alive)
+            return all(connected(cut) for k in range(3)
+                       for cut in itertools.combinations(range(g.n), k))
+
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        two_cut = ColoredGraph.plain(6, k4 + [(0, 4), (0, 5), (1, 4), (1, 5), (4, 5)])
+        two_k4 = ColoredGraph.plain(8, k4 + [(i + 4, j + 4) for i, j in k4])
+        named = [(complete_graph(4), True), (wheel(4), True), (wheel(9), True),
+                 (prism(3), True), (prism(6), True), (two_cut, False),
+                 (two_k4, False), (complete_graph(3), False)]
+        for g, expected in named:
+            assert is_three_connected(g) == brute(g) == expected
+
+        rng = random.Random(31)
+        verdicts = Counter()
+        for _ in range(2000):
+            n = rng.randint(4, 10)
+            p = rng.uniform(0.3, 0.9)
+            g = ColoredGraph.plain(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                       if rng.random() < p])
+            verdict = is_three_connected(g)
+            assert verdict == brute(g), sorted(tuple(sorted(e)) for e in g.edges)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 300
+
 
 class TestIsoExcludedMinor:
     def test_k4_self(self):
@@ -204,19 +262,87 @@ class TestIsoExcludedMinor:
                     assert g1.apply(gen) == g1
 
     def test_search_replays_only_matching_triples(self, monkeypatch):
-        # the refinement prune leaves one triple per automorphism: 48 of the
-        # 192 triples that pass the trace screen on the cube
+        # the refinement prune leaves one triple per automorphism, 48 on the
+        # cube, and the triples the union already covers are skipped: 4 are
+        # replayed, in sorted order, and each one grows the union
+        calls, pieces = [], []
+
+        def counting(*args):
+            calls.append(args[3])
+            pieces.append(iso_tcr_pairs(*args))
+            return pieces[-1]
+        monkeypatch.setattr(minorfree, "iso_tcr_pairs", counting)
+        cube = cube_graph()
+        res = iso_excluded_minor(cube, cube.apply(rand_perm(random.Random(5), 8)), 3)
+        assert res.order() == 48
+        assert len(calls) == 4
+        assert calls == sorted(calls)
+        union = CosetUnion(8)
+        assert all(union.add(piece) for piece in pieces)
+
+    def test_skipping_covered_triples_keeps_the_union(self, monkeypatch):
+        # the loop without the skip, through public pieces: every triple
+        # that survives the refinement prune and the trace screen is
+        # replayed and added.  The generators and the representative must
+        # match; each skipped triple must carry an isomorphism (its piece is
+        # covered, so nonempty), and each replayed one must grow the union
+        def every_piece(g1, g2, t):
+            base = (0, 1, 2)
+            _, _, trace1 = tcr_sequence(g1, base, t)
+
+            def ids(g, prefix):
+                return color_refinement(g, [
+                    ("s", prefix.index(v)) if v in prefix else ("c", g.vertex_colors[v])
+                    for v in range(g.n)]).ids
+
+            base_ids = [ids(g1, base[:i]) for i in range(3)]
+            pieces = {}
+
+            def extend(prefix):
+                i = len(prefix)
+                if i == 3:
+                    _, discrete2, trace2 = tcr_sequence(g2, prefix, t)
+                    if discrete2 and trace2 == trace1:
+                        pieces[prefix] = iso_tcr_pairs(g1, base, g2, prefix, PermGroup([], 3),
+                                                       dict(zip(base, prefix)), t)
+                    return
+                here = ids(g2, prefix)
+                if sorted(here) != sorted(base_ids[i]):
+                    return
+                for v in range(g2.n):
+                    if here[v] == base_ids[i][base[i]] and v not in prefix:
+                        extend(prefix + (v,))
+            extend(())
+            return pieces
+
         calls = []
 
         def counting(*args):
             calls.append(args[3])
             return iso_tcr_pairs(*args)
         monkeypatch.setattr(minorfree, "iso_tcr_pairs", counting)
-        cube = cube_graph()
-        res = iso_excluded_minor(cube, cube.apply(rand_perm(random.Random(5), 8)), 3)
-        assert res.order() == 48
-        assert len(calls) == 48
-        assert calls == sorted(calls)
+        rng = random.Random(12)
+        for g in (cube_graph(), truncated_prism(), wheel(6), prism(5, colored=(0, 5))):
+            skipped = 0
+            for _ in range(3):
+                g1 = g.apply(rand_perm(rng, g.n))
+                g2 = g.apply(rand_perm(rng, g.n))
+                pieces = every_piece(g1, g2, 2)
+                calls.clear()
+                res = iso_excluded_minor(g1, g2, 3)
+                union = CosetUnion(g.n)
+                for triple, piece in pieces.items():
+                    grew = union.add(piece)
+                    if triple in calls:
+                        assert grew
+                    else:
+                        assert not piece.is_empty and not grew
+                        skipped += 1
+                ref = union.result()
+                assert res.order() == ref.order()
+                assert res.group.generators == ref.group.generators
+                assert res.rep == ref.rep
+            assert skipped > 0
 
     def test_discrete_base_side_never_stalls(self):
         # the prune may skip triples only because none of them can stall:

@@ -223,7 +223,9 @@ class TestIsoTcrPairs:
 
     def test_one_graph_test_per_pair(self, monkeypatch):
         # the replay only narrows the coset; one graph isomorphism test at
-        # the end makes it exact, and none runs once the replay empties it
+        # the end makes it exact, and none runs once the replay empties it.
+        # A final coset with the trivial group is one permutation, compared
+        # directly with no solver call
         calls = []
         real = setiso.refine.graph_iso_under_group
 
@@ -238,6 +240,13 @@ class TestIsoTcrPairs:
         res = iso_tcr_pairs(g1, triple, g1.apply(s), [s.images[v] for v in triple],
                             PermGroup([], 3), {v: s.images[v] for v in triple}, t=2)
         assert res.order() == 1 and res.rep == s
+        assert calls == []
+
+        # a final coset with a nontrivial group makes exactly one call: the
+        # cycle C6 individualized at one vertex keeps its reflection
+        c6 = cycle_graph(6)
+        res = iso_tcr_pairs(c6, [0], c6, [0], PermGroup([], 1), {0: 0}, t=2)
+        assert res.order() == 2
         assert len(calls) == 1
 
         calls.clear()

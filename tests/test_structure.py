@@ -5,6 +5,7 @@ import pytest
 from setiso.perm import PermGroup, Permutation
 from setiso.structure import (
     BranchCapExceeded,
+    InvalidStructureGraph,
     PartitionChain,
     StructureGraph,
     block_token,
@@ -92,15 +93,21 @@ class TestStructureGraphBasics:
 
     def test_branch_action_checks_given_action_maps(self):
         # (0 1 2) with the twin vertices u and v swapped: a valid graph
-        # automorphism, but it has order 6 on the branches and C3 has order 3
+        # automorphism, but it has order 6 on the vertices and C3 has order
+        # 3, so the maps are no group action and the graph is refused
         c = Permutation.from_cycles(3, [0, 1, 2])
         root, u, v = ("tag", ("r",)), ("tag", ("u",)), ("tag", ("v",))
         leaves = [("leaf", p) for p in range(3)]
         arcs = [(root, u), (root, v)] + [(w, leaf) for w in (u, v) for leaf in leaves]
         amap = {root: root, u: v, v: u, **{("leaf", p): ("leaf", c(p)) for p in range(3)}}
+        with pytest.raises(InvalidStructureGraph, match="do not define a group action"):
+            StructureGraph(PermGroup([c], 3), root, arcs, action_maps=[amap])
+        # fixing the twins instead is an action, and its branch action has
+        # the group's order
+        amap.update({u: u, v: v})
         sg = StructureGraph(PermGroup([c], 3), root, arcs, action_maps=[amap])
-        with pytest.raises(ValueError, match="do not define a homomorphism"):
-            branch_action(sg)
+        psi, branches = branch_action(sg)
+        assert len(branches) == 6 and psi.image().order() == 3
 
     def test_branch_cap(self):
         g = PermGroup([], 1)
