@@ -30,7 +30,6 @@ from .solver import (
     balance_orbits,
     combine_windows,
     generalized_string_iso,
-    normalize_instance,
     set_of_strings_iso,
 )
 from .simplify import SimplifyClass, simplify_on_window
@@ -69,7 +68,7 @@ __all__ = [
     "Hypergraph", "PPartition", "PString", "PStringFamily",
     "VirtualSizeConfig", "hypergraph_to_family", "make_family",
     "GsiInstance", "SolverConfig", "balance_orbits", "combine_windows",
-    "generalized_string_iso", "normalize_instance", "set_of_strings_iso",
+    "generalized_string_iso", "set_of_strings_iso",
     "SimplifyClass", "simplify_on_window",
     "PartitionChain", "StructureGraph", "build_structure_graph",
     "combine_along_blocks", "is_almost_d_ary", "unfold_and_act",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .perm import GroupHom, IsoCoset, PermGroup, Permutation, is_giant
 from .pstrings import PPartition, PStringFamily
 from .simplify import simplify_on_window
-from .solver import _enforce_window, balance_orbits, combine_windows
+from .solver import balance_orbits, combine_windows, enforce_window
 from .strings import Budget, BudgetArg
 from .structure import PartitionChain
 
@@ -183,8 +183,8 @@ def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
         if self_pair:
             coset = coset.normalized()
         if not coset.is_empty:
-            coset = _enforce_window(coset, state.partition, state.x, state.y,
-                                    new_window, budget)
+            coset = enforce_window(coset, state.partition, state.x, state.y,
+                                   new_window, budget)
             if self_pair:
                 coset = coset.normalized()
         if not coset.is_empty:
@@ -243,6 +243,10 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
     bounds the three growth loops and the test-set stabilizer searches.
     """
     budget = Budget.of(budget)
+    if partition.n != group.degree:
+        raise ValueError("partition domain does not match the group degree")
+    if x.partition != partition or y.partition != partition:
+        raise ValueError("family partitions must equal the given partition")
     if rep.k < 5:
         raise ValueError("giant representation needs at least 5 points")
     if len(set(t1)) != len(set(t2)):

@@ -19,7 +19,7 @@ import sys
 
 from . import fileio
 from .hfs import iso_hfs
-from .minorfree import genus_to_h, bipartite_genus, iso_excluded_minor
+from .minorfree import genus_to_h, iso_excluded_minor, iso_genus, k3h_genus_table
 from .normalize import normalize_families
 from .oracle import brute_force_iso
 from .perm import IsoCoset, PermGroup, Permutation
@@ -28,7 +28,7 @@ from .refine import color_refinement
 from .certificates import find_giant_rep, local_certificate_pair
 from .solver import GsiInstance, generalized_string_iso
 from .strings import StringQuery, graph_iso_under_group, string_iso
-from .structure import PartitionChain
+from .structure import PartitionChain, structure_graph_dump
 
 
 def _group_for(path, n) -> PermGroup:
@@ -131,7 +131,7 @@ def _cmd_iso_excluded_minor(args) -> int:
 def _cmd_iso_genus(args) -> int:
     g1 = fileio.read_colored_graph(args.objects[0])
     g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_excluded_minor(g1, g2, genus_to_h(args.g), args.budget)
+    res = iso_genus(g1, g2, args.g, args.budget)
     return _emit(res, args.machine)
 
 
@@ -153,7 +153,7 @@ def _cmd_normalize(args) -> int:
     print("certified-d %d" % norm.certified_d)
     print("chain-levels %d" % len(norm.chain.levels))
     print("point-map %s" % " ".join(map(str, norm.point_map)))
-    sys.stdout.write(fileio.structure_graph_dump(norm.graph))
+    sys.stdout.write(structure_graph_dump(norm.graph))
     return 0
 
 
@@ -212,6 +212,9 @@ def _cmd_oracle(args) -> int:
     elif kind == "psf":
         f1 = fileio.read_family(args.objects[0])
         f2 = fileio.read_family(args.objects[1])
+        if f1.partition != f2.partition:
+            print("count 0")
+            return 1
         n = f1.partition.n
         group = _group_for(args.group, n)
         found = brute_force_iso(
@@ -235,9 +238,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_genus_table(args) -> int:
-    print("h %d" % genus_to_h(args.g))
-    for h in range(3, genus_to_h(args.g) + 1):
-        print("K_{3,%d} genus %d" % (h, bipartite_genus(3, h)))
+    h_max = genus_to_h(args.g)
+    print("h %d" % h_max)
+    for h, genus in k3h_genus_table(h_max).items():
+        print("K_{3,%d} genus %d" % (h, genus))
     return 0
 
 

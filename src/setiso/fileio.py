@@ -268,20 +268,3 @@ def write_hfs(path: str, universe: int, term: HfsTerm) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("universe %d\n%s\n" % (universe, term_text(term)))
 
-
-def structure_graph_dump(sg) -> str:
-    """One vertex per line ``id depth leaf?``, then arcs ``u v``, then the
-    generator action tables."""
-    from .structure import token_key
-    order = sorted(sg.vertices, key=token_key)
-    ids = {v: i for i, v in enumerate(order)}
-    lines = ["vertices %d" % len(order)]
-    for v in order:
-        lines.append("%d %d %d" % (ids[v], sg.depth(v), 1 if not sg.children(v) else 0))
-    lines.append("arcs %d" % len(sg.arcs))
-    for u, v in sorted(sg.arcs, key=lambda a: (ids[a[0]], ids[a[1]])):
-        lines.append("%d %d" % (ids[u], ids[v]))
-    lines.append("generators %d" % len(sg.group.generators))
-    for amap in sg._generator_maps():
-        lines.append(" ".join(str(ids[amap[v]]) for v in order))
-    return "\n".join(lines) + "\n"

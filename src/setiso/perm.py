@@ -36,17 +36,17 @@ order as they are, so Schreier-Sims does each step once:
   holds; the source-first chain serves ``apply``.  The combined group is
   the graph {(g, hom(g))} when the images define a homomorphism, and the
   projection onto the source is then an isomorphism, so its order is
-  exactly |source|.  The public constructor builds the target-first chain
-  with no stated order and compares its order with the source's: that is
-  the homomorphism check.  The induced actions built here and in the
-  reductions (``block_action``, ``restrict``, the solver's window-product
-  action, the branch action of a structure graph, whose vertex maps are
-  checked to be an action when the graph is built, and the simplify point
-  lift) pass the images of the source's own action on an invariant list,
-  so g -> action(g) is a homomorphism by construction (the action of g * h
-  is the action of g followed by that of h); their target-first chain
-  states |source| and stops as soon as it is complete, with the chain the
-  check would build.
+  exactly |source|.  By default the constructor builds the target-first
+  chain with no stated order and compares its order with the source's:
+  that is the homomorphism check.  The induced actions built here and in
+  the reductions (``block_action``, ``restrict``, the solver's
+  window-product action, the branch action of a structure graph, whose
+  vertex maps are checked to be an action when the graph is built, and the
+  simplify point lift) pass ``induced=True`` with the images of the
+  source's own action on an invariant list, so g -> action(g) is a
+  homomorphism by construction (the action of g * h is the action of g
+  followed by that of h); their target-first chain states |source| and
+  stops as soon as it is complete, with the chain the check would build.
 
 Every enumeration runs through one loop, ``_products``: a depth-first walk
 over products of transversal elements that calls ``step(state,
@@ -524,7 +524,7 @@ class PermGroup:
         blocks = sorted((frozenset(b) for b in blocks), key=min)
         # looking up each image block is the invariance check
         images = induced_action(blocks, lambda blk, g: g.apply_set(blk), self.generators)
-        return GroupHom(self, len(blocks), images, _induced=True)
+        return GroupHom(self, len(blocks), images, induced=True)
 
     def block_stabilizer(self, blocks: Sequence[frozenset], idx: int) -> "PermGroup":
         """Setwise stabilizer of block ``idx`` (blocks sorted by minimum) of
@@ -591,7 +591,7 @@ class PermGroup:
         """
         pts = _checked_points(points, self.degree)
         hom = GroupHom(self, len(pts), [g.restrict(pts) for g in self.generators],
-                       _induced=True)
+                       induced=True)
         return hom.image(), hom
 
 
@@ -648,14 +648,14 @@ class GroupHom:
     disjoint union of source and target domains, so everything stays exact
     and deterministic.  The constructor checks that the images define a
     homomorphism (ValueError otherwise) by building the target-first chain.
-    ``_induced`` says that the images are the source's own action on an
+    ``induced`` says that the images are the source's own action on an
     invariant list, a homomorphism by construction: the check is skipped,
     and the target-first chain states the source's order and is built on
     first use (see the module docstring).
     """
 
     def __init__(self, source: PermGroup, target_degree: int,
-                 images: Sequence[Permutation], _induced: bool = False):
+                 images: Sequence[Permutation], induced: bool = False):
         if len(images) != len(source.generators):
             raise ValueError("need one image per source generator")
         for im in images:
@@ -664,13 +664,13 @@ class GroupHom:
         self.source = source
         self.target_degree = target_degree
         self.gen_images = tuple(images)
-        self._induced = _induced
+        self._induced = induced
         n = source.degree
         self._combined = [
             Permutation(tuple(g.images) + tuple(n + j for j in im.images))
             for g, im in zip(source.generators, images)
         ]
-        if not _induced and self._tgt_first.order() != source.order():
+        if not induced and self._tgt_first.order() != source.order():
             raise ValueError("generator images do not define a homomorphism")
 
     @functools.cached_property

@@ -15,7 +15,7 @@ from typing import Sequence
 from .normalize import NormalizedInstance, renormalize_families
 from .perm import GroupHom, PermGroup, Permutation, induced_action
 from .pstrings import PPartition, PString, PStringFamily
-from .solver import _check_window_automorphic
+from .solver import check_window_automorphic
 from .strings import Budget, BudgetArg, ColoredString, StringQuery, string_iso
 from .structure import PartitionChain, is_almost_d_ary
 
@@ -140,7 +140,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
             if fam.restrict(win_sorted).key() != ref:
                 raise ValueError("families do not agree on the window")
         for fam in families:
-            if not _check_window_automorphic(group, fam, win_sorted):
+            if not check_window_automorphic(group, fam, win_sorted):
                 raise ValueError("group does not respect a family on the window")
     j = chain.level_index_of(frozenset(pts) for pts in partition.classes())
     ok, _ = is_almost_d_ary(chain, group, d)
@@ -172,7 +172,7 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
         return g.images[p], c2, z2
 
     psi = GroupHom(group, n2, induced_action(new_points, lift_point, group.generators),
-                   _induced=True)
+                   induced=True)
     lifted_group = psi.image()
 
     split_classes: dict[tuple, list[int]] = {}

@@ -62,7 +62,6 @@ from .strings import (
     StringQuery,
     string_iso,
 )
-from .structure import PartitionChain
 
 # Below this order the recursion setup costs more than listing elements one
 # by one: at a cutoff of 1, 15 s seed-1 perfbench runs (Python 3.11, one Xeon
@@ -75,15 +74,13 @@ class GsiInstance:
     """One generalized string isomorphism query.
 
     The partition must be invariant under the group; the two families are
-    re-padded with a common sentinel on construction.  A partition chain, when
-    provided, must contain the partition as one of its levels.
+    re-padded with a common sentinel on construction.
     """
 
     group: PermGroup
     partition: PPartition
     x: PStringFamily
     y: PStringFamily
-    chain: Optional[PartitionChain] = None
 
     def __post_init__(self):
         n = self.group.degree
@@ -95,9 +92,6 @@ class GsiInstance:
         if self.x.partition != self.partition or self.y.partition != self.partition:
             raise ValueError("family partitions must equal the instance partition")
         self.x, self.y = harmonize_sentinels(self.x, self.y)
-        if self.chain is not None:
-            self.chain.level_index_of(
-                frozenset(pts) for pts in self.partition.classes())
 
 
 def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
@@ -221,8 +215,9 @@ def balance_orbits(group: PermGroup, partition: PPartition,
 
 # -- CombineWindows ---------------------------------------------------------------
 
-def _check_window_automorphic(group: PermGroup, fam: PStringFamily,
-                              window: Sequence[int]) -> bool:
+def check_window_automorphic(group: PermGroup, fam: PStringFamily,
+                             window: Sequence[int]) -> bool:
+    """Whether every generator of ``group`` maps fam[W] onto itself."""
     if not window:
         return True
     sub = fam.restrict(window)
@@ -253,7 +248,7 @@ def combine_windows(coset: IsoCoset, partition: PPartition,
                 raise ValueError("window is not invariant under the group part")
     y_aligned = y.apply(shift.inverse()) if not shift.is_identity() else y
     for w in (w1, w2):
-        if w and not _check_window_automorphic(group, x, w):
+        if w and not check_window_automorphic(group, x, w):
             raise ValueError("group does not respect x on a window")
     inner = _combine_group(group, partition, x, y_aligned, sorted(w1), sorted(w2), budget)
     return inner.shifted(shift) if not inner.is_empty else inner
@@ -310,7 +305,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
     images = [Permutation([i * len(v2) + j for i in a1.images for j in a2.images])
               for a1, a2 in zip(*acts)]
     # the product of two induced actions is an action of the group
-    hom = GroupHom(group, size, images, _induced=True)
+    hom = GroupHom(group, size, images, induced=True)
     return hom.pull_back(string_iso(StringQuery(hom.image(), sx, sy, budget=budget)))
 
 
@@ -344,7 +339,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     if len(orbits) > 1:
         current = IsoCoset.full(group)
         for orb in orbits:
-            current = _enforce_window(current, partition, x, y, orb, budget)
+            current = enforce_window(current, partition, x, y, orb, budget)
             if current.is_empty:
                 return current
         window = list(orbits[0])
@@ -418,9 +413,9 @@ def _gsi_coset(coset: IsoCoset, partition: PPartition,
     return inner.shifted(coset.rep)
 
 
-def _enforce_window(coset: IsoCoset, partition: PPartition,
-                    x: PStringFamily, y: PStringFamily,
-                    window: Sequence[int], budget: Budget) -> IsoCoset:
+def enforce_window(coset: IsoCoset, partition: PPartition,
+                   x: PStringFamily, y: PStringFamily,
+                   window: Sequence[int], budget: Budget) -> IsoCoset:
     """{gamma in coset : gamma[W] in Iso(x[W], y[W])} via a restricted call."""
     group, shift = coset.group, coset.rep
     y_aligned = y.apply(shift.inverse()) if not shift.is_identity() else y
@@ -447,16 +442,3 @@ def set_of_strings_iso(group: PermGroup, xs: Sequence[ColoredString],
     fy = make_family(part, [PString(0, s) for s in {s.letters for s in ys}])
     return generalized_string_iso(GsiInstance(group, part, fx, fy), budget)
 
-
-def normalize_instance(inst: GsiInstance):
-    """Normalized copy of an instance, plus the translation record.
-
-    The returned instance carries the almost d'-ary chain through its class
-    partition; isomorphism answers correspond elementwise through the
-    record's monomorphism.
-    """
-    from .normalize import normalize_families
-    norm = normalize_families(inst.group, inst.partition, [inst.x, inst.y])
-    nx, ny = norm.families
-    new_inst = GsiInstance(norm.group, norm.partition, nx, ny, chain=norm.chain)
-    return new_inst, norm

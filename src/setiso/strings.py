@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .graphs import ColoredGraph
-from .perm import IsoCoset, PermGroup, Permutation
+from .perm import IsoCoset, PermGroup, Permutation, _checked_points
 from .pstrings import PPartition, PString, PStringFamily
 
 
@@ -104,14 +104,15 @@ class StringQuery:
 def string_iso(query: StringQuery) -> IsoCoset:
     """Exactly ``Iso_K^W(x, y)`` as an IsoCoset: a one-member family query
     on the trivial partition, cut to W when W is not the whole domain."""
-    from .solver import _enforce_window, _gsi_coset  # the solver imports this module
+    from .solver import _gsi_coset, enforce_window  # the solver imports this module
     group = query.group
     n = group.degree
     if query.x.n != n or query.y.n != n:
         raise ValueError("string domains must match the group degree")
     if query.shift is not None and query.shift.degree != n:
         raise ValueError("shift degree must match the group degree")
-    window = frozenset(query.window) if query.window is not None else frozenset(range(n))
+    window = frozenset(range(n) if query.window is None
+                       else _checked_points(query.window, n))
     for g in group.generators:
         if g.apply_set(window) != window:
             raise ValueError("window is not invariant under the group part")
@@ -123,7 +124,7 @@ def string_iso(query: StringQuery) -> IsoCoset:
     part = PPartition.trivial(n)
     x, y = (PStringFamily(part, [PString(0, s.letters)]) for s in (query.x, query.y))
     if len(window) < n:
-        return _enforce_window(coset, part, x, y, sorted(window), budget)
+        return enforce_window(coset, part, x, y, sorted(window), budget)
     return _gsi_coset(coset, part, x, y, budget)
 
 

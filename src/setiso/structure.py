@@ -206,6 +206,23 @@ class StructureGraph:
         return frozenset(pts)
 
 
+def structure_graph_dump(sg: StructureGraph) -> str:
+    """One vertex per line ``id depth leaf?``, then arcs ``u v``, then the
+    generator action tables."""
+    order = sorted(sg.vertices, key=token_key)
+    ids = {v: i for i, v in enumerate(order)}
+    lines = ["vertices %d" % len(order)]
+    for v in order:
+        lines.append("%d %d %d" % (ids[v], sg.depth(v), 1 if not sg.children(v) else 0))
+    lines.append("arcs %d" % len(sg.arcs))
+    for u, v in sorted(sg.arcs, key=lambda a: (ids[a[0]], ids[a[1]])):
+        lines.append("%d %d" % (ids[u], ids[v]))
+    lines.append("generators %d" % len(sg.group.generators))
+    for amap in sg._generator_maps():
+        lines.append(" ".join(str(ids[amap[v]]) for v in order))
+    return "\n".join(lines) + "\n"
+
+
 def branch_leaf(branch: tuple) -> int:
     """L(branch): the point of the leaf a maximal branch ends in."""
     return branch[-1][1]
@@ -223,7 +240,7 @@ def branch_action(sg: StructureGraph) -> tuple[GroupHom, list[tuple]]:
     branches = sg.maximal_branches()
     gen_images = induced_action(branches, lambda b, amap: tuple(amap[v] for v in b),
                                 sg._generator_maps())
-    return GroupHom(sg.group, len(branches), gen_images, _induced=True), branches
+    return GroupHom(sg.group, len(branches), gen_images, induced=True), branches
 
 
 def unfold_and_act(sg: StructureGraph) -> tuple[StructureGraph, GroupHom, list[tuple]]:

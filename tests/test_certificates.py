@@ -317,6 +317,21 @@ class TestLocalCertificatePair:
         with pytest.raises(ValueError, match="at least one point"):
             local_certificate_pair(fx, fy, group, rep, [], [], part, chain, d=5)
 
+    def test_families_off_the_partition_rejected(self):
+        # a family over another partition, or a partition of another degree,
+        # is refused before the loop restricts anything
+        group, part, chain, fam = self.setup_symmetric()
+        rep = find_giant_rep(group)
+        other = make_family(PPartition.trivial(10), [PString(0, (0,) * 10)])
+        with pytest.raises(ValueError, match="family partitions"):
+            local_certificate_pair(fam, other, group, rep, [0], [0], part, chain)
+        with pytest.raises(ValueError, match="family partitions"):
+            local_certificate_pair(other, fam, group, rep, [0], [0], part, chain)
+        small = pair_partition(8)
+        fam8 = make_family(small, [PString(c, (0, 0)) for c in range(4)])
+        with pytest.raises(ValueError, match="group degree"):
+            local_certificate_pair(fam8, fam8, group, rep, [0], [0], small, chain)
+
     def test_test_set_stabilizer_built_once_per_test_set(self, monkeypatch):
         # the first side and the comparison run share the stabilizer of T1,
         # so equal test sets need one setwise stabilizer per side, not three

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from setiso.perm import PermGroup, Permutation
 from setiso.pstrings import Hypergraph, PPartition, PString, make_family
 from setiso.strings import ColoredString
 
-from util import rand_perm, run_cli
+from util import GOLDEN, rand_perm, run_cli
 
 
 class TestRoundTrips:
@@ -253,6 +254,22 @@ class TestCli:
         assert "test sets must lie in 0..4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("second", ["golden", "shifted"])
+    def test_certify_rejects_families_over_different_partitions(self, tmp_path, second):
+        inputs = self._certify_inputs(tmp_path)
+        if second == "golden":
+            # 8 points against the 10 of the group and the first family
+            other = os.path.join(GOLDEN, "f1.psf")
+        else:
+            part = PPartition.from_classes(10, [[0, 9]] + [[i, i + 1] for i in range(1, 9, 2)])
+            other = str(tmp_path / "v.psf")
+            fileio.write_family(other, make_family(part, [PString(c, (0, 0)) for c in range(5)]))
+        code, out, err = run_cli(["certify", "--d", "5"] + inputs[:-1] + [other])
+        assert code == 2
+        assert "family partitions must equal the given partition" in err
+        assert "Traceback" not in err
+        assert "comparison" not in out
+
     @pytest.mark.parametrize("t", ["-1", "0"])
     def test_certify_rejects_a_test_set_below_one(self, tmp_path, t):
         code, out, err = run_cli(["certify", "--d", "5", "--t", t]
@@ -286,6 +303,14 @@ class TestCli:
                                 str(fixture_dir / "cyc.hg"), str(fixture_dir / "cyc2.hg")])
         assert code == 0
         assert out.splitlines()[0] == "count 8"
+
+    def test_oracle_psf_on_different_partitions(self, fixture_dir):
+        # as iso-psf and the hfs oracle on a size mismatch: no isomorphism
+        fileio.write_family(str(fixture_dir / "ft.psf"), make_family(
+            PPartition.trivial(4), [PString(0, (1, 2, 0, 0))]))
+        code, out, err = run_cli(["oracle", "--kind", "psf",
+                                  str(fixture_dir / "fx.psf"), str(fixture_dir / "ft.psf")])
+        assert (code, out, err) == (1, "count 0\n", "")
 
     def test_refine_rejects_a_repeated_edge(self, fixture_dir):
         # the last line repeats edge {0, 1}: its colors must not overwrite the first

@@ -279,7 +279,7 @@ def test_solver_homs_give_the_unstated_chains():
                 g = g * rng.choice(group.generators)
             y = x.apply(g) if rng.random() < 0.6 else rand_family_on(rng, part)
             generalized_string_iso(GsiInstance(group, part, x, y))
-    for name in ("_combine_group", "balance_orbits", "_enforce_window"):
+    for name in ("_combine_group", "balance_orbits", "enforce_window"):
         assert any(name in callers for _, callers in built)
     for hom, _ in built:
         assert hom._induced

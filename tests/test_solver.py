@@ -4,6 +4,7 @@ import pytest
 
 import setiso.solver
 import setiso.strings
+from setiso.normalize import normalize_families
 from setiso.perm import IsoCoset, PermGroup, Permutation, transversal_cosets
 from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
 from setiso.solver import (
@@ -260,9 +261,8 @@ class TestStructuredGroups:
         assert yields == [2]
 
 
-class TestNormalizeInstanceWrapper:
+class TestNormalizedInstances:
     def test_answer_preserved_through_normalization(self):
-        from setiso.solver import normalize_instance
         rng = random.Random(64)
         for _ in range(10):
             n = rng.randint(2, 6)
@@ -271,8 +271,10 @@ class TestNormalizeInstanceWrapper:
             fx = rand_family_on(rng, part)
             fy = rand_family_on(rng, part)
             inst = GsiInstance(g, part, fx, fy)
-            new_inst, record = normalize_instance(inst)
-            assert new_inst.chain is not None
+            record = normalize_families(g, part, [fx, fy])
+            new_inst = GsiInstance(record.group, record.partition, *record.families)
+            # the almost d'-ary chain holds the new class partition as a level
+            record.chain.level_index_of(frozenset(pts) for pts in record.partition.classes())
             before = generalized_string_iso(inst)
             after = generalized_string_iso(new_inst)
             assert before.is_empty == after.is_empty

@@ -59,6 +59,11 @@ class TestStringIso:
         with pytest.raises(ValueError):
             string_iso(StringQuery(sym(3), s_of([0, 1, 2]), s_of([0, 1, 2]), window=[0]))
 
+    @pytest.mark.parametrize("window", [[0, 1, 5], [0, -1]])
+    def test_window_points_out_of_range(self, window):
+        with pytest.raises(ValueError, match="points must lie in 0..2"):
+            string_iso(StringQuery(sym(3), s_of([0, 1, 2]), s_of([0, 1, 2]), window=window))
+
     def test_exactness_small_random(self):
         rng = random.Random(2024)
         for _ in range(150):
