@@ -18,12 +18,27 @@ order as they are, so Schreier-Sims does each step once:
   ``elements``, ...), not by the constructor, which only checks the
   generators and the base prefix;
 - each chain level keeps the inverse of every transversal element next to
-  the element, the inverse of every generator placed there, and the tree
-  edges whose Schreier generators are trivial;
+  the element, the inverse of every generator placed there, and, during the
+  build, the tree edge that reached each point, whose Schreier generator is
+  the identity;
 - a build remembers, per level, the Schreier generators that sifted to the
   identity and never sifts them again.  Generators are only appended, so the
   group below a level only grows and a proven member stays one; the first
   non-member, and so the chain, is the one a full check finds;
+- a tree rebuild walks breadth-first in generator order as a fresh build
+  does, so the tree's shape is the same, but a point gamma keeps its old
+  element and inverse when it is reached from the same point beta, by the
+  same generator object g, as last time, and beta's own element was kept.
+  The old element is u_beta * g for this very u_beta and g, so it is the
+  table a fresh build computes;
+- each transversal element carries a serial from a counter of the build; a
+  kept element keeps its serial.  A proven Schreier generator is also
+  filed under (serial of u_beta, generator, serial of u_(beta^g)), and a
+  generator under a filed key is skipped before it is formed: the same
+  three factors give the same product, a proven member.  The generator set
+  above still catches equal generators formed from new factors.  Both rules
+  skip only members and reuse only equal tables, so the first non-member,
+  and so the chain, stays the same;
 - the constructions here whose order follows exactly from data they hold
   (kernel and image, pull-back, a rebased or conjugated copy, a pointwise
   stabilizer) state it.  The product of the orbit lengths of a partial chain
@@ -75,6 +90,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -214,12 +230,19 @@ class _Level:
     """One level of a stabilizer chain: a base point with its Schreier tree.
 
     ``gen_invs[k]`` is the inverse of ``gens[k]``, and ``inverses[beta]``
-    that of ``transversal[beta]``.  ``edges`` holds the pairs (beta, k)
-    whose tree generator k discovered a new point from beta; their Schreier
-    generators are the identity.
+    that of ``transversal[beta]``.  Two fields serve the build only and are
+    dropped when it ends: ``parents[gamma]`` is the pair (beta, id(g)) of
+    the tree edge that reached gamma, whose Schreier generator is the
+    identity, and ``serials[beta]`` numbers ``transversal[beta]``: a
+    rebuild that keeps an element keeps its serial, and a new element gets
+    the next number of the build's counter.  The root's element, the
+    identity, is number 0.  Generators are keyed by ``id``: every generator
+    placed during a build stays in ``gens`` until it ends, so no id is
+    reused.
     """
 
-    __slots__ = ("point", "gens", "gen_invs", "transversal", "inverses", "edges")
+    __slots__ = ("point", "gens", "gen_invs", "transversal", "inverses",
+                 "parents", "serials")
 
     def __init__(self, point: int):
         self.point = point
@@ -227,30 +250,49 @@ class _Level:
         self.gen_invs: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
         self.inverses: dict[int, Permutation] = {}
-        self.edges: set[tuple[int, int]] = set()
+        self.parents: dict[int, tuple[int, int]] = {}
+        self.serials: dict[int, int] = {}
 
     def place(self, g: Permutation) -> None:
         self.gens.append(g)
         self.gen_invs.append(g.inverse())
 
     def rebuild(self, degree: int, tree_gens: Sequence[Permutation],
-                gen_invs: Sequence[Permutation]) -> None:
-        """Breadth-first Schreier tree; generator order fixes the shape."""
+                gen_invs: Sequence[Permutation], serials: Iterator[int]) -> None:
+        """Breadth-first Schreier tree; generator order fixes the shape.
+
+        A point reached from a kept point by the edge that reached it last
+        time keeps its element, inverse and serial; other points take the
+        next numbers of ``serials``.
+        """
+        old_trans, old_invs = self.transversal, self.inverses
+        old_parents, old_serials = self.parents, self.serials
         ident = Permutation.identity(degree)
         self.transversal = {self.point: ident}
         self.inverses = {self.point: ident}
-        self.edges = set()
+        self.parents = {}
+        self.serials = {self.point: 0}
         queue = [self.point]
         for beta in queue:
             u = self.transversal[beta]
             u_inv = self.inverses[beta]
+            kept = old_serials.get(beta) == self.serials[beta]
             for k, g in enumerate(tree_gens):
                 gamma = g.images[beta]
-                if gamma not in self.transversal:
+                if gamma in self.transversal:
+                    continue
+                edge = (beta, id(g))
+                if kept and old_parents.get(gamma) == edge:
+                    # the old element is u * g for this very u and g
+                    self.transversal[gamma] = old_trans[gamma]
+                    self.inverses[gamma] = old_invs[gamma]
+                    self.serials[gamma] = old_serials[gamma]
+                else:
                     self.transversal[gamma] = u * g
                     self.inverses[gamma] = gen_invs[k] * u_inv
-                    self.edges.add((beta, k))
-                    queue.append(gamma)
+                    self.serials[gamma] = next(serials)
+                self.parents[gamma] = edge
+                queue.append(gamma)
 
 
 def _chain_order(levels: Iterable[_Level]) -> int:
@@ -268,7 +310,8 @@ class PermGroup:
     which catches every order stated too large; one stated too small can
     stop the build at an incomplete chain and cannot be detected, so only
     this module's own constructions state one, each from data that fixes
-    the order exactly.
+    the order exactly.  A base prefix lists distinct points of 0..degree-1
+    (ValueError otherwise).
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int,
@@ -279,10 +322,12 @@ class PermGroup:
                 raise DegreeMismatch("generator degree %d does not match %d" % (g.degree, degree))
             if not g.is_identity() and g not in gens:
                 gens.append(g)
-        _checked_points(base_prefix, degree)
+        base_prefix = tuple(base_prefix)
+        if len(_checked_points(base_prefix, degree)) != len(base_prefix):
+            raise ValueError("base prefix repeats a point")
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
-        self._base_prefix = tuple(base_prefix)
+        self._base_prefix = base_prefix
         self._order = _order
 
     # -- construction -----------------------------------------------------
@@ -292,6 +337,8 @@ class PermGroup:
         # _build reads the chain it grows through this attribute
         levels = self.__dict__["_levels"] = [_Level(b) for b in self._base_prefix]
         self._build()
+        for lvl in levels:
+            lvl.parents = lvl.serials = None   # read by the build only
         return levels
 
     def _tree_gens(self, i: int) -> tuple[list[Permutation], list[Permutation]]:
@@ -303,32 +350,36 @@ class PermGroup:
             invs.extend(lvl.gen_invs)
         return gens, invs
 
-    def _rebuild_from(self, j: int) -> None:
+    def _rebuild_from(self, j: int, serials: Iterator[int]) -> None:
         # a new generator at level j can enlarge every tree at levels <= j
         for k in range(min(j, len(self._levels) - 1), -1, -1):
-            self._levels[k].rebuild(self.degree, *self._tree_gens(k))
+            self._levels[k].rebuild(self.degree, *self._tree_gens(k), serials)
 
     def _build(self) -> None:
         """Deterministic Schreier-Sims on the base-prefix levels.
 
         ``proven[i]`` holds the Schreier generators of level i that sifted
-        to the identity; the module docstring says why skipping them, and
-        stopping at a stated order, leave the chain unchanged.
+        to the identity, and ``keys[i]`` their factors as (serial of u_beta,
+        id of g, serial of u_beta^g); ``serials`` numbers the transversal
+        elements.  The module docstring says why skipping them, and stopping
+        at a stated order, leave the chain unchanged.
         """
         levels = self._levels
         for g in self.generators:
             self._ensure_base_covers(g)
         for lvl, g in self._initial_placements():
             levels[lvl].place(g)
-        self._rebuild_from(len(levels) - 1)
+        serials = itertools.count(1)
+        self._rebuild_from(len(levels) - 1, serials)
         proven: dict[int, set[tuple]] = collections.defaultdict(set)
+        keys: dict[int, set[tuple]] = collections.defaultdict(set)
         i = len(levels) - 1
         while i >= 0:
             # the orbit lengths multiply to at most the order, with
             # equality only on a complete chain: every check left passes
             if self._order is not None and _chain_order(levels) == self._order:
                 return
-            residue_info = self._first_bad_schreier(i, proven[i])
+            residue_info = self._first_bad_schreier(i, proven[i], keys[i])
             if residue_info is None:
                 i -= 1
                 continue
@@ -338,7 +389,7 @@ class PermGroup:
             levels[j].place(residue)
             # the deeper levels (index > j) keep their trees and passed
             # this check already, so resume at level j
-            self._rebuild_from(j)
+            self._rebuild_from(j, serials)
             i = j
         if self._order is not None and _chain_order(levels) != self._order:
             del self.__dict__["_levels"]
@@ -365,26 +416,31 @@ class PermGroup:
                     break
         return out
 
-    def _first_bad_schreier(self, i: int, proven: set[tuple]
+    def _first_bad_schreier(self, i: int, proven: set[tuple], keys: set[tuple]
                             ) -> Optional[tuple[Permutation, int]]:
         """Sift the Schreier generators of level i through the chain below,
-        skipping and extending ``proven``."""
+        skipping and extending ``proven`` and ``keys``."""
         lvl = self._levels[i]
         tree_gens, _ = self._tree_gens(i)
         ident = tuple(range(self.degree))
         for beta in sorted(lvl.transversal):
             u = lvl.transversal[beta].images
-            for k, g in enumerate(tree_gens):
-                if (beta, k) in lvl.edges:
+            serial = lvl.serials[beta]
+            for g in tree_gens:
+                gamma = g.images[beta]
+                if lvl.parents.get(gamma) == (beta, id(g)):
+                    continue   # a tree edge: the identity
+                key = (serial, id(g), lvl.serials[gamma])
+                if key in keys:
                     continue
-                t_inv = lvl.inverses[g.images[beta]].images
+                t_inv = lvl.inverses[gamma].images
                 schreier = tuple(map(t_inv.__getitem__, map(g.images.__getitem__, u)))
-                if schreier in proven:
-                    continue
-                residue, j = self._sift(schreier, i + 1)
-                if residue != ident:
-                    return Permutation._raw(residue), j
-                proven.add(schreier)
+                if schreier not in proven:
+                    residue, j = self._sift(schreier, i + 1)
+                    if residue != ident:
+                        return Permutation._raw(residue), j
+                    proven.add(schreier)
+                keys.add(key)
         return None
 
     def _sift(self, r: tuple, start: int) -> tuple[tuple, int]:

@@ -9,8 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from setiso.certificates import find_giant_rep, local_certificate_pair
 from setiso.graphs import ColoredGraph
 from setiso.hfs import HfsTerm, hfs_to_graph, iso_hfs
@@ -42,7 +40,7 @@ from setiso.structure import (
 from util import rand_perm, run_cli
 
 from test_minorfree import cube_graph, dodecahedron, truncated_prism
-from test_simplify import build_simplify_instance, trivial_chain_for
+from test_simplify import build_simplify_instance
 
 
 def report(num, name, ok, detail=""):

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from setiso.certificates import (
-    Certificate,
     GiantRep,
-    LocalCertificateError,
     affected_points,
     find_giant_rep,
     local_certificate_pair,

@@ -9,7 +9,6 @@ from setiso import minorfree
 from setiso.graphs import ColoredGraph
 from setiso.minorfree import (
     MinorPromiseViolation,
-    SmallClassReport,
     bipartite_genus,
     genus_to_h,
     is_three_connected,

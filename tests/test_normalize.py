@@ -4,10 +4,10 @@ import pytest
 
 from setiso.normalize import normalize_families, renormalize_families
 from setiso.perm import PermGroup, Permutation
-from setiso.pstrings import PPartition, PString, VirtualSizeConfig, make_family
-from setiso.structure import PartitionChain, certify_chain, is_almost_d_ary
+from setiso.pstrings import PPartition, PString, make_family
+from setiso.structure import PartitionChain, is_almost_d_ary
 
-from util import rand_group, rand_perm
+from util import rand_group
 
 
 def rand_invariant_partition(rng, group):

@@ -234,6 +234,13 @@ class TestStabilizers:
         with pytest.raises(ValueError):
             PermGroup(sym(4).generators, 4, base_prefix=[4])
 
+    def test_base_prefix_rejects_a_repeated_point(self):
+        # used to keep the repeat: the base came out as (0, 0, 1)
+        for prefix in ([0, 0], [2, 1, 2]):
+            with pytest.raises(ValueError, match="base prefix repeats a point"):
+                PermGroup(sym(3).generators, 3, base_prefix=prefix)
+        assert PermGroup(sym(3).generators, 3, base_prefix=[2, 0]).base == (2, 0)
+
     def test_setwise_stabilizer_search_cap(self):
         # the search has no cap of its own; it ticks the caller's budget
         with pytest.raises(BudgetExceeded):

@@ -307,6 +307,38 @@ def _wreath(k, m):
             Permutation.from_cycles(n, *(list(range(j, n, k)) for j in range(k)))]
 
 
+def _sym(n):
+    return [Permutation.from_cycles(n, [0, 1]), Permutation.from_cycles(n, list(range(n)))]
+
+
+def _rand_gens_14():
+    rng = random.Random(0)
+    return [rand_perm(rng, 14) for _ in range(4)]
+
+
+@pytest.mark.parametrize("gens, n, prefix, stated", [
+    (gens, n, prefix, False)
+    for gens, n in [(_wreath(2, 5), 10), (_wreath(3, 4), 12), (_sym(9), 9)]
+    for prefix in [(), (7, 2, 5, 0)]
+] + [(_rand_gens_14(), 14, (), stated) for stated in (False, True)] + [
+    ([Permutation((9, 2, 0, 3, 4, 5, 11, 7, 8, 1, 10, 6)),
+      Permutation((0, 8, 1, 10, 6, 9, 3, 4, 2, 7, 5, 11))], 12, (), False),
+])
+def test_reshaped_trees_give_the_reference_chain(gens, n, prefix, stated):
+    """Groups whose builds place many residues, so most trees are rebuilt
+    many times and reshaped, give the chain written out in full.  In the
+    last one a tree keeps u_beta but changes u_(beta^g): a Schreier
+    generator filed without the serial of u_(beta^g) would be skipped
+    although it is no longer the proven one."""
+    expect = reference_chain(gens, n, prefix)
+    order = math.prod(len(tree) for _, _, tree in expect)
+    group = PermGroup(gens, n, base_prefix=prefix, _order=order if stated else None)
+    assert _chain(group) == expect
+    assert group.order() == order
+    # the tree edges and serials serve the build only
+    assert all(lvl.parents is lvl.serials is None for lvl in group._levels)
+
+
 def _count_work(run):
     """(sifts, chain builds) while ``run`` runs."""
     counts = [0, 0]
@@ -341,8 +373,42 @@ def test_kernel_work_is_pinned():
     """Exact sift and chain-build counts.  A change that moves one changes
     the group kernel's work and pins the new count; the deterministic build
     with every Schreier generator sifted took 299, 541 and 619 sifts."""
-    sym8 = [Permutation.from_cycles(8, [0, 1]), Permutation.from_cycles(8, list(range(8)))]
-    assert _count_work(lambda: PermGroup(sym8, 8).order()) == (116, 1)
+    assert _count_work(lambda: PermGroup(_sym(8), 8).order()) == (116, 1)
     assert _count_work(lambda: PermGroup(_wreath(3, 4), 12).order()) == (55, 1)
     query = _seeded_wreath_string_query()
     assert _count_work(lambda: string_iso(query)) == (268, 26)
+
+
+def _compositions_in_builds(run):
+    """``Permutation.__mul__`` calls made inside ``PermGroup._build`` while
+    ``run`` runs."""
+    count = [0]
+    inside = [0]
+    mul, build = Permutation.__mul__, PermGroup._build
+
+    def counted_mul(self, other):
+        count[0] += inside[0] > 0
+        return mul(self, other)
+
+    def counted_build(self):
+        inside[0] += 1
+        try:
+            return build(self)
+        finally:
+            inside[0] -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Permutation, "__mul__", counted_mul)
+        mp.setattr(PermGroup, "_build", counted_build)
+        run()
+    return count[0]
+
+
+def test_build_compositions_are_pinned():
+    """Exact compositions inside chain builds, for the builds pinned above.
+    A tree rebuild keeps the elements of unchanged tree edges; recomputing
+    every element of every rebuilt tree took 400, 382 and 630."""
+    assert _compositions_in_builds(lambda: PermGroup(_sym(8), 8).order()) == 86
+    assert _compositions_in_builds(lambda: PermGroup(_wreath(3, 4), 12).order()) == 68
+    query = _seeded_wreath_string_query()
+    assert _compositions_in_builds(lambda: string_iso(query)) == 224

@@ -7,7 +7,6 @@ import setiso.refine
 from setiso.graphs import ColoredGraph
 from setiso.perm import PermGroup, Permutation
 from setiso.refine import (
-    Coloring,
     NotTCRBounded,
     color_refinement,
     iso_tcr_pairs,

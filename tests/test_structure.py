@@ -16,7 +16,6 @@ from setiso.structure import (
     invariant_chain,
     is_almost_d_ary,
     orbit_trees,
-    relabel_token,
     branch_action,
     branch_leaf,
     tree_from_chain,
