@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation
-from .refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
+from .refine import NotTCRBounded, _start, color_refinement, iso_tcr_pairs, tcr_sequence
 from .strings import Budget, BudgetArg, graph_iso_under_group
 
 # Largest vertex count for which a stalled alternation falls back to graph
@@ -177,20 +177,21 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
 
     The base triple (0, 1, 2) of g1 is matched against the ordered triples
     of g2 by a depth-first search over prefixes.  At depth i = 0, 1, 2 the
-    prefix is individualized by position (prefix vertex j starts as
-    ("s", j), any other vertex as ("c", its color)) and refined, and so is
-    ``base_triple[:i]`` in g1.  A prefix whose sorted color ids differ from
-    g1's is dropped; otherwise it is extended, in increasing vertex order,
-    by the vertices whose id is that of ``base_triple[i]`` in g1.  So the
-    surviving triples come out in sorted order.  A surviving triple that
-    is covered (below) is skipped; every other one is screened by the exact
-    trace invariant of the (h-1)-CR sequence and then decided as a
-    t-CR-bounded pair with the trivial group matching the triples.  Its
-    piece, {sigma : sigma(base) = triple}, goes into one ``CosetUnion``.
-    Whenever the union grows, the covered set becomes the images of the
-    base triple under the union: the orbit of the ordered base triple under
-    the union's group, mapped by its representative (``h * rep`` applies h
-    first).  One budget bounds the pairs of all triples.
+    prefix is individualized by position, as the t-CR alternation starts
+    (prefix vertex j in the class (j, None), any other vertex in (i, its
+    color)), and refined, and so is ``base_triple[:i]`` in g1.  A prefix
+    whose sorted color ids differ from g1's is dropped; otherwise it is
+    extended, in increasing vertex order, by the vertices whose id is that
+    of ``base_triple[i]`` in g1.  So the surviving triples come out in
+    sorted order.  A surviving triple that is covered (below) is skipped;
+    every other one is screened by the exact trace invariant of the
+    (h-1)-CR sequence and then decided as a t-CR-bounded pair with the
+    trivial group matching the triples.  Its piece,
+    {sigma : sigma(base) = triple}, goes into one ``CosetUnion``.  Whenever
+    the union grows, the covered set becomes the images of the base triple
+    under the union: the orbit of the ordered base triple under the union's
+    group, mapped by its representative (``h * rep`` applies h first).  One
+    budget bounds the pairs of all triples.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -208,12 +209,12 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
       leave the generators and the representative as they are.
     - A pruned or skipped triple cannot have stalled either.
       ``iso_tcr_pairs`` raises ``NotTCRBounded`` only when its side-1
-      classes stop before they are discrete.  Side 1 is always (g1, base
-      triple), and its replay walks the partitions of
-      ``tcr_sequence(g1, base_triple, t)`` (both refine to the coarsest
-      stable partition, then split the same small classes).  That sequence
-      is checked to be discrete before the search, so side 1 progresses in
-      every round until it is discrete.
+      record ends before the classes are discrete.  Side 1 is always (g1,
+      base triple), and its record is the one that
+      ``tcr_sequence(g1, base_triple, t)`` summarizes: the same
+      alternation from the same start.  That sequence is checked to be
+      discrete before the search, so side 1's record ends discrete in
+      every replay.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
@@ -232,13 +233,8 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     if not discrete1:
         return _stall_fallback(g1, g2, budget)
 
-    def prefix_ids(graph, prefix):
-        pos = {v: j for j, v in enumerate(prefix)}
-        return color_refinement(graph, [
-            ("s", pos[v]) if v in pos else ("c", graph.vertex_colors[v])
-            for v in range(n)]).ids
-
-    base_ids = [prefix_ids(g1, base_triple[:i]) for i in range(3)]
+    base_ids = [color_refinement(g1, _start(g1, base_triple[:i])[0]).ids
+                for i in range(3)]
     base_sorted = [sorted(ids) for ids in base_ids]
 
     def triples(prefix=()):
@@ -248,7 +244,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         if i == 3:
             yield prefix
             return
-        ids = prefix_ids(g2, prefix)
+        ids = color_refinement(g2, _start(g2, prefix)[0]).ids
         if sorted(ids) != base_sorted[i]:
             return
         target = base_ids[i][base_triple[i]]

@@ -1,20 +1,28 @@
 """Color refinement, the t-CR alternation, and isomorphism of t-CR-bounded
 pairs by reduction to the group-theoretic solvers.
 
-Refinement ranks signatures lexicographically each round, so color ids are
-canonical: isomorphic inputs refined separately end up with identical ids.
-The t-CR iso test never compares raw split ids across graphs; every
-cross-graph matching is delegated to the coset machinery.
+One round function, ``_round``, refines every partition here: it keys each
+vertex by its class id and the sorted (class id, arc colors) of its
+neighbors, and ranks the keys.  So class ids are canonical: isomorphic
+inputs refined separately end up with identical ids.
 
-The replay carries an isomorphism coset from each class list to the next,
-finer one by one rule, ``_lift``.  Each refined class on each side is named
-(parent old class, tag), the tag being its refinement string, its rank among
-the singletons of a split class, or, for the first list, its color; a
-vertex is the untagged child of its discrete class.  A permutation g of the
-old classes sends the class (p, tag) to (g(p), tag^g), where only a string
-tag moves under g.  ``_lift`` is two calls of ``perm.induced_action`` on the
-first side's names: the generators act on them, and the representative maps
-them into the second side's names (``targets``).  A missing name, the
+``_alternation`` records the t-CR alternation on one graph as steps
+(kind, ids, names).  ``names[i]`` names class i by its parent, a class of
+the step before, and a tag:
+- the initial classes: individualized vertex j is (j, None), and each color
+  class of the others is (k, color), a child of an extra parent k;
+- a refinement round's classes: their key (parent, tail), the tail being
+  the sorted (class id, arc colors) of a member's neighbors;
+- a split's classes: (parent, rank among the siblings by vertex index).
+``tcr_sequence`` summarizes the record.  ``iso_tcr_pairs`` walks the
+records of its two sides in step and never compares raw ids across graphs;
+every cross-graph matching is delegated to the coset machinery.  A coset
+on one step's classes is carried to the next step's by one rule, ``_lift``:
+a permutation g of the old classes sends (p, tag) to (g(p), tag^g).  Only a
+tail moves under g, because it names neighbors by their old class ids,
+which g permutes.  ``_lift`` is two calls of ``perm.induced_action`` on the
+first side's names: the generators act on them, and the representative
+maps them into the second side's names (``targets``).  A missing name, the
 action's NotInvariant, gives the empty coset.
 
 The replay is pure class-and-coset bookkeeping, and one graph isomorphism
@@ -26,20 +34,23 @@ keeps every isomorphism that respects the coset before it:
 - the (parent, tag) lift, because it maps each refined class onto the one
   with the image parent and the image tag;
 - a split step, which adds the full symmetric group on each split class.
-So the final coset contains Iso, and the graph test under it removes
-exactly the non-isomorphisms; checks between phases could only prune.  A
-final coset with the trivial group is one permutation, and its graph test
-is one comparison of graphs.
+Reading a round from the records instead of rescanning the graphs changes
+none of this: a record holds the same partitions, and a class's string is
+the one every member's neighbors would spell.  So the final coset contains
+Iso, and the graph test under it removes exactly the non-isomorphisms;
+checks between steps could only prune.  A final coset with the trivial
+group is one permutation, and its graph test is one comparison of graphs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .graphs import ColoredGraph
-from .perm import IsoCoset, NotInvariant, PermGroup, Permutation, induced_action
+from .perm import (IsoCoset, NotInvariant, PermGroup, Permutation, _checked_points,
+                   induced_action)
 from .solver import set_of_strings_iso
 from .strings import Budget, BudgetArg, ColoredString, graph_iso_under_group
 
@@ -75,103 +86,107 @@ class Coloring:
         return self.num_classes == len(self.ids)
 
 
-def _rank_dense(values: Sequence) -> tuple[int, ...]:
-    table = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(table[v] for v in values)
+def _ranked(labels: Sequence[Hashable]) -> tuple[tuple[int, ...], list]:
+    """Dense ids ranking ``labels``, and the distinct labels in id order."""
+    names = sorted(set(labels))
+    rank = {x: i for i, x in enumerate(names)}
+    return tuple(rank[x] for x in labels), names
 
 
-def _refine_once(graph: ColoredGraph, ids: Sequence[int],
-                 neighbors: list[list[int]]) -> tuple[int, ...]:
-    signatures = []
-    for v in range(graph.n):
-        ms = sorted(
-            (ids[w], graph.arc_colors[(v, w)], graph.arc_colors[(w, v)])
-            for w in neighbors[v]
-        )
-        signatures.append((ids[v], tuple(ms)))
-    return _rank_dense(signatures)
+def _round(graph: ColoredGraph, ids: Sequence[int],
+           neighbors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list]:
+    """One refinement round: the ranked keys (ids[v], tail), the tail being
+    the sorted (ids[w], arc colors v->w and w->v) over the neighbors w of v."""
+    arcs = graph.arc_colors
+    return _ranked([
+        (ids[v], tuple(sorted((ids[w], arcs[(v, w)], arcs[(w, v)]) for w in neighbors[v])))
+        for v in range(graph.n)])
 
 
 def color_refinement(graph: ColoredGraph,
                      start: Optional[Sequence[int]] = None) -> Coloring:
-    """The coarsest stable refinement of the vertex coloring (1-WL)."""
+    """The coarsest stable refinement of the vertex coloring (1-WL), or of
+    ``start``, which needs one label per vertex (ValueError otherwise)."""
+    labels = graph.vertex_colors if start is None else tuple(start)
+    if len(labels) != graph.n:
+        raise ValueError("start must give one label per vertex")
+    ids, names = _ranked(labels)
     neighbors = graph.neighbor_table()
-    ids = _rank_dense(tuple(start) if start is not None else graph.vertex_colors)
     while True:
-        new = _refine_once(graph, ids, neighbors)
-        if len(set(new)) == len(set(ids)):
-            return Coloring(new)
-        ids = new
+        ids, new = _round(graph, ids, neighbors)
+        if len(new) == len(names):
+            return Coloring(ids)
+        names = new
+
+
+def _start(graph: ColoredGraph, points: Sequence[int]) -> tuple[tuple[int, ...], list]:
+    """The ranked initial classes with ``points`` individualized by
+    position: points[j] is the class (j, None), and any other vertex lies in
+    (len(points), its color)."""
+    k = len(points)
+    pos = {v: j for j, v in enumerate(points)}
+    return _ranked([(pos[v], None) if v in pos else (k, graph.vertex_colors[v])
+                    for v in range(graph.n)])
+
+
+def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> list[tuple]:
+    """The record of the t-CR alternation from ``_start(graph, points)``:
+    its steps (kind, ids, names), kind "init", "refine" or "split".
+
+    A phase runs refinement rounds until the class count stops growing, one
+    "refine" step per growing round, and then makes every class of size at
+    most t discrete, one "split" step if any class splits.  The record ends
+    with the first phase that changes nothing.
+    """
+    neighbors = graph.neighbor_table()
+    ids, names = _start(graph, points)
+    record = [("init", ids, names)]
+    while True:
+        count = len(names)
+        while True:
+            new, keys = _round(graph, ids, neighbors)
+            if len(keys) == len(names):
+                break
+            ids, names = new, keys
+            record.append(("refine", ids, names))
+        sizes, ranks = Counter(ids), Counter()
+        labels = []
+        for c in ids:
+            labels.append((c, ranks[c]))
+            if 1 < sizes[c] <= t:
+                ranks[c] += 1
+        if ranks:
+            ids, names = _ranked(labels)
+            record.append(("split", ids, names))
+        if len(names) == count:
+            return record
 
 
 def tcr_sequence(graph: ColoredGraph, individualize: Sequence[int], t: int
                  ) -> tuple[Coloring, bool, list[tuple]]:
     """Alternate refinement with splitting of classes of size <= t.
 
-    Individualized vertices each get their own color up front; each splitting
-    phase makes every class of size at most t discrete.  Returns the final
-    coloring, whether it is discrete, and a per-phase trace of
-    (phase, class-size multiset) records, which is an isomorphism invariant.
+    Individualized vertices each get their own color up front (ValueError
+    for a point outside 0..n-1); each splitting phase makes every class of
+    size at most t discrete.  Returns the final coloring, whether it is
+    discrete, and a per-phase trace of (phase, class-size multiset) records,
+    which is an isomorphism invariant.
     """
-    n = graph.n
-    sset = set(individualize)
-    init = [("s", v) if v in sset else ("c", graph.vertex_colors[v]) for v in range(n)]
-    ids = _rank_dense(init)
-    trace: list[tuple] = [("init", Coloring(ids).class_sizes())]
-    while True:
-        refined = color_refinement(graph, ids)
-        trace.append(("refine", refined.class_sizes()))
-        sizes = Counter(refined.ids)
-        split = [("v", v) if 1 < sizes[refined.ids[v]] <= t else ("c", refined.ids[v])
-                 for v in range(n)]
-        new = Coloring(_rank_dense(split))
-        trace.append(("split", new.class_sizes()))
-        if new.num_classes == len(set(ids)):
-            return new, new.is_discrete(), trace
-        ids = new.ids
+    record = _alternation(graph, _checked_points(individualize, graph.n), t)
+    sizes = [Coloring(ids).class_sizes() for _, ids, _ in record]
+    trace: list[tuple] = [("init", sizes[0])]
+    for i, (kind, _, _) in enumerate(record):
+        if kind == "split":
+            trace += [("refine", sizes[i - 1]), ("split", sizes[i])]
+    # the phases that split nothing: one that only refined, then the one
+    # that changed nothing
+    phases = 2 if record[-1][0] == "refine" else 1
+    trace += [("refine", sizes[-1]), ("split", sizes[-1])] * phases
+    final = Coloring(record[-1][1])
+    return final, final.is_discrete(), trace
 
 
 # -- isomorphism of t-CR-bounded pairs ------------------------------------------
-
-def _index_of(classes) -> dict[int, int]:
-    out = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            out[v] = i
-    return out
-
-
-def _class_strings(graph: ColoredGraph, classes: list[tuple[int, ...]],
-                   encode: dict) -> dict[int, tuple]:
-    """For each vertex: its refinement string over the current classes."""
-    idx = _index_of(classes)
-    neighbors = graph.neighbor_table()
-    strings = {}
-    for v in range(graph.n):
-        letters = []
-        for i, cls in enumerate(classes):
-            ms = tuple(sorted(
-                (graph.arc_colors[(v, w)], graph.arc_colors[(w, v)])
-                for w in neighbors[v] if idx[w] == i))
-            key = (1 if idx[v] == i else 0, ms)
-            letters.append(encode.setdefault(("l", key), len(encode)))
-        strings[v] = tuple(letters)
-    return strings
-
-
-def _split_classes(classes: list[tuple[int, ...]], groups: dict[int, tuple]
-                   ) -> list[tuple[int, ...]]:
-    """Refine classes by the per-vertex data in ``groups``; order: by class,
-    then by the canonical order of the distinct data values."""
-    out = []
-    for cls in classes:
-        buckets: dict[tuple, list[int]] = {}
-        for v in cls:
-            buckets.setdefault(groups[v], []).append(v)
-        for key in sorted(buckets):
-            out.append(tuple(sorted(buckets[key])))
-    return out
-
 
 def _lift(coset: IsoCoset, key1: list, key2: list, act: Optional[Callable] = None,
           kernel: Sequence[Permutation] = ()) -> IsoCoset:
@@ -198,70 +213,41 @@ def _lift(coset: IsoCoset, key1: list, key2: list, act: Optional[Callable] = Non
     return IsoCoset(PermGroup(lifted + list(kernel), len(key1)), rep_img)
 
 
-def _permuted(letters: tuple, g: Permutation) -> tuple:
-    return ColoredString(letters).apply(g).letters
+def _moved_tail(tail: tuple, g: Permutation) -> tuple:
+    return tuple(sorted((g.images[c], out, back) for c, out, back in tail))
 
 
-def _replay_refinement(g1: ColoredGraph, g2: ColoredGraph, cls1: list, cls2: list,
-                       coset: IsoCoset, budget: Budget
-                       ) -> tuple[list, list, IsoCoset, bool]:
-    """Replay refinement rounds, a set-of-strings instance per round."""
-    progressed = False
-    while True:
-        if coset.is_empty:
-            return cls1, cls2, coset, progressed
-        encode: dict = {}
-        str1 = _class_strings(g1, cls1, encode)
-        str2 = _class_strings(g2, cls2, encode)
-        new1 = _split_classes(cls1, str1)
-        new2 = _split_classes(cls2, str2)
-        if len(new1) == len(cls1) and len(new2) == len(cls2):
-            return cls1, cls2, coset, progressed
-        progressed = True
-        if len(new1) != len(new2):
-            return new1, new2, IsoCoset.empty(), progressed
-
-        back = coset.rep.inverse()
-        xs = [ColoredString(l) for l in str1.values()]
-        ys = [ColoredString(l).apply(back) for l in str2.values()]
-        res = set_of_strings_iso(coset.group, xs, ys, budget).shifted(coset.rep)
-        # a refined class is named by its parent and its string
-        idx1, idx2 = _index_of(cls1), _index_of(cls2)
-        coset = _lift(res, [(idx1[c[0]], str1[c[0]]) for c in new1],
-                      [(idx2[c[0]], str2[c[0]]) for c in new2], act=_permuted)
-        cls1, cls2 = new1, new2
+def _class_string(name: tuple, width: int, encode: dict) -> tuple:
+    """The string of the refined class ``name`` = (parent, tail) over the
+    ``width`` old classes.  Letter i stands for (i is the parent, the arc
+    colors of the tail's entries in class i).  ``encode`` numbers letters in
+    the order they first occur along the string, so it reads only the
+    positions the name lists and ``gap``, the first default one."""
+    parent, tail = name
+    pairs: dict[int, list] = {parent: []}
+    for c, out, back in tail:
+        pairs.setdefault(c, []).append((out, back))
+    gap = next(i for i in range(width + 1) if i not in pairs)
+    codes = {i: encode.setdefault((int(i == parent), tuple(pairs.get(i, ()))), len(encode))
+             for i in sorted({*pairs, gap}) if i < width}
+    letters = [codes.get(gap)] * width
+    for i, code in codes.items():
+        letters[i] = code
+    return tuple(letters)
 
 
-def _replay_split(cls1: list, cls2: list, coset: IsoCoset, t: int
-                  ) -> tuple[list, list, IsoCoset, bool]:
-    """One splitting phase: every class of size at most t becomes discrete."""
-    def split(classes):
-        """The split classes, each named by its parent and its rank among
-        its siblings."""
-        out, names = [], []
-        for p, cls in enumerate(classes):
-            parts = [(v,) for v in cls] if 1 < len(cls) <= t else [cls]
-            out.extend(parts)
-            names.extend((p, r) for r in range(len(parts)))
-        return out, names
-
-    (new1, key1), (new2, key2) = split(cls1), split(cls2)
-    if len(new1) == len(cls1):
-        return cls1, cls2, coset, False
-    if len(new1) != len(new2):
-        return new1, new2, IsoCoset.empty(), True
-
-    # full symmetry inside each split class: a transposition, and a cycle
-    # over all of its vertices when there are more than two
-    m = len(new1)
+def _split_kernel(names: list) -> list[Permutation]:
+    """Full symmetry inside each split class: a transposition, and a cycle
+    over all of its children when there are more than two."""
+    m = len(names)
+    children = Counter(p for p, _ in names)
     kernel = []
-    for j, (p, r) in enumerate(key1):
-        size = len(cls1[p])
-        if r == 0 and 1 < size <= t:
+    for j, (p, r) in enumerate(names):
+        if r == 0 and children[p] > 1:
             kernel.append(Permutation.from_cycles(m, [j, j + 1]))
-            if size > 2:
-                kernel.append(Permutation.from_cycles(m, list(range(j, j + size))))
-    return new1, new2, _lift(coset, key1, key2, kernel=kernel), True
+            if children[p] > 2:
+                kernel.append(Permutation.from_cycles(m, list(range(j, j + children[p]))))
+    return kernel
 
 
 def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
@@ -269,24 +255,26 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
                   t: int, budget: BudgetArg = None) -> IsoCoset:
     """{sigma : g1 ≅ g2 and sigma restricted to s1 lies in group*theta}.
 
-    ``group`` acts on the sorted positions of s1; ``theta`` must map s1
-    bijectively onto s2 (ValueError otherwise).  The alternation is replayed
-    round by round: refinement rounds become set-of-strings instances over
-    the current classes, and the coset is lifted to the refined classes by
-    their (parent, tag) names.  Once the classes are discrete, one graph
-    test under the coset gives the exact answer, as the module docstring
-    argues; none runs if the replay empties the coset first.  When the
-    coset's group is trivial the test is ``g1.apply(rep) == g2`` and one
-    budget tick; otherwise it is one ``graph_iso_under_group`` call.
-    Raises NotTCRBounded only when side 1 stalls: its classes stop refining
-    before they are discrete.  Side 1's classes depend on g1, s1 and t
-    alone.
+    ``group`` acts on the sorted positions of s1; s1 and s2 must lie in
+    0..n-1, and ``theta`` must map s1 bijectively onto s2 (ValueError
+    otherwise).  The alternation is recorded once per side, and the records
+    are walked in step: a refinement round becomes a set-of-strings instance
+    over the classes before it, and the coset is lifted to each step's
+    classes by their names.  Records of unequal length, or a step of another
+    kind or class count, give the empty coset.  Once the classes are
+    discrete, one graph test under the coset gives the exact answer, as the
+    module docstring argues; none runs if the replay empties the coset
+    first.  When the coset's group is trivial the test is
+    ``g1.apply(rep) == g2`` and one budget tick; otherwise it is one
+    ``graph_iso_under_group`` call.  Raises NotTCRBounded only when side 1
+    stalls: the records agree, and side 1's classes are not discrete at
+    the end.  Side 1's record depends on g1, s1 and t alone.
     """
     budget = Budget.of(budget)
+    s1_sorted, s2_sorted = _checked_points(s1, g1.n), _checked_points(s2, g2.n)
     if g1.n != g2.n:
         return IsoCoset.empty()
     n = g1.n
-    s1_sorted, s2_sorted = sorted(set(s1)), sorted(set(s2))
     if len(s1_sorted) != len(s2_sorted):
         raise ValueError("individualized sets must have equal size")
     k = len(s1_sorted)
@@ -295,47 +283,43 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     if {theta.get(v) for v in s1_sorted} != set(s2_sorted):
         raise ValueError("theta must map s1 bijectively onto s2")
 
-    def initial_classes(graph, ss):
-        """The classes, and their names: position i of ``ss`` is (i, None),
-        and each color class is a child of the extra parent k, tagged by
-        its color."""
-        sset = set(ss)
-        rest: dict[int, list[int]] = {}
-        for v in range(graph.n):
-            if v not in sset:
-                rest.setdefault(graph.vertex_colors[v], []).append(v)
-        colors = sorted(rest)
-        classes = [(v,) for v in ss] + [tuple(sorted(rest[c])) for c in colors]
-        return classes, [(i, None) for i in range(k)] + [(k, c) for c in colors]
-
-    cls1, key1 = initial_classes(g1, s1_sorted)
-    cls2, key2 = initial_classes(g2, s2_sorted)
-    if len(cls1) != len(cls2):
+    record1, record2 = _alternation(g1, s1_sorted, t), _alternation(g2, s2_sorted, t)
+    if len(record1) != len(record2):
         return IsoCoset.empty()
+    # the coset on the k positions and on k, the parent of the color classes
     pos2 = {v: i for i, v in enumerate(s2_sorted)}
     theta_pos = Permutation([pos2[theta[v]] for v in s1_sorted] + [k])
     extended = PermGroup([Permutation(g.images + (k,)) for g in group.generators], k + 1)
-    coset = _lift(IsoCoset(extended, theta_pos), key1, key2)
-
-    while True:
-        cls1, cls2, coset, progress1 = _replay_refinement(g1, g2, cls1, cls2, coset,
-                                                          budget)
-        cls1, cls2, coset, progress2 = _replay_split(cls1, cls2, coset, t)
-        if coset.is_empty:
+    coset = IsoCoset(extended, theta_pos)
+    width = k + 1
+    for (kind, ids1, names1), (kind2, ids2, names2) in zip(record1, record2):
+        if kind != kind2 or len(names1) != len(names2):
             return IsoCoset.empty()
-        if all(len(c) == 1 for c in cls1):
-            break
-        if not progress1 and not progress2:
-            raise NotTCRBounded(
-                "alternation stalled at %d classes before discreteness"
-                % len(cls1))
+        if kind == "refine":
+            # one string per class, in the order a vertex scan meets them,
+            # so that letters are numbered as the per-vertex strings would be
+            encode: dict = {}
+            xs = [ColoredString(_class_string(names1[c], width, encode))
+                  for c in dict.fromkeys(ids1)]
+            back = coset.rep.inverse()
+            ys = [ColoredString(_class_string(names2[c], width, encode)).apply(back)
+                  for c in dict.fromkeys(ids2)]
+            res = set_of_strings_iso(coset.group, xs, ys, budget).shifted(coset.rep)
+            coset = _lift(res, names1, names2, act=_moved_tail)
+        else:
+            kernel = _split_kernel(names1) if kind == "split" else ()
+            coset = _lift(coset, names1, names2, kernel=kernel)
+        if coset.is_empty:
+            return coset
+        width = len(names1)
+    if width < n:
+        raise NotTCRBounded("alternation stalled at %d classes before discreteness"
+                            % width)
 
     # vertex v is the untagged child of its class (a lift between discrete
     # classes is never empty); the coset now contains every isomorphism, and
     # one graph test keeps exactly those
-    idx1, idx2 = _index_of(cls1), _index_of(cls2)
-    coset = _lift(coset, [(idx1[v], None) for v in range(n)],
-                  [(idx2[v], None) for v in range(n)])
+    coset = _lift(coset, [(c, None) for c in ids1], [(c, None) for c in ids2])
     rep = coset.rep
     if coset.group.is_trivial():
         budget.tick()

@@ -37,6 +37,21 @@ def rand_term(rng, universe, depth=3):
     return HfsTerm.make_tuple(children)
 
 
+def chain(shape_seed, universe, depth, base):
+    """A term nested ``depth`` deep over the atom ``base``: every level is a
+    set of the level below, or every level a tuple, and at most one level
+    also holds a second atom, as drawn from ``shape_seed``.  Refinement
+    tells the levels apart one round at a time, from both ends."""
+    rng = random.Random(shape_seed)
+    wrap = hset if rng.random() < 0.5 else htuple
+    marked = rng.randrange(depth + 1)
+    side = atom(rng.randrange(universe))
+    term = atom(base)
+    for level in range(depth):
+        term = wrap(term, side) if level == marked else wrap(term)
+    return term
+
+
 class TestEncoding:
     def test_simple_set(self):
         g, _ = hfs_to_graph(hset(atom(0), atom(1)), 2)
@@ -108,14 +123,30 @@ class TestIsoHfs:
         assert res.contains(Permutation.identity(2))
 
     def test_agreement_with_structural_oracle(self):
+        # random terms up to 6 deep, then chains nested 30 to 60 deep, each
+        # against a relabeled copy and against the same chain over another
+        # atom: the replay runs one refinement round per level on encoded
+        # graphs with tens of vertices
         rng = random.Random(123)
-        for _ in range(25):
+        pairs = []
+        for _ in range(40):
             n = rng.randint(2, 5)
-            t1 = rand_term(rng, n)
+            t1 = rand_term(rng, n, depth=rng.randint(1, 6))
             t2 = rand_term(rng, n) if rng.random() < 0.5 else t1.apply(rand_perm(rng, n))
+            pairs.append((n, t1, t2))
+        for seed in range(6):
+            n, depth = rng.randint(2, 4), rng.randint(30, 60)
+            a, b = rng.sample(range(n), 2)
+            t1 = chain(seed, n, depth, a)
+            pairs.append((n, t1, t1.apply(rand_perm(rng, n))))
+            pairs.append((n, t1, chain(seed, n, depth, b)))
+        nonempty = 0
+        for n, t1, t2 in pairs:
             res = iso_hfs(t1, t2, sym(n))
             brute = {g.images for g in sym(n).elements() if t1.apply(g) == t2}
             assert res.element_set() == frozenset(brute)
+            nonempty += bool(brute)
+        assert 20 < nonempty < len(pairs) - 20
 
     def test_under_restricted_group(self):
         rng = random.Random(321)

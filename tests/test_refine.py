@@ -5,6 +5,7 @@ import pytest
 
 import setiso.refine
 from setiso.graphs import ColoredGraph
+from setiso.hfs import hfs_to_graph
 from setiso.perm import PermGroup, Permutation
 from setiso.refine import (
     NotTCRBounded,
@@ -15,6 +16,7 @@ from setiso.refine import (
 
 from util import rand_perm
 
+from test_hfs import chain
 from test_minorfree import cube_graph
 
 
@@ -95,6 +97,11 @@ class TestColorRefinement:
                         sigs.add(ms)
                     assert len(sigs) == 1
 
+    @pytest.mark.parametrize("start", [[0, 0], [0, 0, 0, 1]])
+    def test_start_needs_one_label_per_vertex(self, start):
+        with pytest.raises(ValueError, match="one label per vertex"):
+            color_refinement(path_graph(3), start)
+
     def test_monotone_refinement_and_invariance(self):
         rng = random.Random(4321)
         for _ in range(40):
@@ -125,6 +132,10 @@ class TestTcrSequence:
         col, discrete, _ = tcr_sequence(g, [], 1)
         assert not discrete
         assert col.num_classes == 1
+
+    def test_points_outside_the_graph_are_refused(self):
+        with pytest.raises(ValueError, match="points must lie in 0..4"):
+            tcr_sequence(cycle_graph(5), [99], 2)
 
     def test_trace_is_invariant(self):
         rng = random.Random(777)
@@ -220,6 +231,13 @@ class TestIsoTcrPairs:
         with pytest.raises(ValueError, match="theta must map s1 bijectively onto s2"):
             iso_tcr_pairs(g, [0, 1], g, [0, 1], PermGroup([], 2), theta, t=2)
 
+    @pytest.mark.parametrize("s1, s2", [([0, 99], [0, 1]), ([0, 1], [-1, 1])])
+    def test_points_outside_the_graphs_are_refused(self, s1, s2):
+        g = path_graph(4)
+        theta = dict(zip(sorted(s1), sorted(s2)))
+        with pytest.raises(ValueError, match="points must lie in 0..3"):
+            iso_tcr_pairs(g, s1, g, s2, PermGroup([], 2), theta, t=2)
+
     def test_one_graph_test_per_pair(self, monkeypatch):
         # the replay only narrows the coset; one graph isomorphism test at
         # the end makes it exact, and none runs once the replay empties it.
@@ -253,3 +271,44 @@ class TestIsoTcrPairs:
         star = ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])
         assert iso_tcr_pairs(p4, [], star, [], PermGroup([], 0), {}, t=4).is_empty
         assert calls == []
+
+
+def _rounds(run):
+    """Refinement rounds (calls of the round function) while ``run`` runs."""
+    count = [0]
+    real = setiso.refine._round
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setiso.refine, "_round", counted)
+        run()
+    return count[0]
+
+
+def test_replay_rounds_are_those_of_the_two_sequences():
+    """One ``iso_tcr_pairs`` call runs the alternation once per side and
+    reads every round's classes from the two records: exactly the rounds
+    of ``tcr_sequence`` on its two sides, with no rescans, whether the pair
+    is isomorphic or not."""
+    cube = cube_graph()
+    s = Permutation([3, 6, 0, 7, 1, 5, 2, 4])
+    star = ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])
+    hfs1, _ = hfs_to_graph(chain(0, 3, 40, 0), 3)
+    hfs2, _ = hfs_to_graph(chain(0, 3, 40, 1), 3)
+    cases = [
+        (cube, [0, 1, 2], cube.apply(s), [3, 6, 0], 2, 6, True),
+        (cycle_graph(6), [0], cycle_graph(6), [0], 2, 8, True),
+        (path_graph(4), [], star, [], 4, 6, False),
+        (hfs1, [0, 1, 2], hfs1, [0, 1, 2], 0, 30, True),
+        (hfs1, [0, 1, 2], hfs2, [0, 1, 2], 0, 30, False),
+    ]
+    for g1, s1, g2, s2, t, rounds, iso in cases:
+        group, theta = PermGroup([], len(s1)), dict(zip(s1, s2))
+        assert _rounds(lambda: (tcr_sequence(g1, s1, t), tcr_sequence(g2, s2, t))) == rounds
+        res = []
+        assert _rounds(lambda: res.append(
+            iso_tcr_pairs(g1, s1, g2, s2, group, theta, t))) == rounds
+        assert res[0].is_empty != iso
