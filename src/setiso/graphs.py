@@ -16,6 +16,15 @@ from .perm import Permutation
 
 @dataclass(frozen=True)
 class ColoredGraph:
+    """A graph on the vertices 0..n-1 with vertex colors and arc colors.
+
+    Instances are immutable, so data derived from one is kept on it: the
+    neighbor table, built on the first ``neighbor_table()`` call, and the
+    last t-CR alternation record, which ``refine._alternation`` stores as
+    ((points, t), record) and returns when asked for the same start again.
+    Neither takes part in equality.
+    """
+
     n: int
     edges: frozenset  # frozenset of frozenset({u, v})
     vertex_colors: tuple[int, ...]

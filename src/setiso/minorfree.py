@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation
-from .refine import NotTCRBounded, _start, color_refinement, iso_tcr_pairs, tcr_sequence
+from .refine import _start, color_refinement, iso_tcr_pairs, tcr_sequence
 from .strings import Budget, BudgetArg, graph_iso_under_group
 
 # Largest vertex count for which a stalled alternation falls back to graph
@@ -191,7 +191,11 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     the union grows, the covered set becomes the images of the base triple
     under the union: the orbit of the ordered base triple under the union's
     group, mapped by its representative (``h * rep`` applies h first).  One
-    budget bounds the pairs of all triples.
+    budget bounds the pairs of all triples.  Each graph keeps its last
+    alternation record, so g1's alternation runs once per query, in the
+    up-front ``tcr_sequence``, and g2's once per examined triple: the
+    screen's ``tcr_sequence`` records it, and the replay reads both records
+    back.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -207,13 +211,13 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
       union, so its piece Stab * sigma lies in the union as well:
       ``CosetUnion.add`` would find every candidate already a member and
       leave the generators and the representative as they are.
-    - A pruned or skipped triple cannot have stalled either.
-      ``iso_tcr_pairs`` raises ``NotTCRBounded`` only when its side-1
-      record ends before the classes are discrete.  Side 1 is always (g1,
-      base triple), and its record is the one that
-      ``tcr_sequence(g1, base_triple, t)`` summarizes: the same
-      alternation from the same start.  That sequence is checked to be
-      discrete before the search, so side 1's record ends discrete in
+    - No replay stalls, so none needs a fallback, and a pruned or skipped
+      triple cannot have stalled either.  ``iso_tcr_pairs`` raises
+      ``NotTCRBounded`` only when its side-1 record ends before the classes
+      are discrete.  Side 1 is always (g1, base triple), and its record is
+      the one that ``tcr_sequence(g1, base_triple, t)`` summarizes: the
+      same alternation from the same start.  That sequence is checked to
+      be discrete before the search, so side 1's record ends discrete in
       every replay.
     """
     if h < 3:
@@ -261,21 +265,15 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         if trace1 != trace2:
             return IsoCoset.empty()
         theta = dict(zip(base_triple, triple))
-        try:
-            return iso_tcr_pairs(g1, base_triple, g2, triple,
-                                 PermGroup([], 3), theta, t, budget)
-        except NotTCRBounded:
-            return None  # signals a stall that the screen did not catch
+        return iso_tcr_pairs(g1, base_triple, g2, triple,
+                             PermGroup([], 3), theta, t, budget)
 
     union = CosetUnion(n)
     covered: set[tuple[int, ...]] = set()
     for triple in triples():
         if triple in covered:
             continue
-        res = examine(triple)
-        if res is None:
-            return _stall_fallback(g1, g2, budget)
-        if union.add(res):
+        if union.add(examine(triple)):
             covered = _images(union.result(), base_triple)
     return union.result()
 

@@ -40,6 +40,21 @@ the one every member's neighbors would spell.  So the final coset contains
 Iso, and the graph test under it removes exactly the non-isomorphisms;
 checks between steps could only prune.  A final coset with the trivial
 group is one permutation, and its graph test is one comparison of graphs.
+
+A refinement round under a coset whose group is trivial is a name check:
+the rep alone is ``_lift``ed, with no set-of-strings query.  This is
+exact.  Under the trivial group the query accepts rep exactly when rep maps
+the set of class strings of g1 onto that of g2.  ``_class_string`` is
+injective and equivariant on names: its letters are keyed by content, not
+by position, so rep sends the string of (p, tail) to that of (rep(p),
+tail^rep).  So the strings match exactly when rep maps names1 into names2,
+which is what ``_lift``'s NotInvariant tests.  Triviality is read off the
+generators, which ``PermGroup`` keeps free of identities, so no chain is
+built.
+
+Each graph keeps its last alternation record (``_alternation``), so a
+``tcr_sequence`` call followed by a replay on the same graph and start
+runs the alternation once.
 """
 
 from __future__ import annotations
@@ -57,10 +72,6 @@ from .strings import Budget, BudgetArg, ColoredString, graph_iso_under_group
 
 class NotTCRBounded(RuntimeError):
     """The alternating refinement stalled before reaching a discrete coloring."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,7 @@ def _start(graph: ColoredGraph, points: Sequence[int]) -> tuple[tuple[int, ...],
                     for v in range(graph.n)])
 
 
-def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> list[tuple]:
+def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> tuple[tuple, ...]:
     """The record of the t-CR alternation from ``_start(graph, points)``:
     its steps (kind, ids, names), kind "init", "refine" or "split".
 
@@ -137,7 +148,15 @@ def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> list[tup
     "refine" step per growing round, and then makes every class of size at
     most t discrete, one "split" step if any class splits.  The record ends
     with the first phase that changes nothing.
+
+    The graph is immutable, so it keeps its last record: a second call with
+    the same ``(points, t)`` returns it without a round.  One entry per
+    graph, so alternating calls on one graph recompute each time.
     """
+    key = (tuple(points), t)
+    last = graph.__dict__.get("_tcr_record")
+    if last is not None and last[0] == key:
+        return last[1]
     neighbors = graph.neighbor_table()
     ids, names = _start(graph, points)
     record = [("init", ids, names)]
@@ -159,6 +178,8 @@ def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> list[tup
             ids, names = _ranked(labels)
             record.append(("split", ids, names))
         if len(names) == count:
+            record = tuple(record)
+            graph.__dict__["_tcr_record"] = (key, record)
             return record
 
 
@@ -264,11 +285,14 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     kind or class count, give the empty coset.  Once the classes are
     discrete, one graph test under the coset gives the exact answer, as the
     module docstring argues; none runs if the replay empties the coset
-    first.  When the coset's group is trivial the test is
-    ``g1.apply(rep) == g2`` and one budget tick; otherwise it is one
-    ``graph_iso_under_group`` call.  Raises NotTCRBounded only when side 1
-    stalls: the records agree, and side 1's classes are not discrete at
-    the end.  Side 1's record depends on g1, s1 and t alone.
+    first.  A refinement round under a coset with the trivial group is a
+    name check and one budget tick, with no set-of-strings query.  When the
+    final coset's group is trivial the test is ``g1.apply(rep) == g2`` and
+    one budget tick; otherwise it is one ``graph_iso_under_group`` call.
+    Raises NotTCRBounded only when side 1 stalls: the records agree, and
+    side 1's classes are not discrete at the end.  Side 1's record depends
+    on g1, s1 and t alone, and each graph keeps its last record, so a call
+    after ``tcr_sequence`` on the same graph and start runs no round there.
     """
     budget = Budget.of(budget)
     s1_sorted, s2_sorted = _checked_points(s1, g1.n), _checked_points(s2, g2.n)
@@ -295,7 +319,12 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     for (kind, ids1, names1), (kind2, ids2, names2) in zip(record1, record2):
         if kind != kind2 or len(names1) != len(names2):
             return IsoCoset.empty()
-        if kind == "refine":
+        if kind == "refine" and not coset.group.generators:
+            # under the trivial group the round is a name check (module
+            # docstring), one budget tick
+            budget.tick()
+            coset = _lift(coset, names1, names2, act=_moved_tail)
+        elif kind == "refine":
             # one string per class, in the order a vertex scan meets them,
             # so that letters are numbered as the per-vertex strings would be
             encode: dict = {}
@@ -321,12 +350,8 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
     # one graph test keeps exactly those
     coset = _lift(coset, [(c, None) for c in ids1], [(c, None) for c in ids2])
     rep = coset.rep
-    if coset.group.is_trivial():
+    if not coset.group.generators:
         budget.tick()
-        if g1.apply(rep) != g2:
-            return IsoCoset.empty()
-        # no generators, as the solver answers: the lifted group may list
-        # identities, which a CosetUnion would carry into the answer
-        return IsoCoset(PermGroup([], n), rep)
+        return IsoCoset(coset.group, rep) if g1.apply(rep) == g2 else IsoCoset.empty()
     return graph_iso_under_group(g1, g2.apply(rep.inverse()), coset.group,
                                  budget=budget).shifted(rep)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -147,6 +148,25 @@ class TestIsoHfs:
             assert res.element_set() == frozenset(brute)
             nonempty += bool(brute)
         assert 20 < nonempty < len(pairs) - 20
+
+    def test_deep_chain_answers_like_shallow_ones(self):
+        # (((a0))) nested 300 deep against the same chain over a1: after the
+        # first round the coset's group is trivial, so every further replay
+        # round is a name check.  Hashing, relabeling and comparing terms
+        # still recurse once per level, hence the raised recursion limit.
+        # Tuples, because a set sorts its children by their repr, which
+        # costs O(depth) per level
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 5000))
+        try:
+            t1, t2 = atom(0), atom(1)
+            for _ in range(300):
+                t1, t2 = htuple(t1), htuple(t2)
+            res = iso_hfs(t1, t2, sym(2))
+            brute = {g.images for g in sym(2).elements() if t1.apply(g) == t2}
+            assert res.element_set() == frozenset(brute) == {(1, 0)}
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_under_restricted_group(self):
         rng = random.Random(321)

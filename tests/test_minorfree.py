@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from setiso import minorfree
+from setiso import minorfree, refine
 from setiso.graphs import ColoredGraph
 from setiso.minorfree import (
     MinorPromiseViolation,
@@ -342,6 +343,47 @@ class TestIsoExcludedMinor:
                 assert res.group.generators == ref.group.generators
                 assert res.rep == ref.rep
             assert skipped > 0
+
+    def test_one_alternation_per_graph_and_triple(self, monkeypatch):
+        # each graph keeps its last alternation record: g1's runs once per
+        # query, g2's once per examined triple (the screen records it, the
+        # replay reads it back), and every replay round runs under the
+        # trivial group, so none is a set-of-strings query.  With g1 and g2
+        # one object, the single record thrashes and the answer is the same
+        records, screened = [], []
+        real_alternation, real_sequence = refine._alternation, minorfree.tcr_sequence
+
+        def alternation(graph, points, t):
+            records.append((graph, real_alternation(graph, points, t)))
+            return records[-1][1]
+
+        def sequence(graph, individualize, t):
+            screened.append(graph)
+            return real_sequence(graph, individualize, t)
+
+        def no_query(*args):
+            raise AssertionError("set-of-strings query in a replay")
+        monkeypatch.setattr(refine, "_alternation", alternation)
+        monkeypatch.setattr(minorfree, "tcr_sequence", sequence)
+        monkeypatch.setattr(refine, "set_of_strings_iso", no_query)
+        rng = random.Random(26)
+        colored = prism(6, colored=(0, 7))
+        pairs = [(g, g.apply(rand_perm(rng, g.n)), True) for g in (prism(5), colored, wheel(7))]
+        pairs.append((colored, prism(6, colored=(0, 8)).apply(rand_perm(rng, 12)), False))
+        for g1, g2, iso in pairs:
+            records.clear()
+            screened.clear()
+            assert iso_excluded_minor(g1, g2, 3).is_empty != iso
+            examined = sum(graph is g2 for graph in screened)
+            computed = {id(record): graph for graph, record in records}.values()
+            assert sum(graph is g1 for graph in screened) == 1
+            assert sum(graph is g1 for graph in computed) == 1
+            assert sum(graph is g2 for graph in computed) == examined
+            assert examined > 0
+            same = iso_excluded_minor(g1, g1, 3)
+            copied = iso_excluded_minor(g1, dataclasses.replace(g1), 3)
+            assert same.rep == copied.rep
+            assert same.group.generators == copied.group.generators
 
     def test_discrete_base_side_never_stalls(self):
         # the prune may skip triples only because none of them can stall:
