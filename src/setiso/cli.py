@@ -310,10 +310,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (fileio.ParseError, FileNotFoundError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
+        # ParseError is a ValueError; OSError covers missing, unreadable
+        # and directory paths
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

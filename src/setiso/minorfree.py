@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .graphs import ColoredGraph
@@ -195,7 +195,8 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     alternation record, so g1's alternation runs once per query, in the
     up-front ``tcr_sequence``, and g2's once per examined triple: the
     screen's ``tcr_sequence`` records it, and the replay reads both records
-    back.
+    back.  An automorphism query (g2 is g1) replays against a copy of g1,
+    so the screen does not overwrite the record side 1 reads.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -230,6 +231,8 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
             raise ValueError("input graph is not 3-connected")
     if g1.n != g2.n:
         return IsoCoset.empty()
+    if g2 is g1:
+        g2 = replace(g1)
     n = g1.n
     t = h - 1
     base_triple = (0, 1, 2)

@@ -61,7 +61,11 @@ order as they are, so Schreier-Sims does each step once:
   source's own action on an invariant list, so g -> action(g) is a
   homomorphism by construction (the action of g * h is the action of g
   followed by that of h); their target-first chain states |source| and
-  stops as soon as it is complete, with the chain the check would build.
+  stops as soon as it is complete, with the chain the check would build;
+- every composition, in products, Schreier generators, sifts and the
+  element walk, goes through one primitive, ``_compose``: the same table
+  as the point-by-point composition, with the loop run in C.  The identity
+  table of each degree is made once.
 
 Every enumeration runs through one loop, ``_products``: a depth-first walk
 over products of transversal elements that calls ``step(state,
@@ -92,6 +96,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -102,6 +107,19 @@ class DegreeMismatch(ValueError):
 
 class NotInvariant(ValueError):
     """Raised when a set that must be invariant under a group is not."""
+
+
+@functools.cache
+def _identity_table(n: int) -> tuple:
+    return tuple(range(n))
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The table of "apply a, then b": entry i is b[a[i]]."""
+    if len(a) < 2:
+        # itemgetter returns a scalar for one index and refuses none
+        return tuple(b[i] for i in a)
+    return operator.itemgetter(*a)(b)
 
 
 class Permutation:
@@ -132,7 +150,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._raw(tuple(range(n)))
+        return cls._raw(_identity_table(n))
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Sequence[int]) -> "Permutation":
@@ -151,7 +169,7 @@ class Permutation:
         # apply self first, then other
         if len(self.images) != len(other.images):
             raise DegreeMismatch("cannot compose degree %d with degree %d" % (self.degree, other.degree))
-        return Permutation._raw(tuple(map(other.images.__getitem__, self.images)))
+        return Permutation._raw(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -172,7 +190,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_table(len(self.images))
 
     def apply_set(self, points: Iterable[int]) -> frozenset:
         return frozenset(self.images[p] for p in points)
@@ -230,24 +248,26 @@ class _Level:
     """One level of a stabilizer chain: a base point with its Schreier tree.
 
     ``gen_invs[k]`` is the inverse of ``gens[k]``, and ``inverses[beta]``
-    that of ``transversal[beta]``.  Two fields serve the build only and are
-    dropped when it ends: ``parents[gamma]`` is the pair (beta, id(g)) of
-    the tree edge that reached gamma, whose Schreier generator is the
-    identity, and ``serials[beta]`` numbers ``transversal[beta]``: a
-    rebuild that keeps an element keeps its serial, and a new element gets
-    the next number of the build's counter.  The root's element, the
-    identity, is number 0.  Generators are keyed by ``id``: every generator
-    placed during a build stays in ``gens`` until it ends, so no id is
-    reused.
+    that of ``transversal[beta]``.  Three fields serve the build only and
+    are dropped when it ends: ``tree`` is the pair (tree generators, their
+    inverses) of the last rebuild, the generators placed at this level or
+    deeper; ``parents[gamma]`` is the pair (beta, id(g)) of the tree edge
+    that reached gamma, whose Schreier generator is the identity; and
+    ``serials[beta]`` numbers ``transversal[beta]``: a rebuild that keeps an
+    element keeps its serial, and a new element gets the next number of the
+    build's counter.  The root's element, the identity, is number 0.
+    Generators are keyed by ``id``: every generator placed during a build
+    stays in ``gens`` until it ends, so no id is reused.
     """
 
-    __slots__ = ("point", "gens", "gen_invs", "transversal", "inverses",
+    __slots__ = ("point", "gens", "gen_invs", "tree", "transversal", "inverses",
                  "parents", "serials")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.gen_invs: list[Permutation] = []
+        self.tree: Optional[tuple[list[Permutation], list[Permutation]]] = None
         self.transversal: dict[int, Permutation] = {}
         self.inverses: dict[int, Permutation] = {}
         self.parents: dict[int, tuple[int, int]] = {}
@@ -257,9 +277,11 @@ class _Level:
         self.gens.append(g)
         self.gen_invs.append(g.inverse())
 
-    def rebuild(self, degree: int, tree_gens: Sequence[Permutation],
-                gen_invs: Sequence[Permutation], serials: Iterator[int]) -> None:
-        """Breadth-first Schreier tree; generator order fixes the shape.
+    def rebuild(self, degree: int, below: tuple[list[Permutation], list[Permutation]],
+                serials: Iterator[int]) -> None:
+        """Breadth-first Schreier tree over this level's generators followed
+        by ``below``, the next level's ``tree``; generator order fixes the
+        shape.
 
         A point reached from a kept point by the edge that reached it last
         time keeps its element, inverse and serial; other points take the
@@ -267,6 +289,7 @@ class _Level:
         """
         old_trans, old_invs = self.transversal, self.inverses
         old_parents, old_serials = self.parents, self.serials
+        self.tree = tree_gens, gen_invs = self.gens + below[0], self.gen_invs + below[1]
         ident = Permutation.identity(degree)
         self.transversal = {self.point: ident}
         self.inverses = {self.point: ident}
@@ -338,22 +361,18 @@ class PermGroup:
         levels = self.__dict__["_levels"] = [_Level(b) for b in self._base_prefix]
         self._build()
         for lvl in levels:
-            lvl.parents = lvl.serials = None   # read by the build only
+            lvl.tree = lvl.parents = lvl.serials = None   # read by the build only
         return levels
 
-    def _tree_gens(self, i: int) -> tuple[list[Permutation], list[Permutation]]:
-        """Generators for the stabilizer at level i, those placed at levels
-        >= i, and their inverses."""
-        gens, invs = [], []
-        for lvl in self._levels[i:]:
-            gens.extend(lvl.gens)
-            invs.extend(lvl.gen_invs)
-        return gens, invs
-
     def _rebuild_from(self, j: int, serials: Iterator[int]) -> None:
-        # a new generator at level j can enlarge every tree at levels <= j
-        for k in range(min(j, len(self._levels) - 1), -1, -1):
-            self._levels[k].rebuild(self.degree, *self._tree_gens(k), serials)
+        # a new generator at level j can enlarge every tree at levels <= j;
+        # the deeper levels keep their trees and tree generators
+        levels = self._levels
+        j = min(j, len(levels) - 1)
+        below = levels[j + 1].tree if j + 1 < len(levels) else ([], [])
+        for k in range(j, -1, -1):
+            levels[k].rebuild(self.degree, below, serials)
+            below = levels[k].tree
 
     def _build(self) -> None:
         """Deterministic Schreier-Sims on the base-prefix levels.
@@ -421,8 +440,8 @@ class PermGroup:
         """Sift the Schreier generators of level i through the chain below,
         skipping and extending ``proven`` and ``keys``."""
         lvl = self._levels[i]
-        tree_gens, _ = self._tree_gens(i)
-        ident = tuple(range(self.degree))
+        tree_gens = lvl.tree[0]
+        ident = _identity_table(self.degree)
         for beta in sorted(lvl.transversal):
             u = lvl.transversal[beta].images
             serial = lvl.serials[beta]
@@ -434,7 +453,7 @@ class PermGroup:
                 if key in keys:
                     continue
                 t_inv = lvl.inverses[gamma].images
-                schreier = tuple(map(t_inv.__getitem__, map(g.images.__getitem__, u)))
+                schreier = _compose(_compose(u, g.images), t_inv)
                 if schreier not in proven:
                     residue, j = self._sift(schreier, i + 1)
                     if residue != ident:
@@ -454,7 +473,7 @@ class PermGroup:
             inv = lvl.inverses.get(beta)
             if inv is None:
                 return r, j
-            r = tuple(map(inv.images.__getitem__, r))
+            r = _compose(r, inv.images)
         return r, len(levels)
 
     # -- queries -----------------------------------------------------------
@@ -472,7 +491,7 @@ class PermGroup:
         if g.degree != self.degree:
             return False
         residue, _ = self._sift(g.images, 0)
-        return residue == tuple(range(self.degree))
+        return residue == _identity_table(self.degree)
 
     def is_trivial(self) -> bool:
         return self.order() == 1
@@ -1069,7 +1088,7 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
             accs.pop()
             states.pop()
             continue
-        images = tuple(map(accs[i].__getitem__, t.images))
+        images = _compose(t.images, accs[i])
         state = states[i]
         if finals[i]:
             state = step(state, finals[i], images)

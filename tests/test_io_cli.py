@@ -328,6 +328,15 @@ class TestCli:
         assert code == 2
         assert "bad.hg:2" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_an_unreadable_path_exits_2(self, tmp_path, kind):
+        path = tmp_path if kind == "directory" else tmp_path / "none.str"
+        code, out, err = run_cli(["iso-string", str(path), str(path)])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_genus_table(self):
         code, out, _ = run_cli(["genus-table", "--g", "1"])
         assert code == 0

@@ -349,7 +349,8 @@ class TestIsoExcludedMinor:
         # query, g2's once per examined triple (the screen records it, the
         # replay reads it back), and every replay round runs under the
         # trivial group, so none is a set-of-strings query.  With g1 and g2
-        # one object, the single record thrashes and the answer is the same
+        # one object, the replay runs against a copy: as many records and
+        # the same answer as against a copy made by the caller
         records, screened = [], []
         real_alternation, real_sequence = refine._alternation, minorfree.tcr_sequence
 
@@ -382,6 +383,16 @@ class TestIsoExcludedMinor:
             assert examined > 0
             same = iso_excluded_minor(g1, g1, 3)
             copied = iso_excluded_minor(g1, dataclasses.replace(g1), 3)
+            assert same.rep == copied.rep
+            assert same.group.generators == copied.group.generators
+        for make, count in ((lambda: prism(6), 5), (lambda: wheel(9), 4)):
+            answers = []
+            for copy in (False, True):
+                g = make()
+                records.clear()
+                answers.append(iso_excluded_minor(g, dataclasses.replace(g) if copy else g, 3))
+                assert len({id(record) for _, record in records}) == count
+            same, copied = answers
             assert same.rep == copied.rep
             assert same.group.generators == copied.group.generators
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,6 +36,18 @@ def alt(n):
     return PermGroup(gens, n)
 
 
+def _naive_product(a, b):
+    """The table of "apply a, then b", point by point."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def _naive_inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -61,6 +74,50 @@ class TestPermutation:
         p, q = rand_perm(rng, n), rand_perm(rng, n)
         assert (p * q).inverse() == q.inverse() * p.inverse()
         assert all((p * p.inverse())(i) == i for i in range(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_degrees_below_three_compose_as_tables(self, n):
+        # the degrees where composing by itemgetter would give a scalar or fail
+        perms = [Permutation(t) for t in itertools.permutations(range(n))]
+        for p in perms:
+            assert p.inverse().images == _naive_inverse(p.images)
+            assert p.is_identity() == (p.images == tuple(range(n)))
+            assert (p ** 3).images == _naive_product(p.images, (p * p).images)
+            for q in perms:
+                assert (p * q).images == _naive_product(p.images, q.images)
+        assert Permutation.identity(n).images == tuple(range(n))
+        assert Permutation.identity(n).is_identity()
+        group = PermGroup(perms, n)
+        assert group.order() == len(perms)
+        assert all(group.contains(p) for p in perms)
+        assert sorted(g.images for g in group.elements()) == sorted(p.images for p in perms)
+
+    @given(st.integers(0, 300).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=3, max_size=3)))
+    @settings(max_examples=40, deadline=None)
+    def test_products_inverses_and_membership_are_the_naive_tables(self, tables):
+        a, b, c = (tuple(t) for t in tables)
+        n = len(a)
+        p, q = Permutation(a), Permutation(b)
+        ab = _naive_product(a, b)
+        assert (p * q).images == ab
+        assert (p * q).inverse().images == _naive_inverse(ab)
+        assert p.is_identity() == (a == tuple(range(n)))
+        assert (p * p.inverse()).is_identity()
+        # Sym on the first (up to) 4 points of c: members fix every other point
+        pts = c[:4]
+        gens = ([Permutation.from_cycles(n, pts[:2]), Permutation.from_cycles(n, pts)]
+                if len(pts) > 1 else [])
+        group = PermGroup(gens, n)
+        member = list(range(n))
+        for i, j in zip(pts, sorted(pts, key=b.__getitem__)):
+            member[i] = j
+        outside = list(member)
+        if n >= 6:
+            outside[c[4]], outside[c[5]] = c[5], c[4]
+        for t in (a, ab, tuple(member), tuple(outside)):
+            naive = all(t[i] == i for i in range(n) if i not in pts)
+            assert group.contains(Permutation(t)) == naive
 
 
 class TestBuildGroup:
