@@ -19,10 +19,11 @@ class ColoredGraph:
     """A graph on the vertices 0..n-1 with vertex colors and arc colors.
 
     Instances are immutable, so data derived from one is kept on it: the
-    neighbor table, built on the first ``neighbor_table()`` call, and the
-    last t-CR alternation record, which ``refine._alternation`` stores as
+    neighbor table and the arc table, each built on the first
+    ``neighbor_table()`` or ``arc_table()`` call, and the last t-CR
+    alternation record, which ``refine._alternation`` stores as
     ((points, t), record) and returns when asked for the same start again.
-    Neither takes part in equality.
+    None of them takes part in equality.
     """
 
     n: int
@@ -81,6 +82,18 @@ class ColoredGraph:
             table[u].append(v)
             table[v].append(u)
         return tuple(tuple(sorted(row)) for row in table)
+
+    def arc_table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """For every vertex v, the (w, arc color v->w, arc color w->v) over
+        its sorted neighbors w, built on the first call and shared like the
+        neighbor table."""
+        return self._arc_table
+
+    @functools.cached_property
+    def _arc_table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        arcs = self.arc_colors
+        return tuple(tuple((w, arcs[(v, w)], arcs[(w, v)]) for w in row)
+                     for v, row in enumerate(self.neighbor_table()))
 
     def apply(self, g: Permutation) -> "ColoredGraph":
         if g.degree != self.n:

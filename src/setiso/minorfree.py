@@ -4,13 +4,14 @@ The pipeline individualizes one vertex triple of the first graph and
 searches the ordered triples of the second as an individualization-
 refinement tree (McKay and Piperno, *Practical graph isomorphism II*, 2014):
 each prefix is individualized and refined, and a branch survives only while
-its refinement matches the first graph's.  A surviving triple that the
-isomorphisms found so far already carry the base triple onto is skipped
-(the automorphism prune of the same tree); the (h-1)-CR alternation runs on
-both sides of every other one, which is then solved as a t-CR-bounded pair.
-Both prunes are exact: refinement ids are canonical, so no isomorphism
-extends a dropped prefix, a skipped triple's isomorphisms are already in the
-answer, and neither kind could have stalled, because the replay stalls only
+its refinement matches the first graph's.  A prefix that the isomorphisms
+found so far already carry the base triple's prefix onto is skipped before
+it is refined (the orbit prune of the same tree, at inner nodes and
+leaves); the (h-1)-CR alternation runs on both sides of every surviving
+triple not skipped, which is then solved as a t-CR-bounded pair.  Both
+prunes are exact: refinement ids are canonical, so no isomorphism extends a
+dropped prefix, a skipped prefix's isomorphisms are already in the answer,
+and no triple below either could have stalled, because the replay stalls only
 on a first side that is not discrete, and that side is checked once up
 front (``iso_excluded_minor`` gives the argument in full).  A stalled
 sequence is a diagnosable symptom of a broken promise: on small inputs it
@@ -183,20 +184,22 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     whose sorted color ids differ from g1's is dropped; otherwise it is
     extended, in increasing vertex order, by the vertices whose id is that
     of ``base_triple[i]`` in g1.  So the surviving triples come out in
-    sorted order.  A surviving triple that is covered (below) is skipped;
-    every other one is screened by the exact trace invariant of the
+    sorted order.  A prefix of length k = 1, 2, 3 that is covered (below) is
+    skipped before it is refined, or for k = 3 before it is screened; every
+    other surviving triple is screened by the exact trace invariant of the
     (h-1)-CR sequence and then decided as a t-CR-bounded pair with the
     trivial group matching the triples.  Its piece,
     {sigma : sigma(base) = triple}, goes into one ``CosetUnion``.  Whenever
-    the union grows, the covered set becomes the images of the base triple
-    under the union: the orbit of the ordered base triple under the union's
-    group, mapped by its representative (``h * rep`` applies h first).  One
-    budget bounds the pairs of all triples.  Each graph keeps its last
-    alternation record, so g1's alternation runs once per query, in the
-    up-front ``tcr_sequence``, and g2's once per examined triple: the
-    screen's ``tcr_sequence`` records it, and the replay reads both records
-    back.  An automorphism query (g2 is g1) replays against a copy of g1,
-    so the screen does not overwrite the record side 1 reads.
+    the union grows, the covered prefixes of length k become the length-k
+    slices of the images of the base triple under the union: the orbit of
+    the ordered base triple under the union's group, mapped by its
+    representative (``h * rep`` applies h first).  One budget bounds the
+    pairs of all triples.  Each graph keeps its last alternation record, so
+    g1's alternation runs once per query, in the up-front ``tcr_sequence``,
+    and g2's once per examined triple: the screen's ``tcr_sequence`` records
+    it, and the replay reads both records back.  An automorphism query (g2
+    is g1) replays against a copy of g1, so the screen does not overwrite
+    the record side 1 reads, and checks 3-connectivity once.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -204,16 +207,28 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
       onto g2's, id for id.  A pruned triple has no isomorphism extending
       it, its piece would be empty, and an empty piece leaves the
       ``CosetUnion`` unchanged.
-    - A covered triple's piece is already in the union.  A nonempty piece
-      is Stab * sigma, with Stab the automorphisms of g1 that fix the base
-      triple pointwise and sigma any isomorphism in the piece.  The first
-      nonempty piece makes the union's group contain Stab, and the group
-      only grows.  A covered triple is sigma(base) for some sigma in the
-      union, so its piece Stab * sigma lies in the union as well:
-      ``CosetUnion.add`` would find every candidate already a member and
-      leave the generators and the representative as they are.
-    - No replay stalls, so none needs a fallback, and a pruned or skipped
-      triple cannot have stalled either.  ``iso_tcr_pairs`` raises
+    - Every piece below a covered prefix is already in the union (the orbit
+      prune of McKay and Piperno, at inner nodes and at leaves).  Let Stab_k
+      be the automorphisms of g1 that fix ``base[:k]`` pointwise; the
+      isomorphisms that map ``base[:k]`` onto a prefix q are Stab_k * sigma,
+      for any one sigma of them.  The search leaves the subtree of q only
+      with all of them in the union: each extends to a triple below q,
+      which survives the refinement prune and is added, or skipped as
+      covered, by induction on the order of the skips.  A covered prefix q
+      is sigma(base[:k]) for some sigma in the union, which is therefore
+      nonempty: some triple T was added with a nonempty piece before q was
+      reached, so outside q's subtree, and the subtree of T[:k] is finished.
+      The union is a coset of a group of automorphisms of g1 and contains
+      Stab_k * tau for an isomorphism tau with tau(base) = T, so its group
+      contains Stab_k, and the group only grows.  So Stab_k * sigma, every
+      isomorphism that maps ``base[:k]`` onto q, lies in the union:
+      ``CosetUnion.add`` would find every candidate of every piece below q
+      already a member and leave the generators and the representative as
+      they are.  So a covered prefix is skipped as soon as it is reached,
+      with no flag recording when the group came to contain Stab_k.
+    - No replay stalls, so none needs a fallback, and a triple that is
+      pruned or skipped, or lies below a skipped prefix, cannot have
+      stalled either.  ``iso_tcr_pairs`` raises
       ``NotTCRBounded`` only when its side-1 record ends before the classes
       are discrete.  Side 1 is always (g1, base triple), and its record is
       the one that ``tcr_sequence(g1, base_triple, t)`` summarizes: the
@@ -224,7 +239,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     if h < 3:
         raise ValueError("h must be at least 3")
     budget = Budget.of(budget)
-    for graph in (g1, g2):
+    for graph in (g1,) if g2 is g1 else (g1, g2):
         if graph.n < 4:
             raise ValueError("need at least 4 vertices")
         if not is_three_connected(graph):
@@ -244,12 +259,21 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
                 for i in range(3)]
     base_sorted = [sorted(ids) for ids in base_ids]
 
-    def triples(prefix=()):
-        """The ordered triples of g2 that extend ``prefix`` and survive the
-        refinement prune, in sorted order."""
+    union = CosetUnion(n)
+    # covered[k]: the images of base_triple[:k] under the union
+    covered: list[set[tuple[int, ...]]] = [set() for _ in range(4)]
+
+    def search(prefix=()):
+        """Add the piece of every triple of g2 that extends ``prefix`` and
+        survives the refinement prune, in sorted order, skipping covered
+        prefixes."""
         i = len(prefix)
+        if prefix in covered[i]:
+            return
         if i == 3:
-            yield prefix
+            if union.add(examine(prefix)):
+                images = _images(union.result(), base_triple)
+                covered[:] = [{q[:k] for q in images} for k in range(4)]
             return
         ids = color_refinement(g2, _start(g2, prefix)[0]).ids
         if sorted(ids) != base_sorted[i]:
@@ -257,7 +281,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         target = base_ids[i][base_triple[i]]
         for v in range(n):
             if ids[v] == target and v not in prefix:
-                yield from triples(prefix + (v,))
+                search(prefix + (v,))
 
     def examine(triple):
         col2, discrete2, trace2 = tcr_sequence(g2, triple, t)
@@ -271,13 +295,7 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
         return iso_tcr_pairs(g1, base_triple, g2, triple,
                              PermGroup([], 3), theta, t, budget)
 
-    union = CosetUnion(n)
-    covered: set[tuple[int, ...]] = set()
-    for triple in triples():
-        if triple in covered:
-            continue
-        if union.add(examine(triple)):
-            covered = _images(union.result(), base_triple)
+    search()
     return union.result()
 
 

@@ -311,8 +311,9 @@ class _Level:
                     self.inverses[gamma] = old_invs[gamma]
                     self.serials[gamma] = old_serials[gamma]
                 else:
-                    self.transversal[gamma] = u * g
-                    self.inverses[gamma] = gen_invs[k] * u_inv
+                    self.transversal[gamma] = Permutation._raw(_compose(u.images, g.images))
+                    self.inverses[gamma] = Permutation._raw(
+                        _compose(gen_invs[k].images, u_inv.images))
                     self.serials[gamma] = next(serials)
                 self.parents[gamma] = edge
                 queue.append(gamma)

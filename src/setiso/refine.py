@@ -104,14 +104,12 @@ def _ranked(labels: Sequence[Hashable]) -> tuple[tuple[int, ...], list]:
     return tuple(rank[x] for x in labels), names
 
 
-def _round(graph: ColoredGraph, ids: Sequence[int],
-           neighbors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list]:
+def _round(graph: ColoredGraph, ids: Sequence[int]) -> tuple[tuple[int, ...], list]:
     """One refinement round: the ranked keys (ids[v], tail), the tail being
-    the sorted (ids[w], arc colors v->w and w->v) over the neighbors w of v."""
-    arcs = graph.arc_colors
-    return _ranked([
-        (ids[v], tuple(sorted((ids[w], arcs[(v, w)], arcs[(w, v)]) for w in neighbors[v])))
-        for v in range(graph.n)])
+    the sorted (ids[w], arc colors v->w and w->v) over the neighbors w of v,
+    read from the graph's arc table."""
+    return _ranked([(c, tuple(sorted((ids[w], out, back) for w, out, back in row)))
+                    for c, row in zip(ids, graph.arc_table())])
 
 
 def color_refinement(graph: ColoredGraph,
@@ -122,9 +120,8 @@ def color_refinement(graph: ColoredGraph,
     if len(labels) != graph.n:
         raise ValueError("start must give one label per vertex")
     ids, names = _ranked(labels)
-    neighbors = graph.neighbor_table()
     while True:
-        ids, new = _round(graph, ids, neighbors)
+        ids, new = _round(graph, ids)
         if len(new) == len(names):
             return Coloring(ids)
         names = new
@@ -157,13 +154,12 @@ def _alternation(graph: ColoredGraph, points: Sequence[int], t: int) -> tuple[tu
     last = graph.__dict__.get("_tcr_record")
     if last is not None and last[0] == key:
         return last[1]
-    neighbors = graph.neighbor_table()
     ids, names = _start(graph, points)
     record = [("init", ids, names)]
     while True:
         count = len(names)
         while True:
-            new, keys = _round(graph, ids, neighbors)
+            new, keys = _round(graph, ids)
             if len(keys) == len(names):
                 break
             ids, names = new, keys

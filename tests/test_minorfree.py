@@ -80,6 +80,41 @@ def wheel(k):
                               + [(i, k) for i in range(k)])
 
 
+def every_piece(g1, g2, t):
+    """The search without any skip, through public pieces: the piece of
+    every triple of g2 that survives the refinement prune and the trace
+    screen, and the number of prefixes of g2 refined on the way."""
+    base = (0, 1, 2)
+    _, _, trace1 = tcr_sequence(g1, base, t)
+
+    def ids(g, prefix):
+        return color_refinement(g, [
+            ("s", prefix.index(v)) if v in prefix else ("c", g.vertex_colors[v])
+            for v in range(g.n)]).ids
+
+    base_ids = [ids(g1, base[:i]) for i in range(3)]
+    pieces = {}
+    refined = [0]
+
+    def extend(prefix):
+        i = len(prefix)
+        if i == 3:
+            _, discrete2, trace2 = tcr_sequence(g2, prefix, t)
+            if discrete2 and trace2 == trace1:
+                pieces[prefix] = iso_tcr_pairs(g1, base, g2, prefix, PermGroup([], 3),
+                                               dict(zip(base, prefix)), t)
+            return
+        here = ids(g2, prefix)
+        refined[0] += 1
+        if sorted(here) != sorted(base_ids[i]):
+            return
+        for v in range(g2.n):
+            if here[v] == base_ids[i][base[i]] and v not in prefix:
+                extend(prefix + (v,))
+    extend(())
+    return pieces, refined[0]
+
+
 def brute_iso_count(g1, g2):
     count = 0
     for images in itertools.permutations(range(g1.n)):
@@ -171,6 +206,23 @@ class TestThreeConnectivity:
 
     def test_dodecahedron(self):
         assert is_three_connected(dodecahedron())
+
+    def test_checked_once_per_graph(self, monkeypatch):
+        # one lowpoint search per vertex and graph: an automorphism query
+        # checks its one graph once, a pair of graphs checks both
+        calls = []
+        real = minorfree._has_cut_vertex
+
+        def counting(neighbors, removed):
+            calls.append(removed)
+            return real(neighbors, removed)
+        monkeypatch.setattr(minorfree, "_has_cut_vertex", counting)
+        cube = cube_graph()
+        assert iso_excluded_minor(cube, cube, 3).order() == 48
+        assert len(calls) == 8
+        calls.clear()
+        assert iso_excluded_minor(cube, dataclasses.replace(cube), 3).order() == 48
+        assert len(calls) == 16
 
     def test_agrees_with_pair_deletion(self):
         def brute(g):
@@ -286,35 +338,6 @@ class TestIsoExcludedMinor:
         # replayed and added.  The generators and the representative must
         # match; each skipped triple must carry an isomorphism (its piece is
         # covered, so nonempty), and each replayed one must grow the union
-        def every_piece(g1, g2, t):
-            base = (0, 1, 2)
-            _, _, trace1 = tcr_sequence(g1, base, t)
-
-            def ids(g, prefix):
-                return color_refinement(g, [
-                    ("s", prefix.index(v)) if v in prefix else ("c", g.vertex_colors[v])
-                    for v in range(g.n)]).ids
-
-            base_ids = [ids(g1, base[:i]) for i in range(3)]
-            pieces = {}
-
-            def extend(prefix):
-                i = len(prefix)
-                if i == 3:
-                    _, discrete2, trace2 = tcr_sequence(g2, prefix, t)
-                    if discrete2 and trace2 == trace1:
-                        pieces[prefix] = iso_tcr_pairs(g1, base, g2, prefix, PermGroup([], 3),
-                                                       dict(zip(base, prefix)), t)
-                    return
-                here = ids(g2, prefix)
-                if sorted(here) != sorted(base_ids[i]):
-                    return
-                for v in range(g2.n):
-                    if here[v] == base_ids[i][base[i]] and v not in prefix:
-                        extend(prefix + (v,))
-            extend(())
-            return pieces
-
         calls = []
 
         def counting(*args):
@@ -327,7 +350,7 @@ class TestIsoExcludedMinor:
             for _ in range(3):
                 g1 = g.apply(rand_perm(rng, g.n))
                 g2 = g.apply(rand_perm(rng, g.n))
-                pieces = every_piece(g1, g2, 2)
+                pieces, _ = every_piece(g1, g2, 2)
                 calls.clear()
                 res = iso_excluded_minor(g1, g2, 3)
                 union = CosetUnion(g.n)
@@ -343,6 +366,34 @@ class TestIsoExcludedMinor:
                 assert res.group.generators == ref.group.generators
                 assert res.rep == ref.rep
             assert skipped > 0
+
+    def test_skipping_covered_prefixes_keeps_the_union(self, monkeypatch):
+        # the orbit prune at inner nodes: a prefix of length k that is an
+        # image of base[:k] under the union is skipped before it is refined.
+        # Fewer prefixes of g2 are refined than in the search without any
+        # skip, and the generators and the representative are those of
+        # every piece added
+        refined = []
+        real = minorfree.color_refinement
+
+        def counting(graph, start=None):
+            refined.append(graph)
+            return real(graph, start)
+        monkeypatch.setattr(minorfree, "color_refinement", counting)
+        rng = random.Random(28)
+        for g in (cube_graph(), wheel(7), prism(5, colored=(0, 5))):
+            g1 = g.apply(rand_perm(rng, g.n))
+            g2 = g.apply(rand_perm(rng, g.n))
+            pieces, prefixes = every_piece(g1, g2, 2)
+            refined.clear()
+            res = iso_excluded_minor(g1, g2, 3)
+            assert sum(graph is g2 for graph in refined) < prefixes
+            union = CosetUnion(g.n)
+            for piece in pieces.values():
+                union.add(piece)
+            ref = union.result()
+            assert res.group.generators == ref.group.generators
+            assert res.rep == ref.rep
 
     def test_one_alternation_per_graph_and_triple(self, monkeypatch):
         # each graph keeps its last alternation record: g1's runs once per

@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setiso import perm
 from setiso.perm import GroupHom, IsoCoset, Permutation, PermGroup, _pointwise
 from setiso.pstrings import PPartition, PString, make_family
 from setiso.solver import GsiInstance, _iso_elements, family_image_key, generalized_string_iso
@@ -380,15 +381,15 @@ def test_kernel_work_is_pinned():
 
 
 def _compositions_in_builds(run):
-    """``Permutation.__mul__`` calls made inside ``PermGroup._build`` while
-    ``run`` runs."""
+    """``perm._compose`` calls made inside ``PermGroup._build`` while ``run``
+    runs: Schreier generators, sifts and tree elements alike."""
     count = [0]
     inside = [0]
-    mul, build = Permutation.__mul__, PermGroup._build
+    compose, build = perm._compose, PermGroup._build
 
-    def counted_mul(self, other):
+    def counted_compose(a, b):
         count[0] += inside[0] > 0
-        return mul(self, other)
+        return compose(a, b)
 
     def counted_build(self):
         inside[0] += 1
@@ -398,7 +399,7 @@ def _compositions_in_builds(run):
             inside[0] -= 1
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Permutation, "__mul__", counted_mul)
+        mp.setattr(perm, "_compose", counted_compose)
         mp.setattr(PermGroup, "_build", counted_build)
         run()
     return count[0]
@@ -407,8 +408,8 @@ def _compositions_in_builds(run):
 def test_build_compositions_are_pinned():
     """Exact compositions inside chain builds, for the builds pinned above.
     A tree rebuild keeps the elements of unchanged tree edges; recomputing
-    every element of every rebuilt tree took 400, 382 and 630."""
-    assert _compositions_in_builds(lambda: PermGroup(_sym(8), 8).order()) == 86
-    assert _compositions_in_builds(lambda: PermGroup(_wreath(3, 4), 12).order()) == 68
+    every element of every rebuilt tree took 1233, 1396 and 1918."""
+    assert _compositions_in_builds(lambda: PermGroup(_sym(8), 8).order()) == 849
+    assert _compositions_in_builds(lambda: PermGroup(_wreath(3, 4), 12).order()) == 682
     query = _seeded_wreath_string_query()
-    assert _compositions_in_builds(lambda: string_iso(query)) == 224
+    assert _compositions_in_builds(lambda: string_iso(query)) == 1250

@@ -17,7 +17,7 @@ from setiso.refine import (
 
 from util import rand_perm
 
-from test_hfs import chain
+from test_hfs import chain, rand_term
 from test_minorfree import cube_graph
 
 
@@ -63,6 +63,48 @@ def test_neighbor_table_is_built_once_and_read_only():
     with pytest.raises(TypeError):
         table[0][0] = 3
     assert g == ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def test_arc_table_is_built_once_from_the_arc_colors():
+    g = ColoredGraph.build(3, {(0, 1): 4, (1, 0): 5, (1, 2): 6, (2, 1): 6}, [0, 0, 0])
+    table = g.arc_table()
+    assert table == (((1, 4, 5),), ((0, 5, 4), (2, 6, 6)), ((1, 6, 6),))
+    assert g.arc_table() is table
+    assert g == ColoredGraph.build(3, dict(g.arc_colors), [0, 0, 0])
+
+
+def _reference_round(g, ids):
+    """One refinement round computed straight from ``arc_colors``."""
+    keys = [(ids[v], tuple(sorted((ids[w], g.arc_colors[(v, w)], g.arc_colors[(w, v)])
+                                  for w in range(g.n) if g.has_edge(v, w))))
+            for v in range(g.n)]
+    names = sorted(set(keys))
+    return tuple(names.index(key) for key in keys), names
+
+
+def test_round_reads_the_arc_table_as_the_arc_colors():
+    """Asymmetric arc colors: random directed colorings, and HFS encodings,
+    whose arcs down to a child carry its position and arcs up a fixed color."""
+    rng = random.Random(2828)
+    graphs = []
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        arcs = {}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.5:
+                    arcs[(u, v)], arcs[(v, u)] = rng.randrange(3), rng.randrange(3)
+        graphs.append(ColoredGraph.build(n, arcs, [rng.randrange(2) for _ in range(n)]))
+    for _ in range(15):
+        graphs.append(hfs_to_graph(rand_term(rng, 4), 4)[0])
+    for g in graphs:
+        ids = tuple(rng.randrange(3) for _ in range(g.n))
+        while True:
+            new = setiso.refine._round(g, ids)
+            assert new == _reference_round(g, ids)
+            if new[0] == ids:
+                break
+            ids = new[0]
 
 
 class TestColorRefinement:
