@@ -1,25 +1,30 @@
 """Command-line front door.
 
-Subcommands decide isomorphism of the supported object kinds and print either
-a human summary or a machine block: ``ISO`` followed by the representative
-image table, the automorphism generator tables and the exact order, or
-``NONISO``.  Exit codes: 0 isomorphic, 1 not isomorphic, 2 error.
+``iso-<kind>`` decides isomorphism of two objects and prints a human summary
+or, under ``--machine``, a machine block: ``ISO`` followed by the
+representative image table, the automorphism generator tables and the exact
+order, or ``NONISO``.  Exit codes: 0 isomorphic, 1 not isomorphic, 2 error.
+``KINDS`` gives each object kind its reader, size test and query, and
+``oracle --kind`` reads it too, so both rule out a size mismatch alike.
 
-``--d``, the composition-width promise, is an option of ``certify`` only, the
-one subcommand that reads it.  ``--budget`` caps the recursion nodes of the
-whole query, nested calls included; the subcommands that run no recursion
-(``refine``, ``normalize``, ``oracle``) do not take it.  Output is
-byte-identical from run to run.
+``--machine`` goes to the ``iso-*`` subcommands only and ``--d``, the
+composition-width promise, to ``certify`` only: no other subcommand reads
+them.  ``--budget`` caps the recursion nodes of the whole query, nested
+calls included; the subcommands that run no recursion (``refine``,
+``normalize``, ``oracle``) do not take it.  Output is byte-identical from
+run to run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple
 
 from . import fileio
 from .hfs import iso_hfs
-from .minorfree import genus_to_h, iso_excluded_minor, iso_genus, k3h_genus_table
+from .minorfree import genus_to_h, iso_excluded_minor, k3h_genus_table
 from .normalize import normalize_families
 from .oracle import brute_force_iso
 from .perm import IsoCoset, PermGroup, Permutation
@@ -48,8 +53,8 @@ def _emit(result: IsoCoset, machine: bool) -> int:
     if result.is_empty:
         out.write("NONISO\n")
         return 1
+    out.write("ISO\n")
     if machine:
-        out.write("ISO\n")
         out.write("rep %s\n" % " ".join(map(str, result.rep.images)))
         gens = result.group.generators
         out.write("aut-generators %d\n" % len(gens))
@@ -57,82 +62,81 @@ def _emit(result: IsoCoset, machine: bool) -> int:
             out.write("%s\n" % " ".join(map(str, g.images)))
         out.write("aut-order %d\n" % result.group.order())
     else:
-        out.write("ISO\n")
         out.write("representative: %r\n" % (result.rep,))
         out.write("automorphism group order: %d\n" % result.group.order())
     return 0
 
 
-def _cmd_iso_string(args) -> int:
-    x = fileio.read_string(args.objects[0])
-    y = fileio.read_string(args.objects[1])
-    if x.n != y.n:
+class _Kind(NamedTuple):
+    """How ``iso-<kind>`` and ``oracle --kind`` read and answer one kind."""
+    help: str
+    read: Callable       # path -> object
+    points: Callable     # object -> degree of the group
+    size: Callable       # object -> what every isomorphic pair shares
+    query: Callable      # (group, x, y, budget) -> IsoCoset
+    oracle: str          # the kind name of brute_force_iso
+    encode: Callable     # object -> the encoding brute_force_iso takes
+
+
+def _gsi(group, partition, f1, f2, budget):
+    return generalized_string_iso(GsiInstance(group, partition, f1, f2), budget)
+
+
+_N = attrgetter("n")
+
+KINDS = {
+    "string": _Kind(
+        "string isomorphism", fileio.read_string, _N, _N,
+        lambda group, x, y, budget: string_iso(StringQuery(group, x, y, budget=budget)),
+        "string", lambda x: x.letters),
+    "hyper": _Kind(
+        "hypergraph isomorphism", fileio.read_hypergraph, _N,
+        lambda h: (h.n, len(h.edges)),
+        lambda group, x, y, budget: _gsi(group, PPartition.trivial(x.n),
+                                         hypergraph_to_family(x), hypergraph_to_family(y),
+                                         budget),
+        "hypergraph", lambda h: h.edges),
+    "graph": _Kind(
+        "colored graph isomorphism under a group", fileio.read_colored_graph, _N, _N,
+        lambda group, x, y, budget: graph_iso_under_group(x, y, group, budget=budget),
+        "graph", lambda g: g),
+    "psf": _Kind(
+        "generalized string isomorphism", fileio.read_family,
+        lambda f: f.partition.n, lambda f: f.partition,
+        lambda group, x, y, budget: _gsi(group, x.partition, x, y, budget),
+        "family",
+        lambda f: (f.partition.class_of, {(m.class_id, m.letters) for m in f.members})),
+    # read_hfs returns (point count, term)
+    "hfs": _Kind(
+        "hereditarily finite set isomorphism", fileio.read_hfs,
+        itemgetter(0), itemgetter(0),
+        lambda group, x, y, budget: iso_hfs(x[1], y[1], group, budget),
+        "hfs", itemgetter(1)),
+}
+
+
+def _read_pair(args):
+    """The kind, both objects and the group; the group is None, and not read,
+    when the objects' sizes already rule isomorphism out."""
+    kind = KINDS[args.kind]
+    x, y = (kind.read(path) for path in args.objects)
+    if kind.size(x) != kind.size(y):
+        return kind, x, y, None
+    return kind, x, y, _group_for(args.group, kind.points(x))
+
+
+def _cmd_iso(args) -> int:
+    kind, x, y, group = _read_pair(args)
+    if group is None:
         print("NONISO")
         return 1
-    group = _group_for(args.group, x.n)
-    res = string_iso(StringQuery(group, x, y, budget=args.budget))
-    return _emit(res, args.machine)
-
-
-def _cmd_iso_hyper(args) -> int:
-    h1 = fileio.read_hypergraph(args.objects[0])
-    h2 = fileio.read_hypergraph(args.objects[1])
-    if h1.n != h2.n or len(h1.edges) != len(h2.edges):
-        print("NONISO")
-        return 1
-    group = _group_for(args.group, h1.n)
-    f1, f2 = hypergraph_to_family(h1), hypergraph_to_family(h2)
-    inst = GsiInstance(group, PPartition.trivial(h1.n), f1, f2)
-    res = generalized_string_iso(inst, args.budget)
-    return _emit(res, args.machine)
-
-
-def _cmd_iso_graph(args) -> int:
-    g1 = fileio.read_colored_graph(args.objects[0])
-    g2 = fileio.read_colored_graph(args.objects[1])
-    if g1.n != g2.n:
-        print("NONISO")
-        return 1
-    group = _group_for(args.group, g1.n)
-    res = graph_iso_under_group(g1, g2, group, budget=args.budget)
-    return _emit(res, args.machine)
-
-
-def _cmd_iso_psf(args) -> int:
-    f1 = fileio.read_family(args.objects[0])
-    f2 = fileio.read_family(args.objects[1])
-    if f1.partition != f2.partition:
-        print("NONISO")
-        return 1
-    group = _group_for(args.group, f1.partition.n)
-    inst = GsiInstance(group, f1.partition, f1, f2)
-    res = generalized_string_iso(inst, args.budget)
-    return _emit(res, args.machine)
-
-
-def _cmd_iso_hfs(args) -> int:
-    n1, t1 = fileio.read_hfs(args.objects[0])
-    n2, t2 = fileio.read_hfs(args.objects[1])
-    if n1 != n2:
-        print("NONISO")
-        return 1
-    group = _group_for(args.group, n1)
-    res = iso_hfs(t1, t2, group, args.budget)
-    return _emit(res, args.machine)
+    return _emit(kind.query(group, x, y, args.budget), args.machine)
 
 
 def _cmd_iso_excluded_minor(args) -> int:
-    g1 = fileio.read_colored_graph(args.objects[0])
-    g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_excluded_minor(g1, g2, args.h, args.budget)
-    return _emit(res, args.machine)
-
-
-def _cmd_iso_genus(args) -> int:
-    g1 = fileio.read_colored_graph(args.objects[0])
-    g2 = fileio.read_colored_graph(args.objects[1])
-    res = iso_genus(g1, g2, args.g, args.budget)
-    return _emit(res, args.machine)
+    g1, g2 = (fileio.read_colored_graph(path) for path in args.objects)
+    h = genus_to_h(args.g) if args.command == "iso-genus" else args.h
+    return _emit(iso_excluded_minor(g1, g2, h, args.budget), args.machine)
 
 
 def _cmd_refine(args) -> int:
@@ -158,8 +162,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    f1 = fileio.read_family(args.objects[0])
-    f2 = fileio.read_family(args.objects[1])
+    f1, f2 = (fileio.read_family(path) for path in args.objects)
     group = _group_for(args.group, f1.partition.n)
     rep = find_giant_rep(group)
     if rep is None:
@@ -188,49 +191,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    kind = args.kind
-    if kind == "string":
-        x = fileio.read_string(args.objects[0])
-        y = fileio.read_string(args.objects[1])
-        n = x.n
-        group = _group_for(args.group, n)
-        found = brute_force_iso(list(group.generators), n, "string",
-                                x.letters, y.letters)
-    elif kind == "hyper":
-        h1 = fileio.read_hypergraph(args.objects[0])
-        h2 = fileio.read_hypergraph(args.objects[1])
-        n = h1.n
-        group = _group_for(args.group, n)
-        found = brute_force_iso(list(group.generators), n, "hypergraph",
-                                h1.edges, h2.edges)
-    elif kind == "graph":
-        g1 = fileio.read_colored_graph(args.objects[0])
-        g2 = fileio.read_colored_graph(args.objects[1])
-        n = g1.n
-        group = _group_for(args.group, n)
-        found = brute_force_iso(list(group.generators), n, "graph", g1, g2)
-    elif kind == "psf":
-        f1 = fileio.read_family(args.objects[0])
-        f2 = fileio.read_family(args.objects[1])
-        if f1.partition != f2.partition:
-            print("count 0")
-            return 1
-        n = f1.partition.n
-        group = _group_for(args.group, n)
-        found = brute_force_iso(
-            list(group.generators), n, "family",
-            (f1.partition.class_of, {(m.class_id, m.letters) for m in f1.members}),
-            (f2.partition.class_of, {(m.class_id, m.letters) for m in f2.members}))
-    elif kind == "hfs":
-        n1, t1 = fileio.read_hfs(args.objects[0])
-        n2, t2 = fileio.read_hfs(args.objects[1])
-        if n1 != n2:
-            print("count 0")
-            return 1
-        group = _group_for(args.group, n1)
-        found = brute_force_iso(list(group.generators), n1, "hfs", t1, t2)
-    else:
-        raise ValueError("unknown oracle kind %r" % kind)
+    kind, x, y, group = _read_pair(args)
+    if group is None:
+        print("count 0")
+        return 1
+    found = brute_force_iso(list(group.generators), group.degree, kind.oracle,
+                            kind.encode(x), kind.encode(y))
     print("count %d" % len(found))
     for g in found:
         print(" ".join(map(str, g)))
@@ -256,37 +222,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("objects", nargs=objects)
         if group:
             p.add_argument("--group", help="a .grp file; defaults to the full symmetric group")
-        p.add_argument("--machine", action="store_true",
-                       help="line-oriented machine output")
         if budget:
             p.add_argument("--budget", type=int, default=None,
                            help="recursion node cap of the whole query")
         return p
 
-    common(sub.add_parser("iso-string", help="string isomorphism")).set_defaults(fn=_cmd_iso_string)
-    common(sub.add_parser("iso-hyper", help="hypergraph isomorphism")).set_defaults(fn=_cmd_iso_hyper)
-    common(sub.add_parser("iso-graph", help="colored graph isomorphism under a group")).set_defaults(fn=_cmd_iso_graph)
-    common(sub.add_parser("iso-psf", help="generalized string isomorphism")).set_defaults(fn=_cmd_iso_psf)
-    common(sub.add_parser("iso-hfs", help="hereditarily finite set isomorphism")).set_defaults(fn=_cmd_iso_hfs)
+    def iso(name, help, group=True):
+        p = common(sub.add_parser(name, help=help), group=group)
+        p.add_argument("--machine", action="store_true",
+                       help="line-oriented machine output")
+        return p
 
-    p = common(sub.add_parser("iso-excluded-minor",
-                              help="3-connected graphs promised to exclude K_{3,h}"),
-               group=False)
-    p.add_argument("--h", type=int, required=True)
-    p.set_defaults(fn=_cmd_iso_excluded_minor)
+    for name, kind in KINDS.items():
+        iso("iso-" + name, kind.help).set_defaults(fn=_cmd_iso, kind=name)
 
-    p = common(sub.add_parser("iso-genus", help="3-connected graphs of bounded Euler genus"),
-               group=False)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(fn=_cmd_iso_genus)
+    # iso-genus asks iso-excluded-minor's question with h = genus_to_h(g)
+    for name, flag, help in (
+            ("iso-excluded-minor", "--h", "3-connected graphs promised to exclude K_{3,h}"),
+            ("iso-genus", "--g", "3-connected graphs of bounded Euler genus")):
+        p = iso(name, help, group=False)
+        p.add_argument(flag, type=int, required=True)
+        p.set_defaults(fn=_cmd_iso_excluded_minor)
 
-    p = common(sub.add_parser("refine", help="print the stable coloring"),
-               objects=1, group=False, budget=False)
-    p.set_defaults(fn=_cmd_refine)
-
-    p = common(sub.add_parser("normalize", help="normalize a generalized string instance"),
-               objects=1, budget=False)
-    p.set_defaults(fn=_cmd_normalize)
+    common(sub.add_parser("refine", help="print the stable coloring"),
+           objects=1, group=False, budget=False).set_defaults(fn=_cmd_refine)
+    common(sub.add_parser("normalize", help="normalize a generalized string instance"),
+           objects=1, budget=False).set_defaults(fn=_cmd_normalize)
 
     p = common(sub.add_parser("certify", help="local certificate diagnostics"))
     p.add_argument("--d", type=int, default=2,
@@ -295,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = common(sub.add_parser("oracle", help="brute-force oracle"), budget=False)
-    p.add_argument("--kind", required=True,
-                   choices=["string", "hyper", "graph", "psf", "hfs"])
+    p.add_argument("--kind", required=True, choices=list(KINDS))
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("genus-table", help="K_{3,h} genus values up to 4g+3")

@@ -55,6 +55,11 @@ def k3h_genus_table(h_max: int) -> dict[int, int]:
 
 
 def is_connected(graph: ColoredGraph, removed: frozenset = frozenset()) -> bool:
+    """Whether ``graph`` minus ``removed`` is connected.
+
+    No query calls it; it stays because perfbench's
+    ``minorfree.three_connected_s`` names it, and the bench guard fails
+    when a named function is gone."""
     alive = [v for v in range(graph.n) if v not in removed]
     if not alive:
         return True

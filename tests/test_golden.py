@@ -149,6 +149,8 @@ CASES = {
     "iso_hfs": ["iso-hfs", "--machine", "t1.hfs", "t2.hfs"],
     "iso_excluded_minor": ["iso-excluded-minor", "--h", "3", "--machine",
                            "prism5.cg", "prism5b.cg"],
+    "iso_genus": ["iso-genus", "--g", "0", "--machine", "prism5.cg", "prism5b.cg"],
+    "oracle_hyper": ["oracle", "--kind", "hyper", "h1.hg", "h2.hg"],
     "normalize": ["normalize", "--group", "s2wrs4.grp", "f1.psf"],
     "certify": ["certify", "--d", "5", "--group", "w10.grp", "f3.psf", "f4.psf"],
 }

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from setiso import fileio
+from setiso import cli, fileio
 from setiso.graphs import ColoredGraph
 from setiso.hfs import HfsTerm
 from setiso.perm import PermGroup, Permutation
@@ -289,6 +289,18 @@ class TestCli:
         assert code == 2
         assert "unrecognized arguments: --budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["refine", "p3.cg"],
+        ["normalize", "--group", "s4.grp", "fx.psf"],
+        ["certify", "--group", "s4.grp", "fx.psf", "fy.psf"],
+        ["oracle", "--kind", "string", "a.str", "b.str"],
+    ], ids=["refine", "normalize", "certify", "oracle"])
+    def test_machine_is_refused_where_no_machine_block_is_printed(self, fixture_dir, argv):
+        argv = [str(fixture_dir / a) if "." in a else a for a in argv]
+        code, _, err = run_cli(argv + ["--machine"])
+        assert code == 2
+        assert "unrecognized arguments: --machine" in err
+
     def test_a_negative_budget_is_rejected(self, fixture_dir):
         a = str(fixture_dir / "a.str")
         code, out, err = run_cli(["iso-string", "--budget", "-1", a, a])
@@ -357,3 +369,82 @@ class TestCli:
                 code, out, _ = run_cli(cmd)
                 outs.add((code, out))
             assert len(outs) == 1
+
+
+def _c4():
+    return Hypergraph(4, frozenset(frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+
+def _family(n, *letters):
+    return make_family(PPartition.trivial(n), [PString(0, l) for l in letters])
+
+
+_A = HfsTerm.make_atom
+
+# kind -> (writer, {case: (x, y)}) on at most 6 points, under the default group
+DIFFERENTIAL = {
+    "string": (fileio.write_string, {
+        "iso": (ColoredString((0, 0, 1, 2, 1)), ColoredString((1, 2, 0, 1, 0))),
+        "noniso": (ColoredString((0, 0, 1, 1)), ColoredString((0, 0, 0, 1))),
+        "mismatch": (ColoredString((0, 1)), ColoredString((0, 1, 1))),
+    }),
+    "hyper": (fileio.write_hypergraph, {
+        "iso": (_c4(), _c4().apply(Permutation([2, 0, 3, 1]))),
+        # the 4-cycle against a triangle with a pendant edge
+        "noniso": (_c4(), Hypergraph(4, frozenset(
+            frozenset(e) for e in [(0, 1), (1, 2), (2, 0), (2, 3)]))),
+        "mismatch": (Hypergraph(3, frozenset({frozenset({0, 1})})),
+                     Hypergraph(4, frozenset({frozenset({0, 1})}))),
+    }),
+    "graph": (fileio.write_colored_graph, {
+        "iso": (ColoredGraph.plain(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
+                ColoredGraph.plain(5, [(4, 3), (3, 2), (2, 4), (2, 1), (1, 0)])),
+        # the path on four vertices against the star
+        "noniso": (ColoredGraph.plain(4, [(0, 1), (1, 2), (2, 3)]),
+                   ColoredGraph.plain(4, [(0, 1), (0, 2), (0, 3)])),
+        "mismatch": (ColoredGraph.plain(3, [(0, 1), (1, 2)]),
+                     ColoredGraph.plain(4, [(0, 1), (1, 2)])),
+    }),
+    "psf": (fileio.write_family, {
+        "iso": (_family(4, (0, 1, 1, 2), (2, 1, 0, 0)),
+                _family(4, (0, 1, 1, 2), (2, 1, 0, 0)).apply(Permutation([1, 2, 3, 0]))),
+        "noniso": (_family(4, (0, 0, 1, 1)), _family(4, (0, 0, 0, 1))),
+        "mismatch": (_family(3, (0, 1, 1)), _family(4, (0, 1, 1, 0))),
+    }),
+    "hfs": (lambda path, t: fileio.write_hfs(path, *t), {
+        "iso": ((3, HfsTerm.make_set([_A(0), _A(1)])), (3, HfsTerm.make_set([_A(1), _A(2)]))),
+        "noniso": ((3, HfsTerm.make_set([_A(0), _A(1)])),
+                   (3, HfsTerm.make_set([_A(0), HfsTerm.make_set([_A(1)])]))),
+        "mismatch": ((3, HfsTerm.make_set([_A(0), _A(1)])),
+                     (4, HfsTerm.make_set([_A(0), _A(1)]))),
+    }),
+}
+
+
+def _main(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", ["iso", "noniso", "mismatch"])
+@pytest.mark.parametrize("kind", list(DIFFERENTIAL))
+def test_iso_and_oracle_agree(tmp_path, capsys, kind, case):
+    # the solver's entry and the brute-force oracle's entry answer alike: the
+    # automorphism order is the isomorphism count, and a pair that no
+    # permutation matches, sizes differing included, is no isomorphism in
+    # either argument order
+    write, pairs = DIFFERENTIAL[kind]
+    paths = [str(tmp_path / name) for name in ("x", "y")]
+    for path, obj in zip(paths, pairs[case]):
+        write(path, obj)
+    for argv in (paths, paths[::-1]):
+        code, out, err = _main(["iso-" + kind, "--machine"] + argv, capsys)
+        ocode, oout, oerr = _main(["oracle", "--kind", kind] + argv, capsys)
+        assert (err, oerr) == ("", "")
+        count = oout.splitlines()[0]
+        if case == "iso":
+            assert (code, ocode) == (0, 0)
+            assert out.splitlines()[-1] == "aut-order %s" % count.split()[1]
+        else:
+            assert (code, out, ocode, count) == (1, "NONISO\n", 1, "count 0")
