@@ -6,14 +6,14 @@ refinement tree (McKay and Piperno, *Practical graph isomorphism II*, 2014):
 each prefix is individualized and refined, and a branch survives only while
 its refinement matches the first graph's.  A prefix that the isomorphisms
 found so far already carry the base triple's prefix onto is skipped before
-it is refined (the orbit prune of the same tree, at inner nodes and
-leaves); the (h-1)-CR alternation runs on both sides of every surviving
-triple not skipped, which is then solved as a t-CR-bounded pair.  Both
-prunes are exact: refinement ids are canonical, so no isomorphism extends a
-dropped prefix, a skipped prefix's isomorphisms are already in the answer,
-and no triple below either could have stalled, because the replay stalls only
-on a first side that is not discrete, and that side is checked once up
-front (``iso_excluded_minor`` gives the argument in full).  A stalled
+it is refined (the covered-prefix rule of the ``perm`` docstring, at inner
+nodes and leaves); the (h-1)-CR alternation runs on both sides of every
+surviving triple not skipped, which is then solved as a t-CR-bounded pair.
+Both prunes are exact: refinement ids are canonical, so no isomorphism
+extends a dropped prefix, a skipped prefix's isomorphisms are already in the
+answer, and no triple below either could have stalled, because the replay
+stalls only on a first side that is not discrete, and that side is checked
+once up front (``iso_excluded_minor`` gives the argument in full).  A stalled
 sequence is a diagnosable symptom of a broken promise: on small inputs it
 falls back to graph isomorphism under the full symmetric group, and
 otherwise it errors, never answering wrongly.
@@ -189,22 +189,20 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
     whose sorted color ids differ from g1's is dropped; otherwise it is
     extended, in increasing vertex order, by the vertices whose id is that
     of ``base_triple[i]`` in g1.  So the surviving triples come out in
-    sorted order.  A prefix of length k = 1, 2, 3 that is covered (below) is
-    skipped before it is refined, or for k = 3 before it is screened; every
-    other surviving triple is screened by the exact trace invariant of the
-    (h-1)-CR sequence and then decided as a t-CR-bounded pair with the
-    trivial group matching the triples.  Its piece,
-    {sigma : sigma(base) = triple}, goes into one ``CosetUnion``.  Whenever
-    the union grows, the covered prefixes of length k become the length-k
-    slices of the images of the base triple under the union: the orbit of
-    the ordered base triple under the union's group, mapped by its
-    representative (``h * rep`` applies h first).  One budget bounds the
-    pairs of all triples.  Each graph keeps its last alternation record, so
-    g1's alternation runs once per query, in the up-front ``tcr_sequence``,
-    and g2's once per examined triple: the screen's ``tcr_sequence`` records
-    it, and the replay reads both records back.  An automorphism query (g2
-    is g1) replays against a copy of g1, so the screen does not overwrite
-    the record side 1 reads, and checks 3-connectivity once.
+    sorted order.  Each triple's piece, {sigma : sigma(base) = triple}, goes
+    into one ``CosetUnion`` on the base (0, 1, 2).  A prefix of length
+    k = 1, 2, 3 that the union covers (``CosetUnion.covers``: some sigma in
+    it maps ``base[:k]`` onto the prefix) is skipped before it is refined,
+    or for k = 3 before it is screened; every other surviving triple is
+    screened by the exact trace invariant of the (h-1)-CR sequence and then
+    decided as a t-CR-bounded pair with the trivial group matching the
+    triples.  One budget bounds the pairs of all triples.  Each graph keeps
+    its last alternation record, so g1's alternation runs once per query,
+    in the up-front ``tcr_sequence``, and g2's once per examined triple: the
+    screen's ``tcr_sequence`` records it, and the replay reads both records
+    back.  An automorphism query (g2 is g1) replays against a copy of g1, so
+    the screen does not overwrite the record side 1 reads, and checks
+    3-connectivity once.
 
     The search answers exactly what a loop over all ordered triples would:
     - Refinement ids are canonical (signatures are ranked), so any
@@ -212,25 +210,11 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
       onto g2's, id for id.  A pruned triple has no isomorphism extending
       it, its piece would be empty, and an empty piece leaves the
       ``CosetUnion`` unchanged.
-    - Every piece below a covered prefix is already in the union (the orbit
-      prune of McKay and Piperno, at inner nodes and at leaves).  Let Stab_k
-      be the automorphisms of g1 that fix ``base[:k]`` pointwise; the
-      isomorphisms that map ``base[:k]`` onto a prefix q are Stab_k * sigma,
-      for any one sigma of them.  The search leaves the subtree of q only
-      with all of them in the union: each extends to a triple below q,
-      which survives the refinement prune and is added, or skipped as
-      covered, by induction on the order of the skips.  A covered prefix q
-      is sigma(base[:k]) for some sigma in the union, which is therefore
-      nonempty: some triple T was added with a nonempty piece before q was
-      reached, so outside q's subtree, and the subtree of T[:k] is finished.
-      The union is a coset of a group of automorphisms of g1 and contains
-      Stab_k * tau for an isomorphism tau with tau(base) = T, so its group
-      contains Stab_k, and the group only grows.  So Stab_k * sigma, every
-      isomorphism that maps ``base[:k]`` onto q, lies in the union:
-      ``CosetUnion.add`` would find every candidate of every piece below q
-      already a member and leave the generators and the representative as
-      they are.  So a covered prefix is skipped as soon as it is reached,
-      with no flag recording when the group came to contain Stab_k.
+    - Every piece below a covered prefix is already in the union: the
+      search is depth first, drops only prefixes without isomorphisms, and
+      adds at each triple every isomorphism that maps the base onto it, so
+      the covered-prefix rule of the ``perm`` docstring applies as stated
+      there, with Sym(n) as the searched group.
     - No replay stalls, so none needs a fallback, and a triple that is
       pruned or skipped, or lies below a skipped prefix, cannot have
       stalled either.  ``iso_tcr_pairs`` raises
@@ -264,21 +248,18 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
                 for i in range(3)]
     base_sorted = [sorted(ids) for ids in base_ids]
 
-    union = CosetUnion(n)
-    # covered[k]: the images of base_triple[:k] under the union
-    covered: list[set[tuple[int, ...]]] = [set() for _ in range(4)]
+    union = CosetUnion(n, base_triple)
 
     def search(prefix=()):
         """Add the piece of every triple of g2 that extends ``prefix`` and
         survives the refinement prune, in sorted order, skipping covered
         prefixes."""
         i = len(prefix)
-        if prefix in covered[i]:
+        # base_triple is (0, 1, 2), so the prefix is the image table it reads
+        if union.covers(prefix, i):
             return
         if i == 3:
-            if union.add(examine(prefix)):
-                images = _images(union.result(), base_triple)
-                covered[:] = [{q[:k] for q in images} for k in range(4)]
+            union.add(examine(prefix))
             return
         ids = color_refinement(g2, _start(g2, prefix)[0]).ids
         if sorted(ids) != base_sorted[i]:
@@ -302,21 +283,6 @@ def iso_excluded_minor(g1: ColoredGraph, g2: ColoredGraph, h: int,
 
     search()
     return union.result()
-
-
-def _images(coset: IsoCoset, points: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """{sigma(points) : sigma in coset}: the orbit of the tuple under the
-    group, mapped by the representative."""
-    orbit = {points}
-    queue = [points]
-    for p in queue:
-        for g in coset.group.generators:
-            q = tuple(g.images[a] for a in p)
-            if q not in orbit:
-                orbit.add(q)
-                queue.append(q)
-    rep = coset.rep.images
-    return {tuple(rep[a] for a in p) for p in orbit}
 
 
 def _stall_fallback(g1: ColoredGraph, g2: ColoredGraph, budget: Budget) -> IsoCoset:

@@ -39,6 +39,11 @@ order as they are, so Schreier-Sims does each step once:
   above still catches equal generators formed from new factors.  Both rules
   skip only members and reuse only equal tables, so the first non-member,
   and so the chain, stays the same;
+- a level whose orbit is its point alone (a base-prefix point the group
+  fixes) passes its check with no sift: no generator is placed there, so its
+  tree generators were all placed deeper and fix the point, and each of its
+  Schreier generators is one of them, a member of the chain below, which has
+  passed its checks;
 - the constructions here whose order follows exactly from data they hold
   (kernel and image, pull-back, a rebased or conjugated copy, a pointwise
   stabilizer) state it.  The product of the orbit lengths of a partial chain
@@ -77,6 +82,27 @@ so pruning never changes the order in which the survivors come out.  The
 setwise search has no cap of its own: it ticks its caller's budget on every
 accepted prefix, and an invariant set returns the group itself without a
 search.
+
+A search that merges what it finds into a ``CosetUnion`` skips every prefix
+the union already covers, before ``step`` runs (the orbit prune of McKay and
+Piperno 2014, done as a base-image test on a stabilizer chain: Sims 1971,
+Leon 1991).  The search fixes the points b_0, b_1, ... in this order, depth
+first, drops only prefixes below which no isomorphism lies, and at each leaf
+adds to the union every isomorphism that maps the b_i as the leaf does.  A
+prefix q that has fixed b_0 ... b_(k-1) is covered when some element u of
+the union maps them as q does; ``CosetUnion.covers`` answers that with the
+walk of ``GroupHom._walk`` on a chain of the union's group that has the b_i
+as base prefix.  The skip is exact.  Let Stab_k be the automorphisms of x
+(in the searched group) that fix b_0 ... b_(k-1); the isomorphisms below q
+are Stab_k * u.  The union is not empty, so some leaf T was added before q
+was reached, outside q's subtree, and the subtree of T's own prefix of
+depth k is finished: by induction on the order of the skips, every
+isomorphism below it, Stab_k * tau for one of them, is in the union.  The
+union is a coset H * r, so H contains Stab_k, and H only grows.  So Stab_k *
+u lies in the union already: ``add`` would find every element below q a
+member and leave the generators and the representative as they are.  A
+union that is the whole group covers every prefix, so a listing needs no
+stop at the group order.
 
 The constructions the reductions need live here too, so no other module
 builds them by hand: ``induced_action`` (the action of a group's generators,
@@ -441,6 +467,8 @@ class PermGroup:
         """Sift the Schreier generators of level i through the chain below,
         skipping and extending ``proven`` and ``keys``."""
         lvl = self._levels[i]
+        if len(lvl.transversal) == 1:
+            return None   # see the module docstring: a fixed base-prefix point
         tree_gens = lvl.tree[0]
         ident = _identity_table(self.degree)
         for beta in sorted(lvl.transversal):
@@ -506,15 +534,22 @@ class PermGroup:
         yield from _products(self._tables(), Permutation.identity(self.degree))
 
     def search(self, points: Iterable[int], state: object,
-               step: Callable[[object, list[int], tuple], object]) -> Iterator[Permutation]:
+               step: Callable[[object, list[int], tuple], object],
+               union: Optional["CosetUnion"] = None) -> Iterator[Permutation]:
         """The elements every prefix of which ``step`` accepts, in the order
-        of :meth:`elements`; see :func:`_products` for the contract."""
+        of :meth:`elements`; see :func:`_products` for the contract.
+
+        ``union``, when given, is a ``CosetUnion`` built on this group's
+        :attr:`base`: a prefix it covers is skipped before ``step`` runs (the
+        covered-prefix rule of the module docstring)."""
         yield from _products(self._tables(), Permutation.identity(self.degree),
-                             points, state, step)
+                             points, state, step, union)
 
     def _tables(self) -> list[list[Permutation]]:
+        # one table per level, so that depth i has fixed base[:i]; a level
+        # of orbit length 1 contributes the identity alone
         return [[lvl.transversal[beta] for beta in sorted(lvl.transversal)]
-                for lvl in self._levels if len(lvl.transversal) > 1]
+                for lvl in self._levels]
 
     def orbit(self, point: int) -> list[int]:
         seen = {point}
@@ -787,6 +822,8 @@ class GroupHom:
 
     def apply(self, g: Permutation) -> Permutation:
         n = self.source.degree
+        if g.degree != n:
+            raise DegreeMismatch("element has degree %d, expected %d" % (g.degree, n))
         want = {p: g.images[p] for p in range(n)}
         combined = self._walk(self._src_first, want)
         if combined is None:
@@ -915,11 +952,14 @@ class CosetUnion:
     """Accumulate a union of cosets that is known to be one coset in the end.
 
     Used by the Luks recursion: the union of ``Iso`` pieces over a transversal
-    is a coset of the full automorphism group.
+    is a coset of the full automorphism group.  A union given a ``base``
+    keeps its group's chain on that base prefix, so that :meth:`covers` can
+    test search prefixes (the covered-prefix rule of the module docstring).
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, base: Sequence[int] = ()):
         self.degree = degree
+        self.base = tuple(base)
         self._rep: Optional[Permutation] = None
         self._rep_inv: Optional[Permutation] = None
         self._gens: list[Permutation] = []
@@ -934,15 +974,33 @@ class CosetUnion:
             self._rep_inv = piece.rep.inverse()
             self._group = piece.group
             self._gens = list(piece.group.generators)
+            if piece.group._base_prefix[:len(self.base)] != self.base:
+                self._group = PermGroup(self._gens, self.degree, self.base, _order=piece.group.order())
             return True
         grew = False
         for g in list(piece.group.generators) + [Permutation.identity(self.degree)]:
             cand = g * piece.rep * self._rep_inv
             if not self._group.contains(cand):
                 self._gens.append(cand)
-                self._group = PermGroup(self._gens, self.degree)
+                self._group = PermGroup(self._gens, self.degree, self.base)
                 grew = True
         return grew
+
+    def covers(self, images: Sequence[int], depth: int) -> bool:
+        """Whether some element of the union maps ``base[:depth]`` as the
+        image table ``images`` does: the walk of ``GroupHom._walk`` down the
+        union's chain, against its representative."""
+        if self._rep is None:
+            return False
+        # acc: the representative's inverse, then the inverses of the
+        # transversal elements chosen so far
+        acc = self._rep_inv.images
+        for lvl, b in zip(self._group._levels, self.base[:depth]):
+            inv = lvl.inverses.get(acc[images[b]])
+            if inv is None:
+                return False
+            acc = _compose(acc, inv.images)
+        return True
 
     def order(self) -> int:
         return 0 if self._rep is None else self._group.order()
@@ -961,23 +1019,13 @@ def transversal_cosets(group: PermGroup, hom: GroupHom, points: Iterable[int] = 
     of the image chain are pulled back once, and products of pulled-back
     representatives are preimages of the corresponding image elements.  Only
     the representatives t with ``ok(p, t(p))`` for every p in ``points`` are
-    listed.
+    listed; without ``ok``, every representative is.
     """
-    image = hom.image()
-    levels = [lvl for lvl in image._levels if len(lvl.transversal) > 1]
-    pre: list[dict[int, Permutation]] = []
-    for lvl in levels:
-        table = {}
-        for beta in sorted(lvl.transversal):
-            t = hom.preimage(lvl.transversal[beta])
-            if t is None:
-                raise ValueError("image element without preimage; inconsistent homomorphism")
-            table[beta] = t
-        pre.append(table)
-
-    tables = [[table[beta] for beta in sorted(table)] for table in pre]
+    tables = [[hom.preimage(t) for t in table] for table in hom.image()._tables()]
+    if any(t is None for table in tables for t in table):
+        raise ValueError("image element without preimage; inconsistent homomorphism")
     yield from _products(tables, Permutation.identity(group.degree),
-                         points, True, _pointwise(ok))
+                         points if ok else (), True, _pointwise(ok))
 
 
 def _pointwise(ok: Callable[[int, int], bool],
@@ -1047,8 +1095,8 @@ def _nontrivial_blocks(gens: Sequence[Permutation],
 
 def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
               points: Iterable[int] = (), state: object = None,
-              step: Optional[Callable[[object, list[int], tuple], object]] = None
-              ) -> Iterator[Permutation]:
+              step: Optional[Callable[[object, list[int], tuple], object]] = None,
+              union: Optional[CosetUnion] = None) -> Iterator[Permutation]:
     """The products g = t_m * ... * t_0, t_i from ``tables[i]``, that pass
     ``step`` at every depth.  This is the one enumeration loop of the module.
 
@@ -1060,7 +1108,9 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
     the prefix's image table, in which their images are now g's.  It returns
     None to drop the prefix with all its completions, or the state for the
     next depth.  Elsewhere the state passes on unchanged.  Every node at one
-    depth gets the same ``final_points`` list.
+    depth gets the same ``final_points`` list.  With a ``union``, a prefix of
+    d factors is dropped first, before ``step`` sees it, when
+    ``union.covers(images, d)``.
     """
     depth = len(tables)
     # finals[i]: the points whose image is final once i factors are chosen
@@ -1090,6 +1140,8 @@ def _products(tables: Sequence[Sequence[Permutation]], ident: Permutation,
             states.pop()
             continue
         images = _compose(t.images, accs[i])
+        if union is not None and union.covers(images, i + 1):
+            continue
         state = states[i]
         if finals[i]:
             state = step(state, finals[i], images)

@@ -34,11 +34,13 @@ points it has fixed, the letters of x at those points and of y at their
 images differ as multisets of member signatures.  The search fixes every
 point, and once it has, the test says exactly that g maps every member of
 x onto a member of y; so the search yields exactly the elements a full scan
-would accept, in the same order, with no check at the leaves.  It ticks the
-query's one ``Budget`` (see ``strings``) on every accepted prefix, and the
-listing stops once the ``CosetUnion`` of what it listed is the whole group.
-The budget is the only state the recursion carries; the nested
-occupancy-string and window-product queries tick it too.
+would accept, in the same order, with no check at the leaves.  What it
+lists goes into a ``CosetUnion`` on the group's base, and the search skips
+every prefix the union covers (the covered-prefix rule of the ``perm``
+docstring), so the answer is the one a full listing gives.  It ticks the
+query's one ``Budget`` (see ``strings``) on every accepted prefix; a covered
+prefix ticks nothing.  The budget is the only state the recursion carries;
+the nested occupancy-string and window-product queries tick it too.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
@@ -102,8 +104,10 @@ def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
 
 
 def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
-                  tick: Optional[Callable[[], None]] = None) -> Iterator[Permutation]:
-    """The g in ``group`` with x^g = y, in ``group.elements()`` order.
+                  tick: Optional[Callable[[], None]] = None,
+                  union: Optional[CosetUnion] = None) -> Iterator[Permutation]:
+    """The g in ``group`` with x^g = y, in ``group.elements()`` order, less
+    those below a prefix that ``union`` covers (see ``PermGroup.search``).
 
     The search state holds, for every member of y, its letters at the images
     of the points fixed so far.  Where a prefix fixes new points of a class
@@ -156,7 +160,7 @@ def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
         return k + 1, new
 
     start = (0, [[()] * len(ms) for ms in y_letters])
-    yield from group.search(range(group.degree), start, step)
+    yield from group.search(range(group.degree), start, step, union)
 
 
 # -- BalanceOrbits --------------------------------------------------------------
@@ -393,13 +397,12 @@ def _gsi_group(group: PermGroup, partition: PPartition,
 def _listed_coset(group: PermGroup, x: PStringFamily, y: PStringFamily,
                   budget: Budget) -> IsoCoset:
     """Iso(x, y) in ``group`` from the isomorphisms the search lists, merged
-    one by one; the listing stops once the union is the whole group."""
-    order = group.order()
-    trivial = PermGroup([], group.degree)
-    union = CosetUnion(group.degree)
-    for delta in _iso_elements(group, x, y, budget.tick):
-        if union.add(IsoCoset(trivial, delta)) and union.order() == order:
-            break
+    one by one into a union on the group's base, whose covered prefixes the
+    search skips."""
+    trivial = PermGroup([], group.degree, group.base)
+    union = CosetUnion(group.degree, group.base)
+    for delta in _iso_elements(group, x, y, budget.tick, union):
+        union.add(IsoCoset(trivial, delta))
     return union.result()
 
 

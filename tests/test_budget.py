@@ -2,17 +2,20 @@
 and every nested call of the query ticks it.  ``test_golden.py`` checks that
 ``--budget`` stops a whole golden CLI query at its total."""
 
+import math
 import os
+import random
 
 import pytest
 
 import setiso.strings
 from setiso import fileio
 from setiso.certificates import local_certificate_pair
+from setiso.graphs import ColoredGraph
 from setiso.hfs import iso_hfs
 from setiso.minorfree import iso_excluded_minor
 from setiso.perm import PermGroup, Permutation
-from setiso.pstrings import PPartition, PString, hypergraph_to_family, make_family
+from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
 from setiso.simplify import simplify_on_window
 from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_iso
 from setiso.strings import (Budget, BudgetExceeded, ColoredString, StringQuery,
@@ -109,15 +112,54 @@ def test_a_negative_node_cap_is_rejected():
     assert Budget(0).limit == 0
 
 
-def test_the_listing_below_the_cutoff_ticks_every_prefix():
+def test_the_listing_below_the_cutoff_ticks_every_accepted_prefix():
     # a constant string under Sym(5), a group the solver lists directly:
     # one tick for the query and one per accepted search prefix.  Listing
-    # all 120 isomorphisms would tick at least once per element; the union
-    # is all of Sym(5) long before, and the listing stops there.
+    # all 120 isomorphisms would tick at least once per element; a prefix
+    # that the union of the isomorphisms found so far covers is skipped
+    # before it is tested and ticks nothing, so 14 prefixes are accepted.
     group, x = _sym(5), ColoredString((0,) * 5)
     assert group.order() <= DIRECT_ENUM_CUTOFF
     budget = Budget()
     assert string_iso(StringQuery(group, x, x, budget=budget)).order() == 120
-    assert budget.used == 46
+    assert budget.used == 15
     with pytest.raises(BudgetExceeded):
-        string_iso(StringQuery(group, x, x, budget=45))
+        string_iso(StringQuery(group, x, x, budget=14))
+
+
+def _blowup_row(kind, relabel):
+    """A 16-point object, its relabeled copy, the query under Sym(16) and
+    the closed-form order of its automorphism group."""
+    n = 16
+    if kind == "string":
+        x = ColoredString(tuple(random.Random(1).randrange(3) for _ in range(n)))
+        order = math.prod(math.factorial(x.letters.count(c)) for c in set(x.letters))
+        return x, x.apply(relabel), lambda y, budget: string_iso(
+            StringQuery(_sym(n), x, y, budget=budget)), order
+    matching = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    order = 2 ** (n // 2) * math.factorial(n // 2)
+    if kind == "graph":
+        x = ColoredGraph.plain(n, matching)
+        return x, x.apply(relabel), lambda y, budget: graph_iso_under_group(
+            x, y, _sym(n), budget=budget), order
+    x = Hypergraph(n, frozenset(frozenset(e) for e in matching))
+    return x, x.apply(relabel), lambda y, budget: generalized_string_iso(
+        GsiInstance(_sym(n), PPartition.trivial(n), hypergraph_to_family(x),
+                    hypergraph_to_family(y)), budget), order
+
+
+@pytest.mark.parametrize("kind", ["string", "hypergraph", "graph"])
+def test_the_blowup_rows_answer_within_a_thousand_ticks(kind):
+    # a 16-letter string and the 16-point matching under Sym(16).  Listing
+    # every isomorphism ticks once per accepted prefix, so its work grows
+    # with |Aut|: 82,976 ticks for a 12-letter string and 196,945 for the
+    # 12-point matching.  Skipping covered prefixes leaves 128 to 131 here.
+    images = list(range(16))
+    random.Random(2).shuffle(images)
+    relabel = Permutation(images)
+    x, y, query, order = _blowup_row(kind, relabel)
+    budget = Budget(1000)
+    res = query(y, budget)
+    assert res.order() == order
+    assert x.apply(res.rep) == y
+    assert budget.used < 200

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from setiso.perm import (
     CosetUnion,
+    DegreeMismatch,
     GroupHom,
     IsoCoset,
     NotInvariant,
@@ -354,6 +355,19 @@ class TestHomTools:
         with pytest.raises(ValueError, match="do not define a homomorphism"):
             GroupHom(sym(3), 2, [Permutation.identity(2), Permutation.from_cycles(2, [0, 1])])
 
+    def test_apply_and_preimage_check_degrees(self):
+        # S2 wr S4 on the four pairs {2i, 2i + 1}
+        s = PermGroup([Permutation.from_cycles(8, [0, 1]), Permutation.from_cycles(8, [0, 2], [1, 3]),
+                       Permutation.from_cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])], 8)
+        hom = s.block_action([frozenset({2 * i, 2 * i + 1}) for i in range(4)])
+        for degree in (3, 6):
+            with pytest.raises(DegreeMismatch):
+                hom.preimage(Permutation.identity(degree))
+        for degree in (3, 6, 12):
+            with pytest.raises(DegreeMismatch):
+                hom.apply(Permutation.identity(degree))
+        assert hom.apply(Permutation.identity(8)).is_identity()
+
     def test_preimage_absent(self):
         c4 = PermGroup([Permutation([1, 2, 3, 0])], 4)
         sq = Permutation([2, 3, 0, 1])
@@ -508,6 +522,33 @@ class TestIsoCosetAndUnions:
         assert total.order() == 6
         assert total.element_set() == frozenset(e.images for e in s3.elements())
 
+    @given(st.integers(1, 7), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_covers_is_the_brute_force_test(self, n, rng):
+        # pieces of one coset H * r merged on a random base: covers(images,
+        # d) holds exactly when some element of the union maps base[:d] as
+        # images does, whatever base prefix the first piece's group has
+        h = rand_group(rng, n, order_cap=120)
+        r = rand_perm(rng, n)
+        base = rng.sample(range(n), rng.randint(0, n))
+        union = CosetUnion(n, base)
+        assert not union.covers(tuple(range(n)), 0)
+        elems = list(h.elements())
+        for _ in range(rng.randint(1, 3)):
+            gens = rng.sample(h.generators, rng.randint(0, len(h.generators)))
+            sub = PermGroup(gens, n, base if rng.random() < 0.5 else ())
+            union.add(IsoCoset(sub, rng.choice(elems) * r))
+            members = [e.images for e in union.result().elements()]
+            # members, members moved by a transposition, random tables
+            probes = [rand_perm(rng, n).images for _ in range(5)]
+            for m in rng.sample(members, min(5, len(members))):
+                swap = Permutation.from_cycles(n, rng.sample(range(n), min(2, n)))
+                probes += [m, (Permutation(m) * swap).images]
+            for images in probes:
+                for d in range(len(base) + 1):
+                    want = any(all(m[b] == images[b] for b in base[:d]) for m in members)
+                    assert union.covers(images, d) == want
+
 
 def test_transversal_covers_image():
     g = sym(4)
@@ -520,3 +561,5 @@ def test_transversal_covers_image():
     assert len(reps) == hom.image().order()
     images = {hom.apply(r).images for r in reps}
     assert len(images) == len(reps)
+    # points without a test accept every representative
+    assert list(transversal_cosets(sub, hom, [0])) == reps

@@ -123,9 +123,9 @@ class TestStringIso:
             string_iso(StringQuery(g, x, x, budget=1))
 
     def test_union_stops_at_the_group_order(self):
-        # the search accepts 8,660 prefixes when it runs to the end; the
-        # union is the whole group after about 1,250 of them, and the loop
-        # stops there
+        # a full listing would accept 8,660 prefixes; the search skips every
+        # prefix the union of what it found covers, and once the union is
+        # the whole group that is every prefix, so the query ticks 28 times
         x = s_of([0] * 7)
         res = string_iso(StringQuery(sym(7), x, x, budget=2000))
         assert res.order() == 5040
