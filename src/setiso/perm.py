@@ -77,32 +77,33 @@ over products of transversal elements that calls ``step(state,
 final_points, images)`` at each depth where some watched points get their
 final images, drops the prefix when ``step`` returns None and otherwise
 hands its return value to the next depth.  ``elements``, ``search``,
-``setwise_stabilizer`` and ``transversal_cosets`` are thin adapters over it,
-so pruning never changes the order in which the survivors come out.  The
-setwise search has no cap of its own: it ticks its caller's budget on every
-accepted prefix, and an invariant set returns the group itself without a
-search.
+``search_coset``, ``setwise_stabilizer`` and ``transversal_cosets`` are thin
+adapters over it, so pruning never changes the order in which the survivors
+come out.  The setwise search is ``search_coset`` on a chain based on the
+set; it has no cap of its own: it ticks its caller's budget on every
+accepted prefix, a covered prefix ticks nothing, and an invariant set
+returns the group itself without a search.
 
-A search that merges what it finds into a ``CosetUnion`` skips every prefix
-the union already covers, before ``step`` runs (the orbit prune of McKay and
-Piperno 2014, done as a base-image test on a stabilizer chain: Sims 1971,
-Leon 1991).  The search fixes the points b_0, b_1, ... in this order, depth
-first, drops only prefixes below which no isomorphism lies, and at each leaf
-adds to the union every isomorphism that maps the b_i as the leaf does.  A
-prefix q that has fixed b_0 ... b_(k-1) is covered when some element u of
-the union maps them as q does; ``CosetUnion.covers`` answers that with the
-walk of ``GroupHom._walk`` on a chain of the union's group that has the b_i
-as base prefix.  The skip is exact.  Let Stab_k be the automorphisms of x
-(in the searched group) that fix b_0 ... b_(k-1); the isomorphisms below q
-are Stab_k * u.  The union is not empty, so some leaf T was added before q
-was reached, outside q's subtree, and the subtree of T's own prefix of
-depth k is finished: by induction on the order of the skips, every
-isomorphism below it, Stab_k * tau for one of them, is in the union.  The
-union is a coset H * r, so H contains Stab_k, and H only grows.  So Stab_k *
-u lies in the union already: ``add`` would find every element below q a
-member and leave the generators and the representative as they are.  A
-union that is the whole group covers every prefix, so a listing needs no
-stop at the group order.
+``search_coset`` merges what the search finds into a ``CosetUnion`` on the
+chain's base and skips every prefix the union already covers, before
+``step`` runs (the orbit prune of McKay and Piperno 2014, done as a
+base-image test on a stabilizer chain: Sims 1971, Leon 1991).  The search
+fixes the points b_0, b_1, ... in this order, depth first, drops only
+prefixes below which no isomorphism lies, and at each leaf adds to the
+union every isomorphism that maps the b_i as the leaf does.  A prefix q
+that has fixed b_0 ... b_(k-1) is covered when some element u of the union
+maps them as q does; ``CosetUnion.covers`` answers that with the walk of
+``GroupHom._walk`` on a chain of the union's group that has the b_i as base
+prefix.  The skip is exact.  Let Stab_k be the automorphisms of x (in the
+searched group) that fix b_0 ... b_(k-1); the isomorphisms below q are
+Stab_k * u.  The union is not empty, so some leaf T was added before q was
+reached, outside q's subtree, and the subtree of T's own prefix of depth k
+is finished: by induction on the order of the skips, every isomorphism below
+it, Stab_k * tau for one of them, is in the union.  The union is a coset H *
+r, so H contains Stab_k, and H only grows.  So Stab_k * u lies in the union
+already: ``add`` would find every element below q a member and leave the
+generators and the representative as they are.  A union that is the whole
+group covers every prefix, so a listing needs no stop at the group order.
 
 The constructions the reductions need live here too, so no other module
 builds them by hand: ``induced_action`` (the action of a group's generators,
@@ -180,8 +181,10 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: Sequence[int]) -> "Permutation":
+        """Raises ValueError when a point lies outside 0..n-1."""
         images = list(range(n))
         for cycle in cycles:
+            _checked_points(cycle, n)
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:
@@ -534,16 +537,27 @@ class PermGroup:
         yield from _products(self._tables(), Permutation.identity(self.degree))
 
     def search(self, points: Iterable[int], state: object,
-               step: Callable[[object, list[int], tuple], object],
-               union: Optional["CosetUnion"] = None) -> Iterator[Permutation]:
+               step: Callable[[object, list[int], tuple], object]) -> Iterator[Permutation]:
         """The elements every prefix of which ``step`` accepts, in the order
-        of :meth:`elements`; see :func:`_products` for the contract.
-
-        ``union``, when given, is a ``CosetUnion`` built on this group's
-        :attr:`base`: a prefix it covers is skipped before ``step`` runs (the
-        covered-prefix rule of the module docstring)."""
+        of :meth:`elements`; see :func:`_products` for the contract."""
         yield from _products(self._tables(), Permutation.identity(self.degree),
-                             points, state, step, union)
+                             points, state, step)
+
+    def search_coset(self, points: Iterable[int], state: object,
+                     step: Callable[[object, list[int], tuple], object]) -> "IsoCoset":
+        """The coset of the elements :meth:`search` yields, which must form
+        one coset or none (as the isomorphisms x -> y do).
+
+        Each element found goes into a ``CosetUnion`` on :attr:`base`, and a
+        prefix the union covers is skipped before ``step`` runs (the
+        covered-prefix rule of the module docstring)."""
+        base = self.base
+        trivial = PermGroup([], self.degree, base)
+        union = CosetUnion(self.degree, base)
+        for g in _products(self._tables(), Permutation.identity(self.degree),
+                           points, state, step, union):
+            union.add(IsoCoset(trivial, g))
+        return union.result()
 
     def _tables(self) -> list[list[Permutation]]:
         # one table per level, so that depth i has fixed base[:i]; a level
@@ -552,6 +566,8 @@ class PermGroup:
                 for lvl in self._levels]
 
     def orbit(self, point: int) -> list[int]:
+        """Raises ValueError when ``point`` lies outside 0..degree-1."""
+        _check_point(point, self.degree)
         seen = {point}
         queue = [point]
         for a in queue:
@@ -570,9 +586,11 @@ class PermGroup:
         generator order.
 
         ``actions[k]``, when given, is the action of generator k on another
-        domain (block or class indices); the orbit is then taken there.
+        domain (block or class indices); the orbit is then taken there.  A
+        point outside the domain raises ValueError.
         """
         actions = self.generators if actions is None else actions
+        _check_point(point, actions[0].degree if actions else self.degree)
         out = {point: Permutation.identity(self.degree)}
         queue = [point]
         for q in queue:
@@ -608,14 +626,17 @@ class PermGroup:
     # -- block systems -----------------------------------------------------
 
     def minimal_block_system(self, domain: Sequence[int]) -> tuple[list[frozenset], bool]:
-        """A coarsest nontrivial block system on ``domain`` (a transitive orbit).
+        """A coarsest nontrivial block system on ``domain``, which must be one
+        orbit (ValueError otherwise).
 
         Returns ``(blocks, primitive)``.  For a primitive action the blocks are
         the singletons and the flag is True; otherwise the induced action on
         the returned blocks is primitive.  Blocks are listed by minimum
         element.
         """
-        dom = sorted(domain)
+        dom = sorted(set(domain))
+        if not dom or self.orbit(dom[0]) != dom:
+            raise ValueError("block system domain is not one orbit")
         if len(dom) == 1:
             return [frozenset(dom)], True
         blocks = _nontrivial_blocks(self.generators, dom)
@@ -662,15 +683,17 @@ class PermGroup:
 
     def setwise_stabilizer(self, points: Sequence[int],
                            tick: Optional[Callable[[], None]] = None) -> "PermGroup":
-        """{g : points^g = points}, by a search over a chain based on the points.
+        """{g : points^g = points}, by ``search_coset`` over a chain based on
+        the points.
 
         A set every generator maps onto itself gives the group itself.
         Otherwise a prefix survives while every point it makes final stays
-        inside or outside the set, as it was; the elements the search yields
-        that the group found so far lacks become its generators.  Exponential
-        in the worst case; intended for desk-scale sets.  ``tick``, the
-        caller's budget, is called on every accepted prefix.  The chain's
-        base is checked first, so a point past the degree raises ValueError.
+        inside or outside the set, as it was, so only prefixes with no
+        stabilizing completion are dropped.  Exponential in the worst case;
+        intended for desk-scale sets.  ``tick``, the caller's budget, is
+        called on every accepted prefix; a covered prefix is skipped without
+        one.  The chain's base is checked first, so a point past the degree
+        raises ValueError.
         """
         target = frozenset(points)
         if not target:
@@ -680,13 +703,7 @@ class PermGroup:
         if all(g.apply_set(target) == target for g in self.generators):
             return self
         step = _pointwise(lambda p, q: (p in target) == (q in target), tick)
-        found: list[Permutation] = []
-        known = PermGroup([], self.degree)
-        for g in chain.search(range(self.degree), True, step):
-            if not known.contains(g):
-                found.append(g)
-                known = PermGroup(found, self.degree)
-        return known
+        return chain.search_coset(range(self.degree), True, step).group
 
     def stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer([point])
@@ -706,11 +723,17 @@ class PermGroup:
         return hom.image(), hom
 
 
+def _check_point(point: int, degree: int) -> None:
+    if not 0 <= point < degree:
+        raise ValueError("points must lie in 0..%d" % (degree - 1))
+
+
 def _checked_points(points: Iterable[int], degree: int) -> list[int]:
     """The distinct points in increasing order; ValueError outside 0..degree-1."""
     pts = sorted(set(points))
-    if pts and not (0 <= pts[0] and pts[-1] < degree):
-        raise ValueError("points must lie in 0..%d" % (degree - 1))
+    if pts:
+        _check_point(pts[0], degree)
+        _check_point(pts[-1], degree)
     return pts
 
 

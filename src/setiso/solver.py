@@ -26,21 +26,21 @@ one-member string is balanced on every orbit, and its windows combine on a
 spawns only one-member queries of smaller degree or order.
 
 Where the group is small or primitive, or the kernel of the block action is
-trivial (each shift's piece is then one element), ``_listed_coset`` lists
-the isomorphisms by a search pruned by letters (the first refiner of Leon's
-partition backtrack): it walks the stabilizer chain in the order of
-``PermGroup.elements`` and drops a prefix as soon as, for some class whose
-points it has fixed, the letters of x at those points and of y at their
-images differ as multisets of member signatures.  The search fixes every
-point, and once it has, the test says exactly that g maps every member of
-x onto a member of y; so the search yields exactly the elements a full scan
-would accept, in the same order, with no check at the leaves.  What it
-lists goes into a ``CosetUnion`` on the group's base, and the search skips
-every prefix the union covers (the covered-prefix rule of the ``perm``
-docstring), so the answer is the one a full listing gives.  It ticks the
-query's one ``Budget`` (see ``strings``) on every accepted prefix; a covered
-prefix ticks nothing.  The budget is the only state the recursion carries;
-the nested occupancy-string and window-product queries tick it too.
+trivial (each shift's piece is then one element), ``PermGroup.search_coset``
+lists the isomorphisms by a search pruned by letters (``_iso_search``, the
+first refiner of Leon's partition backtrack): it walks the stabilizer chain
+in the order of ``PermGroup.elements`` and drops a prefix as soon as, for
+some class whose points it has fixed, the letters of x at those points and
+of y at their images differ as multisets of member signatures.  The search
+fixes every point, and once it has, the test says exactly that g maps every
+member of x onto a member of y; so the search yields exactly the elements a
+full scan would accept, in the same order, with no check at the leaves.
+``search_coset`` skips the prefixes its answer already covers (the
+covered-prefix rule of the ``perm`` docstring), so the answer is the one a
+full listing gives.  It ticks the query's one ``Budget`` (see ``strings``)
+on every accepted prefix; a covered prefix ticks nothing.  The budget is
+the only state the recursion carries; the nested occupancy-string and
+window-product queries tick it too.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
@@ -52,7 +52,7 @@ back through ``GroupHom.pull_back`` of the restriction or induced action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .perm import (CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, induced_action,
                    transversal_cosets)
@@ -66,8 +66,10 @@ from .strings import (
 )
 
 # Below this order the recursion setup costs more than listing elements one
-# by one: at a cutoff of 1, 15 s seed-1 perfbench runs (Python 3.11, one Xeon
-# core) fell from 87 to 20 queries/s on gsi_families, 79 to 26 on excluded_minor.
+# by one, even with covered prefixes skipped: against a cutoff of 1, three
+# alternating pairs of 12 s seed-1 perfbench runs (Python 3.11, 2 vCPUs of a
+# shared Xeon host) read 197-199 against 45-48 queries/s on gsi_families and
+# 531-534 against 223-229 on excluded_minor.
 DIRECT_ENUM_CUTOFF = 120
 
 
@@ -103,11 +105,10 @@ def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
                      for m in fam.members)
 
 
-def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
-                  tick: Optional[Callable[[], None]] = None,
-                  union: Optional[CosetUnion] = None) -> Iterator[Permutation]:
-    """The g in ``group`` with x^g = y, in ``group.elements()`` order, less
-    those below a prefix that ``union`` covers (see ``PermGroup.search``).
+def _iso_search(x: PStringFamily, y: PStringFamily,
+                tick: Optional[Callable[[], None]] = None) -> tuple[object, Callable]:
+    """The start state and ``step`` of a ``PermGroup.search`` over all points
+    that yields the g with x^g = y, in ``group.elements()`` order.
 
     The search state holds, for every member of y, its letters at the images
     of the points fixed so far.  Where a prefix fixes new points of a class
@@ -159,8 +160,7 @@ def _iso_elements(group: PermGroup, x: PStringFamily, y: PStringFamily,
             tick()
         return k + 1, new
 
-    start = (0, [[()] * len(ms) for ms in y_letters])
-    yield from group.search(range(group.degree), start, step, union)
+    return (0, [[()] * len(ms) for ms in y_letters]), step
 
 
 # -- BalanceOrbits --------------------------------------------------------------
@@ -244,18 +244,16 @@ def combine_windows(coset: IsoCoset, partition: PPartition,
     budget = Budget.of(budget)
     if coset.is_empty:
         return coset
-    group, shift = coset.group, coset.rep
     for w in (w1, w2):
         wset = frozenset(w)
-        for g in group.generators:
+        for g in coset.group.generators:
             if g.apply_set(wset) != wset:
                 raise ValueError("window is not invariant under the group part")
-    y_aligned = y.apply(shift.inverse()) if not shift.is_identity() else y
     for w in (w1, w2):
-        if w and not check_window_automorphic(group, x, w):
+        if w and not check_window_automorphic(coset.group, x, w):
             raise ValueError("group does not respect x on a window")
-    inner = _combine_group(group, partition, x, y_aligned, sorted(w1), sorted(w2), budget)
-    return inner.shifted(shift) if not inner.is_empty else inner
+    w1, w2 = sorted(w1), sorted(w2)
+    return _aligned(coset, y, lambda g, y_al: _combine_group(g, partition, x, y_al, w1, w2, budget))
 
 
 def _combine_group(group: PermGroup, partition: PPartition,
@@ -337,7 +335,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         return IsoCoset.empty()
     n = group.degree
     if group.order() <= DIRECT_ENUM_CUTOFF:
-        return _listed_coset(group, x, y, budget)
+        return group.search_coset(range(n), *_iso_search(x, y, budget.tick))
 
     orbits = group.orbits()
     if len(orbits) > 1:
@@ -348,13 +346,10 @@ def _gsi_group(group: PermGroup, partition: PPartition,
                 return current
         window = list(orbits[0])
         for orb in orbits[1:]:
-            y_aligned = (y.apply(current.rep.inverse())
-                         if not current.rep.is_identity() else y)
-            inner = _combine_group(current.group, partition, x, y_aligned,
-                                   window, list(orb), budget)
-            if inner.is_empty:
-                return inner
-            current = inner.shifted(current.rep)
+            current = _aligned(current, y, lambda g, y_al: _combine_group(
+                g, partition, x, y_al, window, list(orb), budget))
+            if current.is_empty:
+                return current
             window = sorted(set(window) | set(orb))
         return current
 
@@ -370,7 +365,7 @@ def _gsi_group(group: PermGroup, partition: PPartition,
         hom = group.block_action(blocks)
         kernel = hom.kernel()
     if primitive or kernel.is_trivial():
-        return _listed_coset(group, x, y, budget)
+        return group.search_coset(range(n), *_iso_search(x, y, budget.tick))
     # the exact shift filter of the module docstring
     block_of = {p: i for i, blk in enumerate(blocks) for p in blk}
 
@@ -394,41 +389,35 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     return union.result()
 
 
-def _listed_coset(group: PermGroup, x: PStringFamily, y: PStringFamily,
-                  budget: Budget) -> IsoCoset:
-    """Iso(x, y) in ``group`` from the isomorphisms the search lists, merged
-    one by one into a union on the group's base, whose covered prefixes the
-    search skips."""
-    trivial = PermGroup([], group.degree, group.base)
-    union = CosetUnion(group.degree, group.base)
-    for delta in _iso_elements(group, x, y, budget.tick, union):
-        union.add(IsoCoset(trivial, delta))
-    return union.result()
+def _aligned(coset: IsoCoset, y: PStringFamily,
+             solve: Callable[[PermGroup, PStringFamily], IsoCoset]) -> IsoCoset:
+    """The answer in ``coset`` = group * rep from ``solve(group, y')`` on y'
+    = y moved back by rep^-1, shifted by rep: x^(g * rep) = y exactly when
+    x^g = y'.  A nonempty ``coset`` is assumed."""
+    rep = coset.rep
+    if rep.is_identity():
+        return solve(coset.group, y)
+    return solve(coset.group, y.apply(rep.inverse())).shifted(rep)
 
 
 def _gsi_coset(coset: IsoCoset, partition: PPartition,
                x: PStringFamily, y: PStringFamily, budget: Budget) -> IsoCoset:
     if coset.is_empty:
         return coset
-    if coset.rep.is_identity():
-        return _gsi_group(coset.group, partition, x, y, budget)
-    inner = _gsi_group(coset.group, partition, x, y.apply(coset.rep.inverse()), budget)
-    return inner.shifted(coset.rep)
+    return _aligned(coset, y, lambda g, y_al: _gsi_group(g, partition, x, y_al, budget))
 
 
 def enforce_window(coset: IsoCoset, partition: PPartition,
                    x: PStringFamily, y: PStringFamily,
                    window: Sequence[int], budget: Budget) -> IsoCoset:
     """{gamma in coset : gamma[W] in Iso(x[W], y[W])} via a restricted call."""
-    group, shift = coset.group, coset.rep
-    y_aligned = y.apply(shift.inverse()) if not shift.is_identity() else y
-    sub, hom = group.restrict(window)
-    x_w = x.restrict(window)
-    y_w = y_aligned.restrict(window)
-    if x_w.partition != y_w.partition:
-        return IsoCoset.empty()
-    res = _gsi_group(sub, x_w.partition, x_w, y_w, budget)
-    return hom.pull_back(res).shifted(shift)
+    def solve(group: PermGroup, y_al: PStringFamily) -> IsoCoset:
+        sub, hom = group.restrict(window)
+        x_w, y_w = x.restrict(window), y_al.restrict(window)
+        if x_w.partition != y_w.partition:
+            return IsoCoset.empty()
+        return hom.pull_back(_gsi_group(sub, x_w.partition, x_w, y_w, budget))
+    return _aligned(coset, y, solve)
 
 
 def generalized_string_iso(inst: GsiInstance, budget: BudgetArg = None) -> IsoCoset:

@@ -18,6 +18,7 @@ from setiso.perm import (
     transversal_cosets,
 )
 
+from setiso import oracle
 from setiso.strings import Budget, BudgetExceeded
 
 from util import closure, rand_group, rand_perm
@@ -205,6 +206,38 @@ class TestOrbitsAndBlocks:
         assert orbits == [(0, 1), (2, 3), (4,)]
         assert set(blocks) == {(0, 1), (2, 3)}
 
+    def test_points_outside_the_domain_are_rejected(self):
+        # orbit(-1) used to return [-1, 2, 3], orbit_transversal(-1) the
+        # identity as the mover of -1 onto 3; the others raised IndexError
+        g = PermGroup([Permutation.from_cycles(4, [2, 3])], 4)
+        for call in (lambda: g.orbit(-1), lambda: g.orbit(7),
+                     lambda: g.orbit_transversal(-1), lambda: g.orbit_transversal(9),
+                     lambda: Permutation.from_cycles(3, [0, 5]),
+                     lambda: Permutation.from_cycles(3, [-1, 0])):
+            with pytest.raises(ValueError, match="points must lie in 0.."):
+                call()
+        assert g.orbit(3) == [2, 3]
+        assert set(g.orbit_transversal(2)) == {2, 3}
+
+    def test_orbit_transversal_checks_the_action_domain(self):
+        # over an induced action the domain is the blocks
+        g = PermGroup([Permutation([1, 2, 3, 0])], 4)
+        blocks = [frozenset({0, 2}), frozenset({1, 3})]
+        acts = g.block_action(blocks).gen_images
+        assert set(g.orbit_transversal(1, acts)) == {0, 1}
+        with pytest.raises(ValueError):
+            g.orbit_transversal(2, acts)
+
+    def test_minimal_block_system_needs_one_orbit(self):
+        # [0, 1] and [0, 2, 3] used to come back as primitive singletons,
+        # and a point past the degree raised IndexError
+        g = PermGroup([Permutation.from_cycles(4, [2, 3])], 4)
+        for domain in ([0, 1], [0, 2, 3], [2, 3, 9], [], [5]):
+            with pytest.raises(ValueError):
+                g.minimal_block_system(domain)
+        assert g.minimal_block_system([3, 2]) == ([frozenset({2}), frozenset({3})], True)
+        assert g.minimal_block_system([1]) == ([frozenset({1})], True)
+
     def test_minimality_by_block_enumeration(self):
         # independent oracle: enumerate every block through the orbit's first
         # point by subset search over the closure, and check no system is
@@ -276,9 +309,33 @@ class TestStabilizers:
         assert two_orbits.setwise_stabilizer([3, 4], Budget(0).tick) is two_orbits
 
     def test_setwise_stabilizer_of_a_proper_subset_still_searches(self):
+        # 84 ticks before the search skipped the prefixes its answer covers
         budget = Budget()
         assert sym(6).setwise_stabilizer([0, 1], budget.tick).order() == 48
-        assert budget.used == 84
+        assert budget.used == 16
+
+    def test_setwise_stabilizer_skips_covered_prefixes(self):
+        # 1,024 ticks before the search skipped the prefixes its answer covers
+        budget = Budget()
+        assert sym(8).setwise_stabilizer([0, 1, 2, 3], budget.tick).order() == 24 * 24
+        assert budget.used == 31
+
+    @given(st.integers(1, 7), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_setwise_stabilizer_is_the_brute_force_stabilizer(self, n, full, rng):
+        # on every subset T: the order is the number of elements mapping T
+        # onto T, and every generator is such an element, so the answer is
+        # Stab(T) itself
+        g = sym(n) if full else rand_group(rng, n, order_cap=5040)
+        elems = oracle.enumerate_group(g.generators, n)
+        members = set(elems)
+        for mask in range(1 << n):
+            target = frozenset(p for p in range(n) if mask >> p & 1)
+            count = sum(1 for e in elems if all(e[p] in target for p in target))
+            stab = g.setwise_stabilizer(target)
+            assert stab.order() == count, (g.generators, target)
+            for h in stab.generators:
+                assert h.images in members and h.apply_set(target) == target
 
     def test_setwise_stabilizer_rejects_a_negative_point(self):
         # used to loop forever
@@ -302,7 +359,7 @@ class TestStabilizers:
     def test_setwise_stabilizer_search_cap(self):
         # the search has no cap of its own; it ticks the caller's budget
         with pytest.raises(BudgetExceeded):
-            sym(8).setwise_stabilizer([0, 1, 2, 3], Budget(50).tick)
+            sym(8).setwise_stabilizer([0, 1, 2, 3], Budget(30).tick)
         assert sym(8).setwise_stabilizer([0, 1, 2, 3]).order() == 24 * 24
 
     def test_pointwise_stabilizer_rejects_outside_points(self):

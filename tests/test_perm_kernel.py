@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 from setiso import perm
 from setiso.perm import CosetUnion, GroupHom, IsoCoset, Permutation, PermGroup, _pointwise
 from setiso.pstrings import PPartition, PString, make_family
-from setiso.solver import (GsiInstance, _iso_elements, _listed_coset, family_image_key,
-                           generalized_string_iso)
-from setiso.strings import Budget, ColoredString, StringQuery, string_iso
+from setiso.solver import GsiInstance, _iso_search, family_image_key, generalized_string_iso
+from setiso.strings import ColoredString, StringQuery, string_iso
 
 from util import (closure, rand_family_on, rand_group, rand_invariant_partition, rand_perm,
                   reference_chain)
@@ -142,6 +141,11 @@ def test_pointwise_search_prunes_before_the_last_level():
     assert len(calls) < 720
 
 
+def _iso_elements(group, x, y, tick=None):
+    """The g in ``group`` with x^g = y, by the solver's letter-pruned search."""
+    return group.search(range(group.degree), *_iso_search(x, y, tick))
+
+
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_iso_search_is_the_filtered_enumeration(n, rng):
@@ -190,7 +194,7 @@ def test_the_pruned_listing_gives_the_reference_answer(n, rng):
     else:
         y = rand_family_on(rng, part, colors=2)
     want = _listed_reference(group, x, y)
-    got = _listed_coset(group, x, y, Budget())
+    got = group.search_coset(range(n), *_iso_search(x, y))
     assert got.is_empty == want.is_empty
     if not got.is_empty:
         assert got.rep == want.rep
