@@ -52,8 +52,9 @@ order as they are, so Schreier-Sims does each step once:
   with, and ``order`` needs no chain at all;
 - ``GroupHom`` keeps its two chains over the combined source and target
   action, each built on first use.  The target-first chain serves
-  ``preimage``, ``image`` and also ``kernel``, whose generators it already
-  holds; the source-first chain serves ``apply``.  The combined group is
+  ``preimage`` (the sift of (1, h) through its target prefix), ``image``
+  and also ``kernel``, whose generators it already holds; the source-first
+  chain serves ``apply`` (the sift of (g, 1)).  The combined group is
   the graph {(g, hom(g))} when the images define a homomorphism, and the
   projection onto the source is then an isomorphism, so its order is
   exactly |source|.  By default the constructor builds the target-first
@@ -67,6 +68,9 @@ order as they are, so Schreier-Sims does each step once:
   homomorphism by construction (the action of g * h is the action of g
   followed by that of h); their target-first chain states |source| and
   stops as soon as it is complete, with the chain the check would build;
+- every walk down a chain goes through one primitive, ``PermGroup._sift``:
+  membership, Schreier generators, covered prefixes, and ``GroupHom``'s
+  ``apply`` and ``preimage``;
 - every composition, in products, Schreier generators, sifts and the
   element walk, goes through one primitive, ``_compose``: the same table
   as the point-by-point composition, with the loop run in C.  The identity
@@ -89,21 +93,22 @@ chain's base and skips every prefix the union already covers, before
 ``step`` runs (the orbit prune of McKay and Piperno 2014, done as a
 base-image test on a stabilizer chain: Sims 1971, Leon 1991).  The search
 fixes the points b_0, b_1, ... in this order, depth first, drops only
-prefixes below which no isomorphism lies, and at each leaf adds to the
-union every isomorphism that maps the b_i as the leaf does.  A prefix q
-that has fixed b_0 ... b_(k-1) is covered when some element u of the union
-maps them as q does; ``CosetUnion.covers`` answers that with the walk of
-``GroupHom._walk`` on a chain of the union's group that has the b_i as base
-prefix.  The skip is exact.  Let Stab_k be the automorphisms of x (in the
-searched group) that fix b_0 ... b_(k-1); the isomorphisms below q are
-Stab_k * u.  The union is not empty, so some leaf T was added before q was
-reached, outside q's subtree, and the subtree of T's own prefix of depth k
-is finished: by induction on the order of the skips, every isomorphism below
-it, Stab_k * tau for one of them, is in the union.  The union is a coset H *
-r, so H contains Stab_k, and H only grows.  So Stab_k * u lies in the union
-already: ``add`` would find every element below q a member and leave the
-generators and the representative as they are.  A union that is the whole
-group covers every prefix, so a listing needs no stop at the group order.
+prefixes below which no isomorphism lies, and at each leaf adds to the union
+every isomorphism that maps the b_i as the leaf does.  A prefix q that has
+fixed b_0 ... b_(k-1) is covered when some element u of the union maps them
+as q does; ``CosetUnion.covers`` answers that by sifting q * r^-1, r the
+union's representative, through the first k levels of a chain of the union's
+group that has the b_i as base prefix.  The skip is exact.  Let Stab_k be
+the automorphisms of x (in the searched group) that fix b_0 ... b_(k-1); the
+isomorphisms below q are Stab_k * u.  The union is not empty, so some leaf T
+was added before q was reached, outside q's subtree, and the subtree of T's
+own prefix of depth k is finished: by induction on the order of the skips,
+every isomorphism below it, Stab_k * tau for one of them, is in the union.
+The union is a coset H * r, so H contains Stab_k, and H only grows.  So
+Stab_k * u lies in the union already: ``add`` would find every element below
+q a member and leave the generators and the representative as they are.  A
+union that is the whole group covers every prefix, so a listing needs no
+stop at the group order.
 
 The constructions the reductions need live here too, so no other module
 builds them by hand: ``induced_action`` (the action of a group's generators,
@@ -494,10 +499,13 @@ class PermGroup:
                 keys.add(key)
         return None
 
-    def _sift(self, r: tuple, start: int) -> tuple[tuple, int]:
-        """Sift an image table; return (residue table, level where it stopped)."""
+    def _sift(self, r: tuple, start: int = 0, stop: Optional[int] = None) -> tuple[tuple, int]:
+        """Sift an image table through levels ``start`` .. ``stop - 1`` (to
+        the end by default); return (residue table, level where it stopped).
+        The module's one walk down a chain."""
         levels = self._levels
-        for j in range(start, len(levels)):
+        stop = len(levels) if stop is None else stop
+        for j in range(start, stop):
             lvl = levels[j]
             beta = r[lvl.point]
             if beta == lvl.point:
@@ -506,7 +514,15 @@ class PermGroup:
             if inv is None:
                 return r, j
             r = _compose(r, inv.images)
-        return r, len(levels)
+        return r, stop
+
+    def _below(self, k: int) -> tuple[Sequence[Permutation], int]:
+        """The strong generators placed at level k or deeper (the group's
+        own generators when k = 0) and the order of the group they
+        generate, the product of those levels' orbit lengths."""
+        levels = self._levels
+        gens = self.generators if k == 0 else [g for lvl in levels[k:] for g in lvl.gens]
+        return gens, _chain_order(levels[k:])
 
     # -- queries -----------------------------------------------------------
 
@@ -522,7 +538,7 @@ class PermGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._sift(g.images, 0)
+        residue, _ = self._sift(g.images)
         return residue == _identity_table(self.degree)
 
     def is_trivial(self) -> bool:
@@ -587,9 +603,12 @@ class PermGroup:
 
         ``actions[k]``, when given, is the action of generator k on another
         domain (block or class indices); the orbit is then taken there.  A
-        point outside the domain raises ValueError.
+        point outside the domain, or ``actions`` not one per generator,
+        raises ValueError.
         """
         actions = self.generators if actions is None else actions
+        if len(actions) != len(self.generators):
+            raise ValueError("need one action per generator")
         _check_point(point, actions[0].degree if actions else self.degree)
         out = {point: Permutation.identity(self.degree)}
         queue = [point]
@@ -613,10 +632,9 @@ class PermGroup:
         return out
 
     def is_transitive_on(self, points: Sequence[int]) -> bool:
-        pts = set(points)
-        if not pts:
-            return True
-        return set(self.orbit(min(pts))) == pts
+        """Raises ValueError when a point lies outside 0..degree-1."""
+        pts = _checked_points(points, self.degree)
+        return not pts or self.orbit(pts[0]) == pts
 
     def conjugate(self, s: Permutation) -> "PermGroup":
         s_inv = s.inverse()
@@ -672,14 +690,10 @@ class PermGroup:
             return self
         rebuilt = PermGroup(self.generators, self.degree, base_prefix=pts,
                             _order=self.order())
-        below = rebuilt._levels[len(pts):]
-        gens = []
-        for lvl in below:
-            for g in lvl.gens:
-                if g not in gens:
-                    gens.append(g)
-        gens = [g for g in gens if all(g.images[p] == p for p in pts)]
-        return PermGroup(gens, self.degree, _order=_chain_order(below))
+        # a generator placed at level j fixes base[:j], and the constructor
+        # drops repeats in first-seen order
+        gens, order = rebuilt._below(len(pts))
+        return PermGroup(gens, self.degree, _order=order)
 
     def setwise_stabilizer(self, points: Sequence[int],
                            tick: Optional[Callable[[], None]] = None) -> "PermGroup":
@@ -826,33 +840,18 @@ class GroupHom:
     def _moved(perms: Sequence[Permutation], lo: int, hi: int) -> list[int]:
         return [p for p in range(lo, hi) if any(g.images[p] != p for g in perms)]
 
-    def _walk(self, chain: PermGroup, want: dict[int, int]) -> Optional[Permutation]:
-        """Find a combined element whose images agree with ``want`` on its keys."""
-        acc = Permutation.identity(chain.degree)
-        acc_inv = acc
-        for lvl in chain._levels:
-            if lvl.point not in want:
-                break
-            needed = acc_inv.images[want[lvl.point]]
-            if needed not in lvl.transversal:
-                return None
-            acc = lvl.transversal[needed] * acc
-            acc_inv = acc_inv * lvl.inverses[needed]
-        for p, q in want.items():
-            if acc.images[p] != q:
-                return None
-        return acc
-
     def apply(self, g: Permutation) -> Permutation:
+        """hom(g): the sift of (g, 1) down the source-first chain leaves
+        (1, hom(g)^-1) exactly when g lies in the source."""
         n = self.source.degree
         if g.degree != n:
             raise DegreeMismatch("element has degree %d, expected %d" % (g.degree, n))
-        want = {p: g.images[p] for p in range(n)}
-        combined = self._walk(self._src_first, want)
-        if combined is None:
+        residue, _ = self._src_first._sift(g.images + tuple(range(n, n + self.target_degree)))
+        if residue[:n] != _identity_table(n):
             raise ValueError("element is not in the source group")
-        return Permutation([combined.images[n + j] - n for j in range(self.target_degree)])
+        return Permutation._raw(tuple(q - n for q in residue[n:])).inverse()
 
+    @functools.cached_property
     def _target_prefix(self) -> int:
         # The target-first chain starts with the moved target points; the
         # levels after that prefix form a chain of the kernel, so the
@@ -861,7 +860,7 @@ class GroupHom:
         return sum(1 for lvl in self._tgt_first._levels if lvl.point >= n)
 
     def image(self) -> PermGroup:
-        levels = self._tgt_first._levels[:self._target_prefix()]
+        levels = self._tgt_first._levels[:self._target_prefix]
         return PermGroup(self.gen_images, self.target_degree, _order=_chain_order(levels))
 
     def kernel(self) -> PermGroup:
@@ -869,26 +868,25 @@ class GroupHom:
         # target point and generate the kernel.  They are the generators a
         # pointwise stabilizer of the prefix would return, so no chain is
         # rebuilt.
+        gens, order = self._tgt_first._below(self._target_prefix)
         n = self.source.degree
-        chain = self._tgt_first
-        prefix = self._target_prefix()
-        if prefix == 0:
-            gens = chain.generators
-        else:
-            gens = [g for lvl in chain._levels[prefix:] for g in lvl.gens]
-        return PermGroup([Permutation._raw(g.images[:n]) for g in gens], n,
-                         _order=_chain_order(chain._levels[prefix:]))
+        return PermGroup([Permutation._raw(g.images[:n]) for g in gens], n, _order=order)
 
     def preimage(self, h: Permutation) -> Optional[Permutation]:
-        """Some source element mapping to ``h``, or None."""
-        if h.degree != self.target_degree:
-            raise DegreeMismatch("preimage target has degree %d, expected %d" % (h.degree, self.target_degree))
+        """Some source element mapping to ``h``, or None.
+
+        The sift of (1, h) down the target prefix of the target-first chain
+        leaves (g^-1, 1) exactly when h lies in the image, and then hom(g) =
+        h."""
+        k = self.target_degree
+        if h.degree != k:
+            raise DegreeMismatch("preimage target has degree %d, expected %d" % (h.degree, k))
         n = self.source.degree
-        want = {n + j: n + h.images[j] for j in range(self.target_degree)}
-        combined = self._walk(self._tgt_first, want)
-        if combined is None:
+        residue, _ = self._tgt_first._sift(
+            _identity_table(n) + tuple(n + q for q in h.images), 0, self._target_prefix)
+        if residue[n:] != tuple(range(n, n + k)):
             return None
-        return Permutation(combined.images[:n])
+        return Permutation._raw(residue[:n]).inverse()
 
     def pull_back(self, coset: "IsoCoset") -> "IsoCoset":
         """{g in source : hom(g) in coset} for a coset whose group lies in
@@ -1011,19 +1009,13 @@ class CosetUnion:
 
     def covers(self, images: Sequence[int], depth: int) -> bool:
         """Whether some element of the union maps ``base[:depth]`` as the
-        image table ``images`` does: the walk of ``GroupHom._walk`` down the
-        union's chain, against its representative."""
+        image table ``images`` does, which may end after those points: the
+        sift of ``images * rep^-1`` through the first ``depth`` levels of
+        the union's chain reaches level ``depth``."""
         if self._rep is None:
             return False
-        # acc: the representative's inverse, then the inverses of the
-        # transversal elements chosen so far
-        acc = self._rep_inv.images
-        for lvl, b in zip(self._group._levels, self.base[:depth]):
-            inv = lvl.inverses.get(acc[images[b]])
-            if inv is None:
-                return False
-            acc = _compose(acc, inv.images)
-        return True
+        r = _compose(images, self._rep_inv.images)
+        return self._group._sift(r, 0, depth)[1] == depth
 
     def order(self) -> int:
         return 0 if self._rep is None else self._group.order()

@@ -228,6 +228,23 @@ class TestOrbitsAndBlocks:
         with pytest.raises(ValueError):
             g.orbit_transversal(2, acts)
 
+    def test_orbit_transversal_needs_one_action_per_generator(self):
+        # zip used to stop at the shorter list: S3 with one action gave {0: identity}
+        g = sym(3)
+        for acts in ([Permutation([1, 0, 2])], list(g.generators) * 2):
+            with pytest.raises(ValueError, match="one action per generator"):
+                g.orbit_transversal(0, acts)
+        assert set(g.orbit_transversal(0, list(g.generators))) == {0, 1, 2}
+
+    def test_is_transitive_on_rejects_outside_points(self):
+        # [0, 1, 2, 7] used to give False while [7] raised
+        g = sym(3)
+        for points in ([0, 1, 2, 7], [7], [-1, 0]):
+            with pytest.raises(ValueError, match="points must lie in 0.."):
+                g.is_transitive_on(points)
+        assert g.is_transitive_on([2, 0, 1]) and g.is_transitive_on([])
+        assert not PermGroup([Permutation.from_cycles(3, [0, 1])], 3).is_transitive_on([0, 1, 2])
+
     def test_minimal_block_system_needs_one_orbit(self):
         # [0, 1] and [0, 2, 3] used to come back as primitive singletons,
         # and a point past the degree raised IndexError
@@ -449,6 +466,48 @@ class TestHomTools:
             assert hom.image().order() * hom.kernel().order() == g.order()
             for kgen in hom.kernel().generators:
                 assert hom.apply(kgen).is_identity()
+
+    @staticmethod
+    def _random_hom(kind, n, rng):
+        """A hom of one kind; the source has degree n except for C4."""
+        if kind == "c4":
+            # the squaring map of C4
+            return GroupHom(PermGroup([Permutation([1, 2, 3, 0])], 4), 4, [Permutation([2, 3, 0, 1])])
+        g = rand_group(rng, n)
+        if kind == "identity":
+            return GroupHom(g, n, list(g.generators))
+        orbits = g.orbits()
+        if kind == "restrict":
+            return g.restrict(rng.choice(orbits))[1]
+        # a coarsest block system on one orbit, the other points as singletons
+        orb = rng.choice(orbits)
+        blocks = [frozenset(orb)] if len(orb) == 1 else g.minimal_block_system(orb)[0]
+        return g.block_action(blocks + [frozenset({p}) for p in range(n) if p not in orb])
+
+    @given(st.sampled_from(["block", "restrict", "identity", "c4"]), st.integers(1, 7),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_preimage_and_kernel_agree(self, kind, degree, rng):
+        hom = self._random_hom(kind, degree, rng)
+        source, n, k = hom.source, hom.source.degree, hom.target_degree
+        image, kernel = hom.image(), hom.kernel()
+        for _ in range(5):
+            # a random generator word, evaluated in the source and over the images
+            g, h = Permutation.identity(n), Permutation.identity(k)
+            for _ in range(rng.randint(0, 6) if source.generators else 0):
+                i = rng.randrange(len(source.generators))
+                g, h = g * source.generators[i], h * hom.gen_images[i]
+            assert hom.apply(g) == h
+            assert kernel.contains(hom.preimage(h) * g.inverse())
+            outside = rand_perm(rng, k)
+            pre = hom.preimage(outside)
+            assert (pre is None) == (not image.contains(outside))
+            if pre is not None:
+                assert hom.apply(pre) == outside
+            p = rand_perm(rng, n)
+            if not source.contains(p):
+                with pytest.raises(ValueError):
+                    hom.apply(p)
 
 
 class TestInducedAction:
