@@ -21,7 +21,6 @@ from .pstrings import (
     PPartition,
     PString,
     PStringFamily,
-    VirtualSizeConfig,
     hypergraph_to_family,
     make_family,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "ColoredGraph", "ColoredString", "StringQuery", "string_iso",
     "graph_iso_under_group",
     "Hypergraph", "PPartition", "PString", "PStringFamily",
-    "VirtualSizeConfig", "hypergraph_to_family", "make_family",
+    "hypergraph_to_family", "make_family",
     "GsiInstance", "SolverConfig", "balance_orbits", "combine_windows",
     "generalized_string_iso", "set_of_strings_iso",
     "SimplifyClass", "simplify_on_window",

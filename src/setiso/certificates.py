@@ -10,6 +10,13 @@ and stop either when the group's image on the test set stops being a giant
 Fullness certificates verify their giant-image claim explicitly instead of
 relying on the unaffected-stabilizer theorem, whose hypothesis k > max(8,
 2 + log2 d) is out of reach for desk-scale test sets.
+
+The loop exits with ``(kind, state, iterations, group)``: ``group`` is the
+window fixer when a one-side run ends 'full', None when the pair is
+'distinguished', and otherwise the final group's projection on T.
+``local_certificate_pair`` carries it back to the original domain and test
+set in one place.  One test finds the affected points, for
+``affected_points`` and inside the loop.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ def find_giant_rep(group: PermGroup) -> Optional[GiantRep]:
     n = group.degree
     if not group.is_transitive_on(range(n)):
         raise ValueError("giant representations are searched for transitive groups")
+    if n < 5:
+        return None
     blocks, primitive = group.minimal_block_system(range(n))
     hom = group.block_action(blocks)
     k = len(blocks)
@@ -62,15 +71,24 @@ def find_giant_rep(group: PermGroup) -> Optional[GiantRep]:
     return GiantRep(hom, flavor, k)
 
 
+def _giant(group: PermGroup) -> bool:
+    return is_giant(group, range(group.degree)) is not None
+
+
+def _image(group: PermGroup, phi, k: int) -> PermGroup:
+    """The group on k points generated by phi of ``group``'s generators."""
+    return PermGroup([phi(g) for g in group.generators], k)
+
+
+def _affected(group: PermGroup, phi, k: int) -> list[int]:
+    """The points whose stabilizer's image under phi is no giant on k points."""
+    return [alpha for alpha in range(group.degree)
+            if not _giant(_image(group.pointwise_stabilizer([alpha]), phi, k))]
+
+
 def affected_points(delta: PermGroup, rep: GiantRep) -> list[int]:
     """{alpha : (delta_alpha)^phi does not contain Alt(k)}."""
-    out = []
-    for alpha in range(delta.degree):
-        stab = delta.pointwise_stabilizer([alpha])
-        image = PermGroup([rep.apply(g) for g in stab.generators], rep.k)
-        if is_giant(image, range(rep.k)) is None:
-            out.append(alpha)
-    return out
+    return _affected(delta, rep.apply, rep.k)
 
 
 @dataclass(frozen=True)
@@ -133,86 +151,76 @@ class _LoopState:
         self.d = d
 
 
-def _run_loop(group_t: PermGroup, rep: GiantRep, t1: Sequence[int],
+def _grow(state: _LoopState, grow: list[int], self_pair: bool, budget: Budget):
+    """Enforce the pair on the grown window and simplify there: the class
+    that holds both families, or None when the pair is distinguished."""
+    window = set(state.window)
+    new_window = [p for p in grow if p not in window]
+    part, x, y = state.partition, state.x, state.y
+    coset = None
+    for step in (lambda c: balance_orbits(state.group, part, x, y, budget),
+                 lambda c: enforce_window(c, part, x, y, new_window, budget),
+                 lambda c: combine_windows(c, part, x, y, state.window, new_window,
+                                           budget)):
+        coset = step(coset)
+        if self_pair:
+            coset = coset.normalized()
+        if coset.is_empty:
+            return None
+    delta = coset.rep
+    if not delta.is_identity():
+        state.y = state.y.apply(delta.inverse())
+        state.rho2 = state.tau.apply(delta) * state.rho2
+    state.group = coset.group
+    state.window = grow
+    fams = [state.x] if self_pair else [state.x, state.y]
+    classes = simplify_on_window(fams, state.group, state.partition,
+                                 state.window, state.chain, state.d, budget)
+    if self_pair:
+        return classes[0]
+    return next((c for c in classes if set(c.indices) == {0, 1}), None)
+
+
+def _run_loop(group_t: PermGroup, rep: GiantRep, tset: list[int],
               partition: PPartition, x: PStringFamily, y: PStringFamily,
               chain: PartitionChain, rho2_init: Permutation, d: int,
               self_pair: bool, budget: Budget):
-    """The growth loop; returns (exit_kind, state, extras).
+    """The growth loop on the sorted test set; returns ``(kind, state,
+    iterations, group)``.
 
-    exit kinds: 'full' (affected points inside the window, giant image
+    Exit kinds: 'full' (affected points inside the window, giant image
     verified), 'nonfull' (image on T stopped being a giant), 'distinguished'
-    (the pair cannot be isomorphic; exact emptiness).
+    (the pair cannot be isomorphic; exact emptiness).  ``group`` is the
+    window fixer for 'full' on a self pair, None for 'distinguished', and
+    the final group's projection on T otherwise.
     """
-    n0 = group_t.degree
-    t_sorted = sorted(t1)
-    ident = Permutation.identity(n0)
+    n0, k = group_t.degree, len(tset)
     state = _LoopState(group_t, partition, x, y, chain,
                        GroupHom(group_t, n0, list(group_t.generators)),
-                       ident, rho2_init, d)
+                       Permutation.identity(n0), rho2_init, d)
 
     def psi(g: Permutation) -> Permutation:
-        return rep.apply(state.tau.apply(g)).restrict(t_sorted)
-
-    def psi_group(g: PermGroup) -> PermGroup:
-        return PermGroup([psi(h) for h in g.generators], len(t_sorted))
+        return rep.apply(state.tau.apply(g)).restrict(tset)
 
     for iteration in range(n0 + 1):
-        image_t = psi_group(state.group)
-        if is_giant(image_t, range(len(t_sorted))) is None:
-            return "nonfull", state, {"iterations": iteration, "psi": psi}
-        affected = []
-        for alpha in range(state.group.degree):
-            stab = state.group.pointwise_stabilizer([alpha])
-            if is_giant(psi_group(stab), range(len(t_sorted))) is None:
-                affected.append(alpha)
+        image = _image(state.group, psi, k)
+        if not _giant(image):
+            return "nonfull", state, iteration, image
         window = set(state.window)
+        affected = _affected(state.group, psi, k)
         if set(affected) <= window:
-            inert = sorted(set(range(state.group.degree)) - window)
-            fixer = state.group.pointwise_stabilizer(inert) if inert else state.group
-            if is_giant(psi_group(fixer), range(len(t_sorted))) is None:
+            fixer = state.group.pointwise_stabilizer(
+                set(range(state.group.degree)) - window)
+            if not _giant(_image(fixer, psi, k)):
                 raise LocalCertificateError(
                     "window stabilizer lost the giant image; the unaffected-"
-                    "stabilizer guarantee needs a larger test set than %d"
-                    % len(t_sorted))
-            return "full", state, {"iterations": iteration, "fixer": fixer, "psi": psi}
+                    "stabilizer guarantee needs a larger test set than %d" % k)
+            return "full", state, iteration, fixer if self_pair else image
 
-        grow = sorted(window | set(affected))
-        new_window = [p for p in grow if p not in window]
-
-        coset = balance_orbits(state.group, state.partition, state.x, state.y, budget)
-        if self_pair:
-            coset = coset.normalized()
-        if not coset.is_empty:
-            coset = enforce_window(coset, state.partition, state.x, state.y,
-                                   new_window, budget)
-            if self_pair:
-                coset = coset.normalized()
-        if not coset.is_empty:
-            coset = combine_windows(coset, state.partition, state.x, state.y,
-                                    state.window, new_window, budget)
-            if self_pair:
-                coset = coset.normalized()
-        if coset.is_empty:
-            return "distinguished", state, {"iterations": iteration, "psi": psi}
-
-        delta = coset.rep
-        if not delta.is_identity():
-            state.y = state.y.apply(delta.inverse())
-            state.rho2 = state.tau.apply(delta) * state.rho2
-        state.group = coset.group
-        state.window = grow
-
-        fams = [state.x] if self_pair else [state.x, state.y]
-        classes = simplify_on_window(fams, state.group, state.partition,
-                                     state.window, state.chain, state.d, budget)
-        if not self_pair:
-            holder = next((c for c in classes if set(c.indices) == {0, 1}), None)
-            if holder is None:
-                return "distinguished", state, {"iterations": iteration, "psi": psi}
-        else:
-            holder = classes[0]
-
-        lam = {idx: holder.shifts[k] for k, idx in enumerate(holder.indices)}
+        holder = _grow(state, sorted(window | set(affected)), self_pair, budget)
+        if holder is None:
+            return "distinguished", state, iteration, None
+        lam = dict(zip(holder.indices, holder.shifts))
         old_tau = state.tau
         state.rho1 = old_tau.apply(lam[0]) * state.rho1
         if not self_pair:
@@ -237,10 +245,11 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
                            d: int = 2, budget: BudgetArg = None) -> LocalCertResult:
     """Certificates for both sides plus the comparison coset on T1.
 
-    Contracts: a Full certificate consists of automorphisms whose image
-    induces at least Alt on the test set; a NonFull comparison coset contains
-    every projection of an isomorphism aligning the test sets.  One budget
-    bounds the three growth loops and the test-set stabilizer searches.
+    The test sets are sets: repeated points count once.  Contracts: a Full
+    certificate consists of automorphisms whose image induces at least Alt
+    on the test set; a NonFull comparison coset contains every projection
+    of an isomorphism aligning the test sets.  One budget bounds the three
+    growth loops and the test-set stabilizer searches.
     """
     budget = Budget.of(budget)
     if partition.n != group.degree:
@@ -249,13 +258,13 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         raise ValueError("family partitions must equal the given partition")
     if rep.k < 5:
         raise ValueError("giant representation needs at least 5 points")
-    if len(set(t1)) != len(set(t2)):
+    t1s, t2s = sorted(set(t1)), sorted(set(t2))
+    if len(t1s) != len(t2s):
         raise ValueError("test sets must have equal size")
-    if not t1:
+    if not t1s:
         raise ValueError("test sets must hold at least one point")
-    t1s, t2s = sorted(t1), sorted(t2)
     for tset in (t1s, t2s):
-        if tset and (tset[0] < 0 or tset[-1] >= rep.k):
+        if tset[0] < 0 or tset[-1] >= rep.k:
             raise ValueError("test sets must lie in 0..%d" % (rep.k - 1))
     n = group.degree
 
@@ -264,42 +273,35 @@ def local_certificate_pair(x: PStringFamily, y: PStringFamily,
         image_stab = rep.hom.image().setwise_stabilizer(tset, budget.tick)
         return rep.hom.pull_back(IsoCoset.full(image_stab)).group
 
-    def run_side(fam: PStringFamily, tset: list[int], stab: PermGroup):
-        kind, state, extras = _run_loop(
-            stab, rep, tset, partition, fam, fam, chain,
-            Permutation.identity(n), d, True, budget)
-        if kind == "full":
-            fixer = extras["fixer"]
-            gens = [state.rho1.inverse() * state.tau.apply(g) * state.rho1
-                    for g in fixer.generators]
-            return Certificate("full", PermGroup(gens, n)), extras["iterations"]
-        psi = extras["psi"]
-        proj = PermGroup([psi(g) for g in state.group.generators], len(tset))
-        a1 = rep.apply(state.rho1).restrict(tset)
-        conj = proj.conjugate(a1)
-        return Certificate("nonfull", conj,
-                           mapping=tuple(tset)), extras["iterations"]
+    def run(fx, fy, tset, stab, rho2, self_pair):
+        # the loop's group carried back to the original domain and test set
+        kind, state, iterations, found = _run_loop(
+            stab, rep, tset, partition, fx, fy, chain, rho2, d, self_pair, budget)
+        if kind == "full" and self_pair:
+            found = PermGroup([state.rho1.inverse() * state.tau.apply(g) * state.rho1
+                               for g in found.generators], n)
+        elif found is not None:
+            found = found.conjugate(rep.apply(state.rho1).restrict(tset))
+        return kind, state, iterations, found
+
+    def side(fam: PStringFamily, tset: list[int], stab: PermGroup):
+        kind, _, iterations, found = run(fam, fam, tset, stab,
+                                         Permutation.identity(n), True)
+        return Certificate(kind, found, None if kind == "full" else tuple(tset)), iterations
 
     stab1 = t_stab(t1s)
-    cert_x, it_x = run_side(x, t1s, stab1)
-    cert_y, it_y = run_side(y, t2s, t_stab(t2s))
+    cert_x, it_x = side(x, t1s, stab1)
+    cert_y, it_y = side(y, t2s, t_stab(t2s))
 
     # comparison run on the aligned pair
     mover = _set_mover(rep, t1s, t2s)
-    if mover is None:
-        return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,
-                               True, max(it_x, it_y))
-    y_aligned = y.apply(mover.inverse())
-    kind, state, extras = _run_loop(
-        stab1, rep, t1s, partition, x, y_aligned, chain, mover, d, False, budget)
-    psi = extras["psi"]
+    kind, iterations = "distinguished", max(it_x, it_y)
+    if mover is not None:
+        kind, state, iterations, found = run(x, y.apply(mover.inverse()), t1s,
+                                             stab1, mover, False)
     if kind == "distinguished":
         return LocalCertResult(cert_x, cert_y, PermGroup([], len(t1s)), None,
-                               True, extras["iterations"])
-    proj = PermGroup([psi(g) for g in state.group.generators], len(t1s))
-    a1 = rep.apply(state.rho1).restrict(t1s)
-    lam_full = rep.apply(state.rho1.inverse() * state.rho2)
-    compare_map = tuple(lam_full.images[p] for p in t1s)
-    compare_group = proj.conjugate(a1)
-    return LocalCertResult(cert_x, cert_y, compare_group, compare_map, False,
-                           extras["iterations"])
+                               True, iterations)
+    lam = rep.apply(state.rho1.inverse() * state.rho2)
+    return LocalCertResult(cert_x, cert_y, found, tuple(lam.images[p] for p in t1s),
+                           False, iterations)

@@ -11,6 +11,11 @@ transported along breadth-first movers (``PermGroup.orbit_transversal``),
 which keeps the whole graph closed under the group action (validated, not
 assumed).  Class vertices are padded to a common depth so the translated
 class partition is a single level of the resulting chain.
+
+``lift_family`` is the one family lift: it writes each member as one string
+on each of its target classes, read through a map from the new points to the
+old ones.  ``_finish`` lifts the families onto the branches with it, and
+``simplify`` onto the split classes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perm import GroupHom, PermGroup, Permutation, induced_action
+from .perm import GroupHom, PermGroup, induced_action
 from .pstrings import PPartition, PString, PStringFamily
 from .structure import (
     PartitionChain,
@@ -30,6 +35,7 @@ from .structure import (
     certify_chain,
     chain_of_branches,
     invariant_chain,
+    level_arcs,
     map_token,
     orbit_trees,
     relabel_arcs,
@@ -78,24 +84,13 @@ def _assemble(group: PermGroup, partition: PPartition,
     classes = partition.classes()
     class_tokens = {c: _cls_token(pts) for c, pts in enumerate(classes)}
 
-    arcs: list[tuple] = []
-
     def prefix_tok(level: int, blk: frozenset) -> tuple:
         return block_token(("lvl", level), blk)
 
-    for i in range(1, len(prefix_levels)):
-        for child in prefix_levels[i]:
-            parent = next(b for b in prefix_levels[i - 1] if child <= b)
-            arcs.append((prefix_tok(i - 1, parent), prefix_tok(i, child)))
-
+    arcs = level_arcs(prefix_levels, prefix_tok)
     last = len(prefix_levels) - 1
     coarse = sorted(prefix_levels[last], key=min)
-
-    if len(coarse) > 1:
-        block_hom = group.block_action(coarse)
-        block_acts = list(block_hom.gen_images)
-    else:
-        block_acts = [Permutation.identity(1) for _ in group.generators]
+    block_acts = group.block_action(coarse).gen_images
 
     seen_blocks: set[int] = set()
     for b_idx in range(len(coarse)):
@@ -148,8 +143,7 @@ def _assemble(group: PermGroup, partition: PPartition,
     # pad every class vertex to a common depth
     arcs = _pad_class_vertices(arcs, set(class_tokens.values()),
                                prefix_tok(0, frozenset(range(n))))
-    root = prefix_tok(0, frozenset(range(n))) if n else ("tag", ("empty",))
-    sg = StructureGraph(group, root, arcs)
+    sg = StructureGraph(group, prefix_tok(0, frozenset(range(n))), arcs)
     return sg, class_tokens
 
 
@@ -181,6 +175,19 @@ def _pad_class_vertices(arcs: list[tuple], cls_tokens: set, root) -> list[tuple]
     return out
 
 
+def lift_family(fam: PStringFamily, partition: PPartition, origin: Sequence[int],
+                targets: Callable[[PString], Sequence[int]]) -> PStringFamily:
+    """The family on ``partition`` in which member m becomes one string on
+    each class of ``targets(m)``, with m's letter at ``origin[q]`` at each
+    new point q."""
+    members = []
+    for m in fam.members:
+        letter_of = dict(zip(fam.partition.members(m.class_id), m.letters))
+        members.extend(PString(c, tuple(letter_of[origin[q]] for q in partition.members(c)))
+                       for c in targets(m))
+    return PStringFamily(partition, members, sentinel=fam.sentinel)
+
+
 def _finish(group: PermGroup, partition: PPartition,
             families: Sequence[PStringFamily], sg: StructureGraph,
             class_tokens: dict[int, tuple]) -> NormalizedInstance:
@@ -206,19 +213,11 @@ def _finish(group: PermGroup, partition: PPartition,
     chain_index = chain.level_index_of(
         frozenset(pts) for pts in new_partition.classes())
 
-    new_families = []
-    for fam in families:
-        members = []
-        for m in fam.members:
-            old_pts = fam.partition.members(m.class_id)
-            letter_of = dict(zip(old_pts, m.letters))
-            for new_c, old_c in enumerate(class_map):
-                if old_c != m.class_id:
-                    continue
-                pts = new_partition.members(new_c)
-                members.append(PString(new_c, tuple(letter_of[point_map[p]] for p in pts)))
-        new_families.append(PStringFamily(new_partition, members, sentinel=fam.sentinel))
-
+    split_of: dict[int, list[int]] = {}
+    for new_c, old_c in enumerate(class_map):
+        split_of.setdefault(old_c, []).append(new_c)
+    new_families = [lift_family(fam, new_partition, point_map,
+                                lambda m: split_of[m.class_id]) for fam in families]
     new_group = psi.image()
     return NormalizedInstance(
         group=new_group,
@@ -242,6 +241,8 @@ def normalize_families(group: PermGroup, partition: PPartition,
     stabilizer, a best-effort replacement for the general construction: no
     target arity is taken, and ``certified_d`` reports the arity reached.
     """
+    if not group.degree:
+        raise ValueError("cannot normalize an empty domain")
     for g in group.generators:
         if not partition.is_invariant_under(g):
             raise ValueError("partition is not invariant under the group")

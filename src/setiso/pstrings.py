@@ -28,15 +28,6 @@ def funcnorm(d: int) -> int:
 
 
 @dataclass(frozen=True)
-class VirtualSizeConfig:
-    d: int = 2
-
-    @property
-    def exponent(self) -> int:
-        return funcnorm(self.d) + 1
-
-
-@dataclass(frozen=True)
 class PPartition:
     """A partition of {0..n-1} with dense class ids.
 
@@ -236,8 +227,8 @@ class PStringFamily:
         return PStringFamily(new_part, [PString(*key) for key in keys],
                              sentinel=self.sentinel)
 
-    def virtual_size(self, cfg: VirtualSizeConfig) -> int:
-        e = cfg.exponent
+    def virtual_size(self, d: int) -> int:
+        e = funcnorm(d) + 1
         total = 0
         for class_id, pts in enumerate(self.partition.classes()):
             total += len(pts) * self.occupancy(class_id) ** e

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .normalize import NormalizedInstance, renormalize_families
+from .normalize import NormalizedInstance, lift_family, renormalize_families
 from .perm import GroupHom, PermGroup, Permutation, induced_action
 from .pstrings import PPartition, PString, PStringFamily
 from .solver import check_window_automorphic
@@ -87,11 +87,9 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
     assigned: dict[int, tuple[int, Permutation]] = {}
     aut_groups: dict[int, PermGroup] = {}
     for i in range(len(families)):
-        placed = False
         for r in reps:
             if occ[i] == occ[r] and families[i].key() == families[r].key():
                 assigned[i] = (r, Permutation.identity(n))
-                placed = True
                 break
             res = string_iso(StringQuery(class_image, occ_strings[r],
                                          occ_strings[i], budget=budget))
@@ -100,9 +98,8 @@ def _occupancy_classes(acting_group: PermGroup, partition: PPartition,
             pulled = class_hom.pull_back(res)
             assigned[i] = (r, pulled.rep)
             aut_groups[r] = pulled.group
-            placed = True
             break
-        if not placed:
+        else:
             reps.append(i)
             assigned[i] = (i, Permutation.identity(n))
 
@@ -133,12 +130,12 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     wset = set(window)
     win_sorted = sorted(wset)
     n = group.degree
+    if win_sorted and not 0 <= win_sorted[0] <= win_sorted[-1] < n:
+        raise ValueError("window points must lie in 0..%d" % (n - 1))
 
     if wset:
-        ref = families[0].restrict(win_sorted).key()
-        for fam in families[1:]:
-            if fam.restrict(win_sorted).key() != ref:
-                raise ValueError("families do not agree on the window")
+        if len({fam.restrict(win_sorted).key() for fam in families}) > 1:
+            raise ValueError("families do not agree on the window")
         for fam in families:
             if not check_window_automorphic(group, fam, win_sorted):
                 raise ValueError("group does not respect a family on the window")
@@ -146,6 +143,8 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     ok, _ = is_almost_d_ary(chain, group, d)
     if not ok:
         raise ValueError("chain is not almost %d-ary" % d)
+    if not families:
+        return []
 
     if not wset or families[0].restrict(win_sorted).is_simple():
         # nothing to split: group the families by occupancy, keep the domain
@@ -182,19 +181,12 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     split_partition = PPartition.from_classes(n2, [split_classes[k] for k in class_keys])
     class_of_key = {k: split_partition.class_of[min(split_classes[k])] for k in class_keys}
 
-    def lift_family(fam: PStringFamily) -> PStringFamily:
-        members = []
-        for m in fam.members:
-            pts = partition.members(m.class_id)
-            z = partition.cut(m.class_id, m.letters, wset)
-            target = class_of_key[(m.class_id, z)]
-            tgt_pts = split_partition.members(target)
-            letter_of = dict(zip(pts, m.letters))
-            members.append(PString(target, tuple(
-                letter_of[new_points[q][0]] for q in tgt_pts)))
-        return PStringFamily(split_partition, members, sentinel=fam.sentinel)
+    def split_class(m: PString) -> list[int]:
+        return [class_of_key[(m.class_id, partition.cut(m.class_id, m.letters, wset))]]
 
-    lifted_families = [lift_family(fam) for fam in families]
+    origin = [p for p, _, _ in new_points]
+    lifted_families = [lift_family(fam, split_partition, origin, split_class)
+                       for fam in families]
     lifted_window = [i for i, (p, c, z) in enumerate(new_points) if p in wset]
 
     # the split chain: preimages above the class level, per-part copies below

@@ -2,12 +2,14 @@
 
 This module is the one place that builds, transports and reads structure
 trees: ``orbit_trees`` and ``tree_from_chain`` build them from invariant
-partition chains, ``map_token``/``relabel_arcs`` move pieces between blocks
-and under group elements, and ``chain_of_branches`` reads a partition chain
-off the maximal branches.  Vertices are canonical tokens built from the
-points they sit above, so the group action on a structure graph is ordinary
-relabeling and equivariance of constructed graphs can be validated instead of
-trusted.  Token kinds:
+partition chains, ``level_arcs`` is the one writer of the arcs of a refining
+level list (``normalize`` writes its prefix tree with it as well),
+``map_token``/``relabel_arcs`` move pieces between blocks and under group
+elements, and ``chain_of_branches`` reads a partition chain off the maximal
+branches.  Vertices are canonical tokens built from the points they sit
+above, so the group action on a structure graph is ordinary relabeling and
+equivariance of constructed graphs can be validated instead of trusted.
+Token kinds:
 
     ('leaf', p)            a domain point
     ('grp', tag, fs)       a vertex above the frozenset ``fs`` of tokens
@@ -442,26 +444,23 @@ def tree_from_chain(points: Sequence[int], partitions: Sequence[Sequence[frozens
             return ("leaf", p)
         return ("grp", (tag, level), frozenset(("leaf", p) for p in block))
 
-    arcs = []
-    for i in range(1, len(partitions)):
-        for child in partitions[i]:
-            parent = next(b for b in partitions[i - 1] if child <= b)
-            arcs.append((tok(i - 1, parent), tok(i, child)))
-    return tok(0, frozenset(pts)), arcs
+    return tok(0, frozenset(pts)), level_arcs(partitions, tok)
+
+
+def level_arcs(levels: Sequence[Sequence[frozenset]], tok) -> list[tuple]:
+    """The arcs ``(tok(i - 1, parent), tok(i, child))`` of a refining level
+    list, level by level and in the order each level lists its blocks."""
+    return [(tok(i - 1, next(b for b in levels[i - 1] if child <= b)), tok(i, child))
+            for i in range(1, len(levels)) for child in levels[i]]
 
 
 def orbit_trees(group: PermGroup, points: Iterable[int], tag) -> list[tuple]:
     """One structure tree ``(root, arcs)`` per orbit of ``group`` on the
     invariant set ``points``, from ``invariant_chain``; a fixed point is a
     bare leaf.  Orbits come in order of their least point."""
-    pieces = []
-    seen: set[int] = set()
-    for p in sorted(points):
-        if p not in seen:
-            orb = group.orbit(p)
-            seen.update(orb)
-            pieces.append(tree_from_chain(orb, invariant_chain(group, orb), tag))
-    return pieces
+    pts = set(points)
+    return [tree_from_chain(orb, invariant_chain(group, orb), tag)
+            for orb in group.orbits() if orb[0] in pts]
 
 
 def chain_of_branches(branches: Sequence[tuple], label=None) -> PartitionChain:

@@ -20,7 +20,6 @@ from setiso.pstrings import (
     Hypergraph,
     PPartition,
     PString,
-    VirtualSizeConfig,
     hypergraph_to_family,
     make_family,
 )
@@ -250,7 +249,7 @@ class TestCriterion3:
     def test_virtual_size_lemmas(self):
         rng = random.Random(33)
         t0 = time.time()
-        cfg = VirtualSizeConfig(d=2)
+        d = 2
         ok = True
         for _ in range(1000):
             n = rng.randint(2, 8)
@@ -263,17 +262,17 @@ class TestCriterion3:
                 c = rng.randrange(part.num_classes)
                 members.add((c, tuple(rng.randint(0, 2) for _ in part.members(c))))
             fam = make_family(part, [PString(c, l) for c, l in sorted(members)])
-            s = fam.virtual_size(cfg)
+            s = fam.virtual_size(d)
             pts = list(range(n))
             rng.shuffle(pts)
             k = rng.randint(1, n - 1)
             w1, w2 = sorted(pts[:k]), sorted(pts[k:])
-            ok &= (fam.restrict(w1).virtual_size(cfg)
-                   + fam.restrict(w2).virtual_size(cfg) <= s)
+            ok &= (fam.restrict(w1).virtual_size(d)
+                   + fam.restrict(w2).virtual_size(d) <= s)
             small = sorted(pts[:k])
             larger = sorted(pts[:k + 1])
-            ok &= (fam.restrict(small).virtual_size(cfg)
-                   < fam.restrict(larger).virtual_size(cfg))
+            ok &= (fam.restrict(small).virtual_size(d)
+                   < fam.restrict(larger).virtual_size(d))
             # balanced bound on a balanced variant
             m0 = rng.randint(1, 3)
             bal_members = []
@@ -284,9 +283,9 @@ class TestCriterion3:
                     pool.add(tuple(rng.randint(0, 5) for _ in range(size)))
                 bal_members += [PString(c, l) for l in sorted(pool)]
             bal = make_family(part, bal_members)
-            sb = bal.virtual_size(cfg)
+            sb = bal.virtual_size(d)
             w = sorted(rng.sample(range(n), rng.randint(1, n)))
-            ok &= bal.restrict(w).virtual_size(cfg) * n <= len(w) * sb
+            ok &= bal.restrict(w).virtual_size(d) * n <= len(w) * sb
         elapsed = time.time() - t0
         report(3, "virtual-size-lemmas", ok and elapsed < 10,
                "1000 families in %.1fs" % elapsed)
@@ -304,7 +303,6 @@ class TestCriterion4:
             group, part, families, window, chain, d = build_simplify_instance(
                 rng, n_max=8 if small else 12,
                 group_cap=240 if small else 2000)
-            vcfg = VirtualSizeConfig(d)
             out = simplify_on_window(families, group, part, window, chain, d)
             instances += 1
             for cls in out:
@@ -312,12 +310,12 @@ class TestCriterion4:
                     fam = cls.families[k]
                     if cls.window:
                         ok &= fam.restrict(cls.window).is_simple()       # E
-                    ok &= fam.virtual_size(vcfg) <= families[idx].virtual_size(vcfg)  # F
+                    ok &= fam.virtual_size(d) <= families[idx].virtual_size(d)  # F
                     off_old = sorted(set(range(part.n)) - set(window))
                     off_new = sorted(set(range(fam.partition.n)) - set(cls.window))
                     if off_old and off_new:                               # G
-                        ok &= (fam.restrict(off_new).virtual_size(vcfg)
-                               <= families[idx].restrict(off_old).virtual_size(vcfg))
+                        ok &= (fam.restrict(off_new).virtual_size(d)
+                               <= families[idx].restrict(off_old).virtual_size(d))
             if small and group.order() <= 240 and len(families) >= 2:
                 for cls in out:                                           # D
                     for ka, ia in enumerate(cls.indices):

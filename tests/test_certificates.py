@@ -59,6 +59,9 @@ class TestFindGiantRep:
         with pytest.raises(ValueError):
             find_giant_rep(g)
 
+    def test_empty_domain_has_none(self):
+        assert find_giant_rep(PermGroup([], 0)) is None
+
 
 def _projection_rep(n_first, n_second):
     """S_{n_first} x S_{n_second} with the projection onto the first factor."""
@@ -314,6 +317,15 @@ class TestLocalCertificatePair:
         fx, fy, group, rep, _, _, part, chain = golden_certify_case()
         with pytest.raises(ValueError, match="at least one point"):
             local_certificate_pair(fx, fy, group, rep, [], [], part, chain, d=5)
+
+    def test_repeated_test_set_points_count_once(self):
+        fx, fy, group, rep, _, _, part, chain = golden_certify_case()
+        res = local_certificate_pair(fx, fy, group, rep, [0, 0, 1], [0, 1, 1],
+                                     part, chain, d=5)
+        assert (res.cert_x.kind, res.cert_y.kind) == ("nonfull", "nonfull")
+        assert res.cert_x.mapping == res.cert_y.mapping == (0, 1)
+        assert not res.compare_empty
+        assert res.compare_map == (1, 0)
 
     def test_families_off_the_partition_rejected(self):
         # a family over another partition, or a partition of another degree,

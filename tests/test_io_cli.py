@@ -226,6 +226,22 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0] == "domain 4"
 
+    def test_normalize_rejects_an_empty_domain(self, tmp_path):
+        empty = tmp_path / "e.psf"
+        empty.write_text("0 0\n\n")
+        code, out, err = run_cli(["normalize", str(empty)])
+        assert code == 2
+        assert "cannot normalize an empty domain" in err
+        assert out == ""
+
+    def test_certify_on_an_empty_domain_finds_no_giant(self, tmp_path):
+        empty = tmp_path / "e.psf"
+        empty.write_text("0 0\n\n")
+        code, out, err = run_cli(["certify", str(empty), str(empty)])
+        assert code == 0
+        assert out == "no giant representation from the minimal block action\n"
+        assert err == ""
+
     @staticmethod
     def _certify_inputs(tmp_path):
         """A wreath group on 10 points and a simple family, as file names."""

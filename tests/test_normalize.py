@@ -63,6 +63,11 @@ class TestNormalize:
         assert res.domain_size == 3
         assert sorted(res.point_map) == [0, 1, 2]
 
+    def test_empty_domain_rejected(self):
+        part = PPartition(0, ())
+        with pytest.raises(ValueError, match="cannot normalize an empty domain"):
+            normalize_families(PermGroup([], 0), part, [make_family(part, [])])
+
     def test_tree_construction_keeps_domain_size(self):
         rng = random.Random(42)
         for _ in range(25):

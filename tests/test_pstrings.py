@@ -10,7 +10,6 @@ from setiso.pstrings import (
     PPartition,
     PString,
     PStringFamily,
-    VirtualSizeConfig,
     family_to_hypergraph,
     funcnorm,
     harmonize_sentinels,
@@ -140,13 +139,13 @@ class TestVirtualSize:
         fam = make_family(part, [
             PString(0, (0, 0)), PString(0, (0, 1)), PString(1, (0, 0, 0)),
         ])
-        assert fam.virtual_size(VirtualSizeConfig(d=2)) == 11
+        assert fam.virtual_size(2) == 11
 
     def test_simple_family_equals_n(self):
         part = PPartition.from_classes(6, [[0, 1, 2], [3], [4, 5]])
         fam = make_family(part, [PString(0, (0, 0, 0)), PString(1, (1,)), PString(2, (0, 1))])
         for d in (2, 3, 10):
-            assert fam.virtual_size(VirtualSizeConfig(d=d)) == 6
+            assert fam.virtual_size(d) == 6
 
     def test_balanced_identity(self):
         rng = random.Random(11)
@@ -163,40 +162,40 @@ class TestVirtualSize:
                 members += [PString(c, l) for l in sorted(pool)]
             fam = make_family(part, members)
             assert fam.is_balanced()
-            cfg = VirtualSizeConfig(d=rng.choice([2, 3, 5]))
-            assert fam.virtual_size(cfg) == n * m0 ** cfg.exponent
+            d = rng.choice([2, 3, 5])
+            assert fam.virtual_size(d) == n * m0 ** (funcnorm(d) + 1)
 
     def test_funcnorm_monotone(self):
         vals = [funcnorm(d) for d in range(2, 40)]
         assert vals == sorted(vals)
-        assert VirtualSizeConfig(d=2).exponent >= 2
+        assert funcnorm(2) + 1 >= 2
 
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_partition_split_lemma(self, n, rng):
         fam = rand_family(rng, n)
-        cfg = VirtualSizeConfig(d=2)
+        d = 2
         pts = list(range(n))
         rng.shuffle(pts)
         k = rng.randint(1, n - 1) if n > 1 else 1
         w1, w2 = sorted(pts[:k]), sorted(pts[k:])
         if not w1 or not w2:
             return
-        s = fam.virtual_size(cfg)
-        s1 = fam.restrict(w1).virtual_size(cfg)
-        s2 = fam.restrict(w2).virtual_size(cfg)
+        s = fam.virtual_size(d)
+        s1 = fam.restrict(w1).virtual_size(d)
+        s2 = fam.restrict(w2).virtual_size(d)
         assert s1 + s2 <= s
 
     @given(st.integers(2, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_strict_monotonicity(self, n, rng):
         fam = rand_family(rng, n)
-        cfg = VirtualSizeConfig(d=2)
+        d = 2
         pts = list(range(n))
         rng.shuffle(pts)
         k = rng.randint(1, n - 1)
         small, large = sorted(pts[:k]), sorted(pts[: k + 1])
-        assert fam.restrict(small).virtual_size(cfg) < fam.restrict(large).virtual_size(cfg)
+        assert fam.restrict(small).virtual_size(d) < fam.restrict(large).virtual_size(d)
 
 
 class TestHypergraphRoundTrip:

@@ -4,7 +4,7 @@ import pytest
 
 from setiso.normalize import normalize_families
 from setiso.perm import PermGroup, Permutation
-from setiso.pstrings import PPartition, PString, VirtualSizeConfig, make_family
+from setiso.pstrings import PPartition, PString, make_family
 from setiso.simplify import simplify_on_window
 from setiso.solver import family_image_key
 from setiso.structure import PartitionChain
@@ -119,7 +119,6 @@ class TestSimplifyProperties:
         cfg_checked = 0
         for _ in range(40):
             group, part, families, window, chain, d = build_simplify_instance(rng)
-            vcfg = VirtualSizeConfig(d)
             out = simplify_on_window(families, group, part, window, chain, d)
             seen = set()
             for cls in out:
@@ -128,13 +127,13 @@ class TestSimplifyProperties:
                     new_fam = cls.families[k]
                     if cls.window:
                         assert new_fam.restrict(cls.window).is_simple()   # (E)
-                    assert (new_fam.virtual_size(vcfg)
-                            <= families[idx].virtual_size(vcfg))          # (F)
+                    assert (new_fam.virtual_size(d)
+                            <= families[idx].virtual_size(d))             # (F)
                     off_old = sorted(set(range(part.n)) - set(window))
                     off_new = sorted(set(range(new_fam.partition.n)) - set(cls.window))
                     if off_old and off_new:                                # (G)
-                        assert (new_fam.restrict(off_new).virtual_size(vcfg)
-                                <= families[idx].restrict(off_old).virtual_size(vcfg))
+                        assert (new_fam.restrict(off_new).virtual_size(d)
+                                <= families[idx].restrict(off_old).virtual_size(d))
                     cfg_checked += 1
             assert seen == set(range(len(families)))
         assert cfg_checked > 0
@@ -202,6 +201,19 @@ class TestSimplifyProperties:
         with pytest.raises(ValueError):
             simplify_on_window([fx, fy], group, part, [0, 1], chain, d=2)
 
+    @pytest.mark.parametrize("window", [[0, 1, 9], [-1], [4]])
+    def test_window_outside_the_domain_rejected(self, window):
+        group = PermGroup([], 4)
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        fam = make_family(part, [PString(0, (0, 1)), PString(1, (0, 0))])
+        with pytest.raises(ValueError, match=r"window points must lie in 0\.\.3"):
+            simplify_on_window([fam], group, part, window, trivial_chain_for(part), d=2)
+
+    def test_no_families_give_no_classes(self):
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        assert simplify_on_window([], PermGroup([], 4), part, [0, 1],
+                                  trivial_chain_for(part), d=2) == []
+
     def test_window_automorphism_extension(self):
         # with a simple, respected window, fixing everything outside the
         # window already yields automorphisms of the whole family
@@ -232,9 +244,8 @@ class TestSimplifyProperties:
         fam = make_family(part, [PString(0, (0, 9)), PString(0, (1, 9))])
         out = simplify_on_window([fam], group, part, [0], chain, d=2)
         cls = out[0]
-        vcfg = VirtualSizeConfig(2)
         new_fam = cls.families[0]
-        assert new_fam.virtual_size(vcfg) <= fam.virtual_size(vcfg)
+        assert new_fam.virtual_size(2) <= fam.virtual_size(2)
         off_new = sorted(set(range(new_fam.partition.n)) - set(cls.window))
-        assert new_fam.restrict(off_new).virtual_size(vcfg) == 2
-        assert fam.restrict([1]).virtual_size(vcfg) == 1
+        assert new_fam.restrict(off_new).virtual_size(2) == 2
+        assert fam.restrict([1]).virtual_size(2) == 1
