@@ -15,7 +15,8 @@ from .perm import (
     is_giant,
 )
 from .graphs import ColoredGraph
-from .strings import ColoredString, SolverConfig, StringQuery, string_iso, graph_iso_under_group
+from .strings import (ColoredString, StringQuery, graph_iso_under_group, set_of_strings_iso,
+                      string_iso)
 from .pstrings import (
     Hypergraph,
     PPartition,
@@ -26,10 +27,10 @@ from .pstrings import (
 )
 from .solver import (
     GsiInstance,
+    SolverConfig,
     balance_orbits,
     combine_windows,
     generalized_string_iso,
-    set_of_strings_iso,
 )
 from .simplify import SimplifyClass, simplify_on_window
 from .structure import (

@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 from .perm import GroupHom, IsoCoset, PermGroup, Permutation, is_giant
 from .pstrings import PPartition, PStringFamily
 from .simplify import simplify_on_window
-from .solver import balance_orbits, combine_windows, enforce_window
-from .strings import Budget, BudgetArg
+from .solver import Budget, BudgetArg, balance_orbits, combine_windows, enforce_window
 from .structure import PartitionChain
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation
 from .refine import iso_tcr_pairs
-from .strings import BudgetArg
+from .solver import BudgetArg
 
 UP_ARC = -1
 
@@ -64,11 +64,6 @@ class HfsTerm:
         if self.kind == "set":
             return HfsTerm.make_set(mapped)
         return HfsTerm.make_tuple(mapped)
-
-    def size(self) -> int:
-        if self.kind == "atom":
-            return 1
-        return 1 + sum(c.size() for c in self.children)
 
 
 def hfs_to_graph(term: HfsTerm, universe: int) -> tuple[ColoredGraph, dict]:

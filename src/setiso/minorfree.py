@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import CosetUnion, IsoCoset, PermGroup, Permutation
 from .refine import _start, color_refinement, iso_tcr_pairs, tcr_sequence
-from .strings import Budget, BudgetArg, graph_iso_under_group
+from .solver import Budget, BudgetArg
+from .strings import graph_iso_under_group
 
 # Largest vertex count for which a stalled alternation falls back to graph
 # isomorphism under the full symmetric group.

@@ -243,6 +243,8 @@ def normalize_families(group: PermGroup, partition: PPartition,
     """
     if not group.degree:
         raise ValueError("cannot normalize an empty domain")
+    if partition.n != group.degree:
+        raise ValueError("partition domain does not match the group degree")
     for g in group.generators:
         if not partition.is_invariant_under(g):
             raise ValueError("partition is not invariant under the group")

@@ -2,13 +2,15 @@
 
 Everything here works by plain closure enumeration and direct application of
 image tables; no code is shared with the solvers beyond the Permutation type
-itself.  The oracle is what acceptance runs compare the solvers against.
+itself.  HFS terms are compared in the oracle's own canonical form
+(``term_form``), read from their ``kind``, ``atom`` and ``children`` fields.
+The oracle is what acceptance runs compare the solvers against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .perm import Permutation
 
@@ -45,14 +47,6 @@ def apply_string(letters: tuple, g: tuple) -> tuple:
     for i, letter in enumerate(letters):
         out[g[i]] = letter
     return tuple(out)
-
-
-def string_key(letters: tuple) -> tuple:
-    return tuple(letters)
-
-
-def apply_string_set(strings: frozenset, g: tuple) -> frozenset:
-    return frozenset(apply_string(s, g) for s in strings)
 
 
 def apply_hypergraph(edges: frozenset, g: tuple) -> frozenset:
@@ -96,36 +90,30 @@ def graph_data(graph) -> tuple:
     return (tuple(graph.vertex_colors), full)
 
 
-def apply_term(term, g: tuple):
-    from .hfs import HfsTerm
+def term_form(term, g: Optional[tuple] = None):
+    """The canonical form of an HFS term, or of its image under g: an atom
+    is its index, moved by g; a set is the frozenset and a tuple the tuple
+    of its children's forms."""
     if term.kind == "atom":
-        return HfsTerm.make_atom(g[term.atom])
-    mapped = [apply_term(c, g) for c in term.children]
-    if term.kind == "set":
-        return HfsTerm.make_set(mapped)
-    return HfsTerm.make_tuple(mapped)
+        return term.atom if g is None else g[term.atom]
+    forms = (term_form(c, g) for c in term.children)
+    return frozenset(forms) if term.kind == "set" else tuple(forms)
 
 
 def brute_force_iso(gens: Sequence[Permutation], n: int, kind: str,
                     obj1, obj2, cap: int = ORDER_CAP) -> list[tuple[int, ...]]:
     """The exact set {g : obj1^g = obj2} by full enumeration.
 
-    Kinds: 'string' (letter tuples), 'stringset' (frozensets of letter
-    tuples), 'hypergraph' (frozensets of frozensets), 'family'
-    ((class_of, members) pairs), 'graph' (ColoredGraph), 'hfs' (HfsTerm).
+    Kinds: 'string' (letter tuples), 'hypergraph' (frozensets of
+    frozensets), 'family' ((class_of, members) pairs), 'graph'
+    (ColoredGraph), 'hfs' (HfsTerm).
     """
     elements = enumerate_group(gens, n, cap)
     out = []
     if kind == "string":
-        target = string_key(obj2)
+        target = tuple(obj2)
         for g in elements:
             if apply_string(obj1, g) == target:
-                out.append(g)
-    elif kind == "stringset":
-        target = frozenset(obj2)
-        src = frozenset(obj1)
-        for g in elements:
-            if apply_string_set(src, g) == target:
                 out.append(g)
     elif kind == "hypergraph":
         for g in elements:
@@ -147,8 +135,9 @@ def brute_force_iso(gens: Sequence[Permutation], n: int, kind: str,
             if apply_graph(d1, g) == d2:
                 out.append(g)
     elif kind == "hfs":
+        target = term_form(obj2)
         for g in elements:
-            if apply_term(obj1, g) == obj2:
+            if term_form(obj1, g) == target:
                 out.append(g)
     else:
         raise ValueError("unknown object kind %r" % (kind,))

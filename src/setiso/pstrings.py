@@ -120,11 +120,6 @@ class PPartition:
         gives those points."""
         return tuple(l for p, l in zip(self._members[class_id], letters) if p in window)
 
-    def apply(self, g: Permutation) -> "PPartition":
-        return PPartition.from_classes(self.n, [
-            [g.images[p] for p in c] for c in self.classes()
-        ])
-
 
 @dataclass(frozen=True)
 class PString:
@@ -241,8 +236,12 @@ def make_family(partition: PPartition, strings: Iterable[PString],
 
     Empty classes receive one sentinel string of a reserved color (the
     maximum used color id plus one unless given), recorded on the family.
+    A given sentinel must not be a letter of the strings (ValueError), or
+    the padding could not be told from them.
     """
     base = PStringFamily(partition, strings)
+    if sentinel is not None and any(sentinel in m.letters for m in base.members):
+        raise ValueError("sentinel %r is a letter of a string" % (sentinel,))
     profile = base.occupancy_profile()
     if all(c >= 1 for c in profile):
         return PStringFamily(partition, base.members, sentinel=sentinel)

@@ -66,8 +66,8 @@ from typing import Callable, Hashable, Optional, Sequence
 from .graphs import ColoredGraph
 from .perm import (IsoCoset, NotInvariant, PermGroup, Permutation, _checked_points,
                    induced_action)
-from .solver import set_of_strings_iso
-from .strings import Budget, BudgetArg, ColoredString, graph_iso_under_group
+from .solver import Budget, BudgetArg, _gsi_coset, _string_family
+from .strings import graph_iso_under_group
 
 
 class NotTCRBounded(RuntimeError):
@@ -324,12 +324,10 @@ def iso_tcr_pairs(g1: ColoredGraph, s1: Sequence[int], g2: ColoredGraph,
             # one string per class, in the order a vertex scan meets them,
             # so that letters are numbered as the per-vertex strings would be
             encode: dict = {}
-            xs = [ColoredString(_class_string(names1[c], width, encode))
-                  for c in dict.fromkeys(ids1)]
-            back = coset.rep.inverse()
-            ys = [ColoredString(_class_string(names2[c], width, encode)).apply(back)
-                  for c in dict.fromkeys(ids2)]
-            res = set_of_strings_iso(coset.group, xs, ys, budget).shifted(coset.rep)
+            fx, fy = (_string_family(width, [_class_string(names[c], width, encode)
+                                             for c in dict.fromkeys(ids)])
+                      for names, ids in ((names1, ids1), (names2, ids2)))
+            res = _gsi_coset(coset, fx.partition, fx, fy, budget)
             coset = _lift(res, names1, names2, act=_moved_tail)
         else:
             kernel = _split_kernel(names1) if kind == "split" else ()

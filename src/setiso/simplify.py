@@ -15,8 +15,8 @@ from typing import Sequence
 from .normalize import NormalizedInstance, lift_family, renormalize_families
 from .perm import GroupHom, PermGroup, Permutation, induced_action
 from .pstrings import PPartition, PString, PStringFamily
-from .solver import check_window_automorphic
-from .strings import Budget, BudgetArg, ColoredString, StringQuery, string_iso
+from .solver import Budget, BudgetArg, check_window_automorphic
+from .strings import ColoredString, StringQuery, string_iso
 from .structure import PartitionChain, is_almost_d_ary
 
 
@@ -121,10 +121,11 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
                        budget: BudgetArg = None) -> list[SimplifyClass]:
     """Split classes by window equivalence and renormalize.
 
-    Preconditions (re-checked): all families agree on the window, the group
-    respects each family there, the chain is almost d-ary and contains the
-    partition.  Output classes coarsen isomorphism; within each class the
-    families are window-simple and satisfy the coset identity (D).
+    Preconditions (re-checked): every family lies on the partition, all
+    families agree on the window, the group respects each family there, the
+    chain is almost d-ary and contains the partition.  Output classes
+    coarsen isomorphism; within each class the families are window-simple
+    and satisfy the coset identity (D).
     """
     budget = Budget.of(budget)
     wset = set(window)
@@ -132,6 +133,8 @@ def simplify_on_window(families: Sequence[PStringFamily], group: PermGroup,
     n = group.degree
     if win_sorted and not 0 <= win_sorted[0] <= win_sorted[-1] < n:
         raise ValueError("window points must lie in 0..%d" % (n - 1))
+    if any(fam.partition != partition for fam in families):
+        raise ValueError("family partitions must equal the given partition")
 
     if wset:
         if len({fam.restrict(win_sorted).key() for fam in families}) > 1:

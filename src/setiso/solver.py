@@ -1,7 +1,9 @@
 """The generalized string isomorphism solver: the one Luks recursion of the
 package.  ``strings.string_iso`` sends a string here as a one-member family,
 and ``strings.graph_iso_under_group`` sends a graph as a family on its
-vertices.
+vertices.  ``_string_family`` is the one encoder of strings as a family on
+the trivial partition: it serves those front ends, the nested queries below
+and the t-CR replay of ``refine``.
 
 Dispatch: an intransitive group is processed orbit by orbit (each orbit
 window enforced by a recursive call on the restricted instance) and the
@@ -37,10 +39,17 @@ member of x onto a member of y; so the search yields exactly the elements a
 full scan would accept, in the same order, with no check at the leaves.
 ``search_coset`` skips the prefixes its answer already covers (the
 covered-prefix rule of the ``perm`` docstring), so the answer is the one a
-full listing gives.  It ticks the query's one ``Budget`` (see ``strings``)
-on every accepted prefix; a covered prefix ticks nothing.  The budget is
-the only state the recursion carries; the nested occupancy-string and
-window-product queries tick it too.
+full listing gives.  It ticks the query's one ``Budget`` on every accepted
+prefix; a covered prefix ticks nothing.
+
+``Budget`` is the one work bound of a query: every public query converts
+its budget argument once, with ``Budget.of``, and hands that object to
+every nested call, so all its recursion nodes count against one limit.  The
+budget is the only state the recursion carries.  Nested queries enter
+``_gsi_group`` directly, not through a public front end: the occupancy
+strings and window products are written by ``_string_family`` and answered
+under the block or product action, so they tick the same budget and check
+nothing again.
 
 P-strings are moved and cut only through ``PPartition.image`` and
 ``PPartition.cut`` (see ``pstrings``); ``family_image_key``, built on the
@@ -52,18 +61,11 @@ back through ``GroupHom.pull_back`` of the restriction or induced action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .perm import (CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, induced_action,
                    transversal_cosets)
 from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
-from .strings import (
-    Budget,
-    BudgetArg,
-    ColoredString,
-    StringQuery,
-    string_iso,
-)
 
 # Below this order the recursion setup costs more than listing elements one
 # by one, even with covered prefixes skipped: against a cutoff of 1, three
@@ -71,6 +73,46 @@ from .strings import (
 # shared Xeon host) read 197-199 against 45-48 queries/s on gsi_families and
 # 531-534 against 223-229 on excluded_minor.
 DIRECT_ENUM_CUTOFF = 120
+
+
+class BudgetExceeded(RuntimeError):
+    """The recursion explored more nodes than the configured cap."""
+
+
+@dataclass
+class SolverConfig:
+    """The node cap of a query, in the form older callers pass it."""
+
+    budget: Optional[int] = None
+
+
+class Budget:
+    """Mutable recursion-node counter shared by one query."""
+
+    def __init__(self, limit: Optional[int] = None):
+        if limit is not None and limit < 0:
+            raise ValueError("budget must be a non-negative node count")
+        self.limit = limit
+        self.used = 0
+
+    def tick(self) -> None:
+        self.used += 1
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceeded("recursion budget of %d nodes exceeded" % self.limit)
+
+    @classmethod
+    def of(cls, arg: "BudgetArg") -> "Budget":
+        """The budget of a query: a ``Budget`` goes on with the count of the
+        query that holds it; a node cap, a ``SolverConfig`` or None (no cap)
+        starts a count of its own."""
+        if isinstance(arg, Budget):
+            return arg
+        if isinstance(arg, SolverConfig):
+            arg = arg.budget
+        return cls(arg)
+
+
+BudgetArg = Union[int, SolverConfig, Budget, None]
 
 
 @dataclass
@@ -103,6 +145,12 @@ def family_image_key(fam: PStringFamily, g: Permutation) -> frozenset:
     part = fam.partition
     return frozenset(part.image(part.members(m.class_id), m.letters, g)
                      for m in fam.members)
+
+
+def _string_family(n: int, strings: Iterable[tuple]) -> PStringFamily:
+    """The distinct strings on n points as the members of one family on the
+    trivial partition; with no points there is no class, and no member."""
+    return make_family(PPartition.trivial(n), [PString(0, s) for s in set(strings) if n])
 
 
 def _iso_search(x: PStringFamily, y: PStringFamily,
@@ -197,16 +245,15 @@ def balance_orbits(group: PermGroup, partition: PPartition,
             return current
         class_ids = sorted({x.partition.class_of[p] for p in bad},
                            key=lambda c: x.partition.members(c)[0])
-        xs = [_occupancy_count(x, bad, c) for c in class_ids]
+        xs = tuple(_occupancy_count(x, bad, c) for c in class_ids)
         image_orbit = shift.apply_set(bad)
         # pull the y-side counts back through the shift
-        ys = [_occupancy_count(y, image_orbit, x.partition.image_class(c, shift))
-              for c in class_ids]
+        ys = tuple(_occupancy_count(y, image_orbit, x.partition.image_class(c, shift))
+                   for c in class_ids)
         blocks = [frozenset(x.partition.members(c)) & bad for c in class_ids]
         hom = sub.block_action(blocks)
-        res = string_iso(StringQuery(hom.image(), ColoredString(tuple(xs)),
-                                     ColoredString(tuple(ys)),
-                                     budget=budget))
+        fx, fy = (_string_family(len(class_ids), [s]) for s in (xs, ys))
+        res = _gsi_group(hom.image(), fx.partition, fx, fy, budget)
         if res.is_empty:
             return IsoCoset.empty()
         new = hom.pull_back(res).shifted(shift)
@@ -286,7 +333,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
     index = [{piece: i for i, piece in enumerate(v)} for v in (v1, v2)]
     size = len(v1) * len(v2)
 
-    def product_string(fam: PStringFamily) -> Optional[ColoredString]:
+    def product_string(fam: PStringFamily) -> Optional[tuple]:
         """Letter 1 at (i, j) of V1 × V2 where a member has pieces i and j."""
         letters = [0] * size
         for p1, p2 in zip(pieces(fam, 0), pieces(fam, 1)):
@@ -294,7 +341,7 @@ def _combine_group(group: PermGroup, partition: PPartition,
                 if p1 not in index[0] or p2 not in index[1]:
                     return None
                 letters[index[0][p1] * len(v2) + index[1][p2]] = 1
-        return ColoredString(tuple(letters))
+        return tuple(letters)
 
     sx, sy = product_string(x), product_string(y)
     if sy is None:
@@ -308,7 +355,8 @@ def _combine_group(group: PermGroup, partition: PPartition,
               for a1, a2 in zip(*acts)]
     # the product of two induced actions is an action of the group
     hom = GroupHom(group, size, images, induced=True)
-    return hom.pull_back(string_iso(StringQuery(hom.image(), sx, sy, budget=budget)))
+    fx, fy = (_string_family(size, [s]) for s in (sx, sy))
+    return hom.pull_back(_gsi_group(hom.image(), fx.partition, fx, fy, budget))
 
 
 # -- the dispatcher ---------------------------------------------------------------
@@ -410,7 +458,11 @@ def _gsi_coset(coset: IsoCoset, partition: PPartition,
 def enforce_window(coset: IsoCoset, partition: PPartition,
                    x: PStringFamily, y: PStringFamily,
                    window: Sequence[int], budget: Budget) -> IsoCoset:
-    """{gamma in coset : gamma[W] in Iso(x[W], y[W])} via a restricted call."""
+    """{gamma in coset : gamma[W] in Iso(x[W], y[W])} via a restricted call;
+    the coset itself when it is empty or W is."""
+    if coset.is_empty or not window:
+        return coset
+
     def solve(group: PermGroup, y_al: PStringFamily) -> IsoCoset:
         sub, hom = group.restrict(window)
         x_w, y_w = x.restrict(window), y_al.restrict(window)
@@ -423,14 +475,3 @@ def enforce_window(coset: IsoCoset, partition: PPartition,
 def generalized_string_iso(inst: GsiInstance, budget: BudgetArg = None) -> IsoCoset:
     """Exactly Iso_Gamma(x, y) for a generalized string instance."""
     return _gsi_group(inst.group, inst.partition, inst.x, inst.y, Budget.of(budget))
-
-
-def set_of_strings_iso(group: PermGroup, xs: Sequence[ColoredString],
-                       ys: Sequence[ColoredString],
-                       budget: BudgetArg = None) -> IsoCoset:
-    """Set-of-strings isomorphism: the trivial-partition special case."""
-    part = PPartition.trivial(group.degree)
-    fx = make_family(part, [PString(0, s) for s in {s.letters for s in xs}])
-    fy = make_family(part, [PString(0, s) for s in {s.letters for s in ys}])
-    return generalized_string_iso(GsiInstance(group, part, fx, fy), budget)
-

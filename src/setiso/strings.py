@@ -8,61 +8,20 @@ query runs on the group restricted to W, which leaves W invariant, and the
 answer is pulled back.  ``graph_iso_under_group`` writes a colored graph as
 one member for the vertex colors plus one member per edge, which carries the
 colors of its two arcs at its two ends, so the group acts on the n
-vertices themselves.
-
-``Budget`` is the one work bound of a query: every public query converts
-its budget argument once, with ``Budget.of``, and hands that object to
-every nested call, so all its recursion nodes count against one limit.
+vertices themselves.  ``set_of_strings_iso`` writes each set of strings as
+one family.  The work bound of every query is ``solver.Budget``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .graphs import ColoredGraph
 from .perm import IsoCoset, PermGroup, Permutation, _checked_points
-from .pstrings import PPartition, PString, PStringFamily
-
-
-class BudgetExceeded(RuntimeError):
-    """The recursion explored more nodes than the configured cap."""
-
-
-@dataclass
-class SolverConfig:
-    """The node cap of a query, in the form older callers pass it."""
-
-    budget: Optional[int] = None
-
-
-class Budget:
-    """Mutable recursion-node counter shared by one query."""
-
-    def __init__(self, limit: Optional[int] = None):
-        if limit is not None and limit < 0:
-            raise ValueError("budget must be a non-negative node count")
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceeded("recursion budget of %d nodes exceeded" % self.limit)
-
-    @classmethod
-    def of(cls, arg: "BudgetArg") -> "Budget":
-        """The budget of a query: a ``Budget`` goes on with the count of the
-        query that holds it; a node cap, a ``SolverConfig`` or None (no cap)
-        starts a count of its own."""
-        if isinstance(arg, Budget):
-            return arg
-        if isinstance(arg, SolverConfig):
-            arg = arg.budget
-        return cls(arg)
-
-
-BudgetArg = Union[int, SolverConfig, Budget, None]
+from .pstrings import PStringFamily
+from .solver import (Budget, BudgetArg, GsiInstance, _gsi_coset, _string_family, enforce_window,
+                     generalized_string_iso)
 
 
 @dataclass(frozen=True)
@@ -81,9 +40,6 @@ class ColoredString:
         for a, letter in enumerate(self.letters):
             out[g.images[a]] = letter
         return ColoredString(tuple(out))
-
-    def restrict(self, points: Sequence[int]) -> "ColoredString":
-        return ColoredString(tuple(self.letters[p] for p in sorted(points)))
 
 
 @dataclass
@@ -104,7 +60,6 @@ class StringQuery:
 def string_iso(query: StringQuery) -> IsoCoset:
     """Exactly ``Iso_K^W(x, y)`` as an IsoCoset: a one-member family query
     on the trivial partition, cut to W when W is not the whole domain."""
-    from .solver import _gsi_coset, enforce_window  # the solver imports this module
     group = query.group
     n = group.degree
     if query.x.n != n or query.y.n != n:
@@ -121,11 +76,18 @@ def string_iso(query: StringQuery) -> IsoCoset:
     if not window:
         budget.tick()
         return coset
-    part = PPartition.trivial(n)
-    x, y = (PStringFamily(part, [PString(0, s.letters)]) for s in (query.x, query.y))
+    x, y = (_string_family(n, [s.letters]) for s in (query.x, query.y))
     if len(window) < n:
-        return enforce_window(coset, part, x, y, sorted(window), budget)
-    return _gsi_coset(coset, part, x, y, budget)
+        return enforce_window(coset, x.partition, x, y, sorted(window), budget)
+    return _gsi_coset(coset, x.partition, x, y, budget)
+
+
+def set_of_strings_iso(group: PermGroup, xs: Sequence[ColoredString],
+                       ys: Sequence[ColoredString],
+                       budget: BudgetArg = None) -> IsoCoset:
+    """Set-of-strings isomorphism: the trivial-partition special case."""
+    fx, fy = (_string_family(group.degree, [s.letters for s in ss]) for ss in (xs, ys))
+    return generalized_string_iso(GsiInstance(group, fx.partition, fx, fy), budget)
 
 
 # -- graph isomorphism under a group ------------------------------------------
@@ -143,17 +105,16 @@ def _graph_families(g1: ColoredGraph, g2: ColoredGraph) -> list[PStringFamily]:
     arc = sorted({c for g in graphs for c in g.arc_colors.values()}, key=repr)
     letter = {("v", c): 1 + i for i, c in enumerate(vertex)}
     letter.update((("a", c), 1 + len(vertex) + i) for i, c in enumerate(arc))
-    part = PPartition.trivial(g1.n)
     families = []
     for g in graphs:
-        members = [PString(0, tuple(letter[("v", c)] for c in g.vertex_colors))]
+        strings = [tuple(letter[("v", c)] for c in g.vertex_colors)]
         for e in g.edges:
             u, v = sorted(e)
             letters = [0] * g.n
             letters[u] = letter[("a", g.arc_colors[(u, v)])]
             letters[v] = letter[("a", g.arc_colors[(v, u)])]
-            members.append(PString(0, tuple(letters)))
-        families.append(PStringFamily(part, members))
+            strings.append(tuple(letters))
+        families.append(_string_family(g.n, strings))
     return families
 
 
@@ -165,17 +126,11 @@ def graph_iso_under_group(g1: ColoredGraph, g2: ColoredGraph, group: PermGroup,
     A family query on the n vertices: a permutation maps g1 onto g2 exactly
     when it maps the family of ``_graph_families`` for g1 onto that of g2.
     """
-    from .solver import _gsi_coset  # the solver imports this module
     if g1.n != g2.n:
         raise ValueError("graphs must share their vertex count")
     if group.degree != g1.n:
         raise ValueError("group degree must match the vertex count")
     if shift is not None and shift.degree != g1.n:
         raise ValueError("shift degree must match the vertex count")
-    budget = Budget.of(budget)
-    coset = IsoCoset.full(group, shift)
-    if not g1.n:
-        budget.tick()
-        return coset
     x, y = _graph_families(g1, g2)
-    return _gsi_coset(coset, x.partition, x, y, budget)
+    return _gsi_coset(IsoCoset.full(group, shift), x.partition, x, y, Budget.of(budget))

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-import setiso.strings
+import setiso.solver
 from setiso import fileio
 from setiso.certificates import local_certificate_pair
 from setiso.graphs import ColoredGraph
@@ -17,9 +17,9 @@ from setiso.minorfree import iso_excluded_minor
 from setiso.perm import PermGroup, Permutation
 from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
 from setiso.simplify import simplify_on_window
-from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_iso
-from setiso.strings import (Budget, BudgetExceeded, ColoredString, StringQuery,
-                            graph_iso_under_group, string_iso)
+from setiso.solver import (DIRECT_ENUM_CUTOFF, Budget, BudgetExceeded, GsiInstance,
+                           generalized_string_iso)
+from setiso.strings import ColoredString, StringQuery, graph_iso_under_group, string_iso
 from setiso.structure import PartitionChain
 
 from util import GOLDEN, golden_certify_case
@@ -81,13 +81,13 @@ def _certify():
 @pytest.fixture
 def budgets(monkeypatch):
     made = []
-    init = setiso.strings.Budget.__init__
+    init = setiso.solver.Budget.__init__
 
     def recording_init(self, limit=None):
         made.append(self)
         init(self, limit)
 
-    monkeypatch.setattr(setiso.strings.Budget, "__init__", recording_init)
+    monkeypatch.setattr(setiso.solver.Budget, "__init__", recording_init)
     return made
 
 
@@ -104,7 +104,7 @@ def test_each_public_query_makes_one_budget(budgets, query):
 
 def test_a_negative_node_cap_is_rejected():
     x = ColoredString((0, 1))
-    for cap in (-1, setiso.strings.SolverConfig(budget=-1)):
+    for cap in (-1, setiso.solver.SolverConfig(budget=-1)):
         with pytest.raises(ValueError, match="budget must be a non-negative node count"):
             string_iso(StringQuery(_sym(2), x, x, budget=cap))
     with pytest.raises(ValueError, match="non-negative"):

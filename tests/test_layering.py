@@ -1,5 +1,7 @@
 """The query path never imports the lemma layer, and the lemma layer uses
-only public names of the query path.
+only public names of the query path.  Every package import stands at the
+top of its module, the imports between modules form no cycle, and the Luks
+recursion answers its sub-queries without the string front ends.
 
 Every module of the package is parsed with ``ast``; imports inside function
 bodies count as well as those at the top.
@@ -74,4 +76,37 @@ def test_lemma_modules_pass_no_private_keyword():
              for node in ast.walk(_tree(module))
              if isinstance(node, (ast.keyword, ast.arg))
              and node.arg is not None and node.arg.startswith("_")]
+    assert found == []
+
+
+def test_no_package_import_inside_a_function():
+    found = []
+    for module in sorted(_modules()):
+        tree = _tree(module)
+        inner = {node.lineno for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+        found += [(module, line, target) for line, target, _ in _imports(module)
+                  if line in inner]
+    assert found == []
+
+
+def test_the_package_imports_form_no_cycle():
+    modules = _modules()
+    remaining = {m: {target for _, target, _ in _imports(m)} & modules - {m} for m in modules}
+    while remaining:
+        # modules that import none of the remaining ones
+        leaves = [m for m, targets in remaining.items() if not targets & remaining.keys()]
+        assert leaves, "import cycle among %s" % sorted(remaining)
+        for m in leaves:
+            del remaining[m]
+
+
+def test_the_recursion_uses_no_string_front_end():
+    front = {"string_iso", "StringQuery", "ColoredString", "set_of_strings_iso"}
+    found = [(module, node.lineno, node.id) for module in ("solver", "refine")
+             for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Name) and node.id in front]
+    found += [(module, line, name) for module in ("solver", "refine")
+              for line, _, name in _imports(module) if name in front]
     assert found == []

@@ -20,7 +20,7 @@ from setiso.minorfree import (
 )
 from setiso.perm import CosetUnion, PermGroup, Permutation
 from setiso.refine import NotTCRBounded, color_refinement, iso_tcr_pairs, tcr_sequence
-from setiso.strings import Budget, BudgetExceeded
+from setiso.solver import Budget, BudgetExceeded
 
 from util import rand_perm
 
@@ -417,7 +417,7 @@ class TestIsoExcludedMinor:
             raise AssertionError("set-of-strings query in a replay")
         monkeypatch.setattr(refine, "_alternation", alternation)
         monkeypatch.setattr(minorfree, "tcr_sequence", sequence)
-        monkeypatch.setattr(refine, "set_of_strings_iso", no_query)
+        monkeypatch.setattr(refine, "_gsi_coset", no_query)
         rng = random.Random(26)
         colored = prism(6, colored=(0, 7))
         pairs = [(g, g.apply(rand_perm(rng, g.n)), True) for g in (prism(5), colored, wheel(7))]

@@ -68,6 +68,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="cannot normalize an empty domain"):
             normalize_families(PermGroup([], 0), part, [make_family(part, [])])
 
+    @pytest.mark.parametrize("degree,points", [(4, 3), (3, 4)])
+    def test_partition_of_another_degree_rejected(self, degree, points):
+        group = PermGroup([Permutation.from_cycles(degree, [0, 1])], degree)
+        part = PPartition.trivial(points)
+        with pytest.raises(ValueError, match="partition domain does not match the group degree"):
+            normalize_families(group, part, [make_family(part, [PString(0, (0,) * points)])])
+
     def test_tree_construction_keeps_domain_size(self):
         rng = random.Random(42)
         for _ in range(25):

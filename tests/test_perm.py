@@ -19,7 +19,7 @@ from setiso.perm import (
 )
 
 from setiso import oracle
-from setiso.strings import Budget, BudgetExceeded
+from setiso.solver import Budget, BudgetExceeded
 
 from util import closure, rand_group, rand_perm
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setiso.oracle import apply_family
-from setiso.perm import NotInvariant, Permutation
+from setiso.perm import NotInvariant, PermGroup, Permutation
 from setiso.pstrings import (
     Hypergraph,
     PPartition,
@@ -16,7 +16,7 @@ from setiso.pstrings import (
     hypergraph_to_family,
     make_family,
 )
-from setiso.solver import family_image_key
+from setiso.solver import GsiInstance, family_image_key, generalized_string_iso
 
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
@@ -104,6 +104,20 @@ class TestMakeFamily:
         y = make_family(part, [PString(0, (5,))])
         hx, hy = harmonize_sentinels(x, y)
         assert hx.sentinel == hy.sentinel == 6
+
+    def test_sentinel_that_is_a_letter_rejected(self):
+        # as a sentinel, 0 would make the real member (0, 0) look like
+        # padding to harmonize_sentinels and write_family; with the sentinel
+        # chosen by make_family the pair keeps its isomorphism (0 1)
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        strings = [PString(0, (0, 0)), PString(0, (0, 1))]
+        with pytest.raises(ValueError, match="sentinel 0 is a letter of a string"):
+            make_family(part, strings, sentinel=0)
+        x = make_family(part, strings)
+        y = make_family(part, [PString(0, (0, 0)), PString(0, (1, 0))])
+        swap = Permutation([1, 0, 2, 3])
+        res = generalized_string_iso(GsiInstance(PermGroup([swap], 4), part, x, y))
+        assert res.rep == swap
 
 
 class TestRestrict:

@@ -209,6 +209,14 @@ class TestSimplifyProperties:
         with pytest.raises(ValueError, match=r"window points must lie in 0\.\.3"):
             simplify_on_window([fam], group, part, window, trivial_chain_for(part), d=2)
 
+    def test_families_on_another_partition_rejected(self):
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        other = PPartition.from_classes(4, [[0, 2], [1, 3]])
+        fam = make_family(other, [PString(0, (0, 1)), PString(1, (0, 0))])
+        with pytest.raises(ValueError, match="family partitions must equal the given partition"):
+            simplify_on_window([fam], PermGroup([], 4), part, [0, 1],
+                               trivial_chain_for(part), d=2)
+
     def test_no_families_give_no_classes(self):
         part = PPartition.from_classes(4, [[0, 1], [2, 3]])
         assert simplify_on_window([], PermGroup([], 4), part, [0, 1],

@@ -3,20 +3,23 @@ import random
 import pytest
 
 import setiso.solver
-import setiso.strings
 from setiso.normalize import normalize_families
 from setiso.perm import IsoCoset, PermGroup, Permutation, transversal_cosets
-from setiso.pstrings import Hypergraph, PPartition, PString, hypergraph_to_family, make_family
+from setiso.pstrings import (Hypergraph, PPartition, PString, PStringFamily, hypergraph_to_family,
+                             make_family)
 from setiso.solver import (
     DIRECT_ENUM_CUTOFF,
+    Budget,
     GsiInstance,
     balance_orbits,
     combine_windows,
+    enforce_window,
     family_image_key,
+    BudgetExceeded,
+    SolverConfig,
     generalized_string_iso,
-    set_of_strings_iso,
 )
-from setiso.strings import BudgetExceeded, ColoredString, SolverConfig
+from setiso.strings import ColoredString, set_of_strings_iso
 
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
@@ -304,6 +307,22 @@ class TestCombineWindows:
         assert not res.is_empty
         assert res.group.order() == g.order()
 
+    def test_window_whose_classes_hold_no_member(self):
+        # Sym(5) x Sym(2), past the direct cutoff, with members on the class
+        # {0..4} alone: no member has a piece on {5, 6}, so the window
+        # product is a string on no points and adds no condition
+        n = 7
+        g = PermGroup([Permutation.from_cycles(n, [0, 1]),
+                       Permutation.from_cycles(n, [0, 1, 2, 3, 4]),
+                       Permutation.from_cycles(n, [5, 6])], n)
+        part = PPartition.from_classes(n, [[0, 1, 2, 3, 4], [5, 6]])
+        x = PStringFamily(part, [PString(0, (0, 1, 1, 0, 0))])
+        y = PStringFamily(part, [PString(0, (1, 0, 1, 0, 0))])
+        assert g.order() > DIRECT_ENUM_CUTOFF
+        expected = brute_gsi(g, x, y)
+        assert len(expected) == 24
+        assert solver_set(g, part, x, y) == expected
+
     def test_guard_on_mismatched_window(self):
         g = PermGroup([], 4)
         part = PPartition.trivial(4)
@@ -372,6 +391,19 @@ class TestCombineWindows:
         assert solver_set(g, PPartition.trivial(n), x, y) == expected
 
 
+class TestEnforceWindow:
+    def test_empty_coset_or_window_is_returned_unchanged(self):
+        g = PermGroup([Permutation([1, 0, 2, 3])], 4)
+        part = PPartition.trivial(4)
+        fx = make_family(part, [PString(0, (0, 1, 0, 0))])
+        fy = make_family(part, [PString(0, (1, 0, 0, 0))])
+        budget = Budget()
+        empty, full = IsoCoset.empty(), IsoCoset.full(g)
+        assert enforce_window(empty, part, fx, fy, [0, 1], budget) is empty
+        assert enforce_window(full, part, fx, fy, [], budget) is full
+        assert budget.used == 0
+
+
 class TestBudget:
     def test_search_budget_counts_search_nodes(self):
         # Aut has order 48 in Sym(8): listing the elements of Sym(8) one by
@@ -388,13 +420,13 @@ class TestBudget:
 
     def test_nested_queries_share_the_query_budget(self, monkeypatch):
         budgets = []
-        init = setiso.strings.Budget.__init__
+        init = setiso.solver.Budget.__init__
 
         def recording_init(self, limit=None):
             budgets.append(self)
             init(self, limit)
 
-        monkeypatch.setattr(setiso.strings.Budget, "__init__", recording_init)
+        monkeypatch.setattr(setiso.solver.Budget, "__init__", recording_init)
         # S2 wr S4 (order 384, past the direct cutoff) with the blocks as
         # classes; the occupancies (2, 1, 1, 2) make balance_orbits ask a
         # nested string query

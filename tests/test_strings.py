@@ -4,8 +4,8 @@ import pytest
 
 from setiso.graphs import ColoredGraph
 from setiso.perm import PermGroup, Permutation
+from setiso.solver import BudgetExceeded
 from setiso.strings import (
-    BudgetExceeded,
     ColoredString,
     StringQuery,
     graph_iso_under_group,
