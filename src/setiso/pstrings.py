@@ -15,6 +15,7 @@ keeps an independent copy.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
@@ -133,7 +134,13 @@ class PString:
 
 
 class PStringFamily:
-    """A duplicate-free set of P-strings over one partition."""
+    """A duplicate-free set of P-strings over one partition.
+
+    Every member names a class of the partition.  A ``sentinel`` marks the
+    padding of ``make_family``: a member holding it must be all sentinel and
+    the only member of its class (ValueError otherwise), so that
+    ``harmonize_sentinels`` drops exactly the padding.
+    """
 
     __slots__ = ("partition", "members", "sentinel")
 
@@ -142,6 +149,8 @@ class PStringFamily:
         seen = set()
         ordered = []
         for m in members:
+            if not 0 <= m.class_id < partition.num_classes:
+                raise ValueError("class id %r names no class of the partition" % (m.class_id,))
             size = len(partition.members(m.class_id))
             if len(m.letters) != size:
                 raise ValueError(
@@ -152,6 +161,11 @@ class PStringFamily:
                 raise ValueError("duplicate member (%d, %r)" % (m.class_id, m.letters))
             seen.add(key)
             ordered.append(m)
+        padded = [m for m in ordered if sentinel is not None and sentinel in m.letters]
+        if padded:
+            counts = collections.Counter(m.class_id for m in ordered)
+            if any(counts[m.class_id] > 1 or set(m.letters) != {sentinel} for m in padded):
+                raise ValueError("sentinel %r is a letter of a member" % (sentinel,))
         self.partition = partition
         self.members = tuple(sorted(ordered, key=lambda m: (m.class_id, m.letters)))
         self.sentinel = sentinel

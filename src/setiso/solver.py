@@ -18,7 +18,12 @@ the cost of the quasipolynomial speedup).  The transversal lists only the
 shifts that carry every block onto a block with the same member cuts: each
 block's key is the sorted list, over the members, of the sorted letters of
 the member inside the block.  An isomorphism sends members to members, so a
-shift whose keys differ has an empty piece, and the filter is exact.
+shift whose keys differ has an empty piece, and the filter is exact.  A
+shift whose block image already lies in the block image of the union of the
+pieces found so far is skipped before its piece is asked: the union's group
+holds the piece of the kernel K, K ∩ Aut(x), so a union element u in
+K * delta brings the whole piece (K ∩ Aut(x)) * u with it.  The skipped
+pieces would add nothing, so the answer is the one without the skip.
 
 The recursion terminates: a family query spawns family queries of smaller
 degree or order (orbit windows, the balanced coset, block-kernel pieces)
@@ -27,13 +32,15 @@ one-member string is balanced on every orbit, and its windows combine on a
 1 × 1 product, a string under the trivial group; so its own recursion
 spawns only one-member queries of smaller degree or order.
 
-Where the group is small or primitive, or the kernel of the block action is
-trivial (each shift's piece is then one element), ``PermGroup.search_coset``
-lists the isomorphisms by a search pruned by letters (``_iso_search``, the
-first refiner of Leon's partition backtrack): it walks the stabilizer chain
-in the order of ``PermGroup.elements`` and drops a prefix as soon as, for
-some class whose points it has fixed, the letters of x at those points and
-of y at their images differ as multisets of member signatures.  The search
+Where the group's order is at most ``DIRECT_ENUM_CUTOFF`` (10^5; the
+constant's comment holds the measurements that chose it), or the group is
+primitive, or the kernel of the block action is trivial (each shift's piece
+is then one element), ``PermGroup.search_coset`` lists the isomorphisms by
+a search pruned by letters (``_iso_search``, the first refiner of Leon's
+partition backtrack): it walks the stabilizer chain in the order of
+``PermGroup.elements`` and drops a prefix as soon as, for some class whose
+points it has fixed, the letters of x at those points and of y at their
+images differ as multisets of member signatures.  The search
 fixes every point, and once it has, the test says exactly that g maps every
 member of x onto a member of y; so the search yields exactly the elements a
 full scan would accept, in the same order, with no check at the leaves.
@@ -67,12 +74,19 @@ from .perm import (CosetUnion, GroupHom, IsoCoset, PermGroup, Permutation, induc
                    transversal_cosets)
 from .pstrings import PPartition, PString, PStringFamily, harmonize_sentinels, make_family
 
-# Below this order the recursion setup costs more than listing elements one
-# by one, even with covered prefixes skipped: against a cutoff of 1, three
-# alternating pairs of 12 s seed-1 perfbench runs (Python 3.11, 2 vCPUs of a
-# shared Xeon host) read 197-199 against 45-48 queries/s on gsi_families and
-# 531-534 against 223-229 on excluded_minor.
-DIRECT_ENUM_CUTOFF = 120
+# Up to this order the solver lists the isomorphisms, with covered prefixes
+# skipped, instead of running the recursion.  Seed-1 perfbench runs of 10 s,
+# two per bound (Python 3.11, 2 vCPUs of a shared Xeon host), read these
+# queries/s on luks_strings / gsi_families / excluded_minor:
+#   120:  155-160 / 205-206 / 539-560
+#   10^4: 201-203 / 304 / 532-536
+#   10^5: 255-267 / 408-436 / 563-577
+#   10^6: 262-265 / 408-429 / 534-552
+# 10^5 is the smallest bound on the plateau.  Small groups must list: a
+# cutoff of 1 read 45-48 against 197-199 on gsi_families.  Large ones must
+# not: listing every group blows up on S3 wr S10 and S8 wr S3, which the
+# recursion answers in a fraction of a second.
+DIRECT_ENUM_CUTOFF = 10 ** 5
 
 
 class BudgetExceeded(RuntimeError):
@@ -426,14 +440,27 @@ def _gsi_group(group: PermGroup, partition: PPartition,
     def same_cuts(a: int, b: int) -> bool:
         return x_keys[block_of[a]] == y_keys[block_of[b]]
 
-    # a union that reaches the group's order holds every later piece
+    mins = [min(blk) for blk in blocks]
+
+    def on_blocks(g: Permutation) -> Permutation:
+        return Permutation([block_of[g.images[p]] for p in mins])
+
+    # the covered-shift skip of the module docstring: ``covered`` is the
+    # union's block image, rebuilt when the union grows; a union that
+    # reaches the group's order covers every later shift
     order = group.order()
     union = CosetUnion(n)
-    for delta in transversal_cosets(group, hom, [min(blk) for blk in blocks], same_cuts):
+    covered = IsoCoset.empty()
+    for delta in transversal_cosets(group, hom, mins, same_cuts):
+        if covered.contains(on_blocks(delta)):
+            continue
         budget.tick()
-        if (union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, budget))
-                and union.order() == order):
-            break
+        if union.add(_gsi_coset(IsoCoset(kernel, delta), partition, x, y, budget)):
+            if union.order() == order:
+                break
+            found = union.result()
+            covered = IsoCoset(PermGroup([on_blocks(g) for g in found.group.generators],
+                                         len(blocks)), on_blocks(found.rep))
     return union.result()
 
 

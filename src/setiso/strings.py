@@ -26,9 +26,19 @@ from .solver import (Budget, BudgetArg, GsiInstance, _gsi_coset, _string_family,
 
 @dataclass(frozen=True)
 class ColoredString:
-    """A string: one color id per domain point."""
+    """A string: one color id per domain point.  Any iterable of ints is
+    stored as a tuple; anything else raises ValueError."""
 
     letters: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            letters = tuple(self.letters)
+        except TypeError:
+            raise ValueError("string letters must be a sequence of ints") from None
+        if not all(isinstance(letter, int) for letter in letters):
+            raise ValueError("string letters must be ints")
+        object.__setattr__(self, "letters", letters)
 
     @property
     def n(self) -> int:

@@ -5,7 +5,9 @@ have the same isomorphisms, so must a hypergraph and its edge-set term as a
 hereditarily finite set, the excluded-minor pipeline must agree with the
 graph query under Sym(n) on 3-connected graphs, and ``string_iso`` must
 agree with the brute-force oracle's group enumeration, windows and shifts
-included.  Each answer's representative must lie in the other answer, and
+included.  Between order 121 and the solver's listing bound, the listing
+must agree with the Luks recursion that answered there before the bound was
+raised.  Each answer's representative must lie in the other answer, and
 the orders must match.
 """
 
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+import setiso.solver
 from setiso.graphs import ColoredGraph
 from setiso.hfs import HfsTerm, iso_hfs
 from setiso.minorfree import iso_excluded_minor
@@ -23,7 +26,7 @@ from setiso.pstrings import Hypergraph, PPartition, hypergraph_to_family
 from setiso.solver import DIRECT_ENUM_CUTOFF, GsiInstance, generalized_string_iso
 from setiso.strings import ColoredString, StringQuery, graph_iso_under_group, string_iso
 
-from util import rand_perm
+from util import rand_family_on, rand_perm
 
 from test_minorfree import (
     complete_bipartite,
@@ -220,11 +223,72 @@ def test_string_iso_agrees_with_the_oracle(index):
 
 
 def test_ordered_pairs_reach_the_trivial_kernel_branch():
-    # the group of the last string case is transitive, too large to list
+    # Sym(9) on its 72 ordered pairs is transitive, too large to list
     # directly, and its minimal block system has a trivial kernel
-    group = ordered_pairs(6)
+    group = ordered_pairs(9)
     blocks, primitive = group.minimal_block_system(range(group.degree))
     assert group.is_transitive_on(range(group.degree))
     assert group.order() > DIRECT_ENUM_CUTOFF
     assert not primitive
     assert group.block_action(blocks).kernel().is_trivial()
+
+
+def wreath_on(n, k, m, offset=0):
+    """Generators of S_k wr S_m on the blocks {offset + ik, ..., offset +
+    ik + k - 1}, as permutations of degree n."""
+    blocks = [list(range(offset + i * k, offset + (i + 1) * k)) for i in range(m)]
+    return sym_on(n, blocks[0]) + [
+        Permutation.from_cycles(n, *zip(blocks[0], blocks[1])),
+        Permutation.from_cycles(n, *zip(*blocks))]
+
+
+WREATHS = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (5, 2)]
+PRODUCTS = [((2, 3), (2, 3)), ((2, 4), (3, 2)), ((3, 3), (2, 3))]
+
+
+def random_element(rng, group):
+    return functools.reduce(Permutation.__mul__,
+                            [rng.choice(group.generators) for _ in range(12)])
+
+
+def between_the_bounds():
+    """String and family queries under groups of order 121 to the listing
+    bound: wreath products with strings, and products of two wreath
+    products with their blocks as classes, half of them isomorphic."""
+    rng = random.Random(36)
+    for k, m in WREATHS:
+        n = k * m
+        group = PermGroup(wreath_on(n, k, m), n)
+        part = PPartition.trivial(n)
+        for _ in range(4):
+            x = ColoredString(tuple(rng.randrange(2) for _ in range(n)))
+            y = (x.apply(random_element(rng, group)) if rng.random() < 0.5 else
+                 ColoredString(tuple(rng.randrange(2) for _ in range(n))))
+            yield group, part, x, y
+    for (k1, m1), (k2, m2) in PRODUCTS:
+        n = k1 * m1 + k2 * m2
+        group = PermGroup(wreath_on(n, k1, m1) + wreath_on(n, k2, m2, k1 * m1), n)
+        part = PPartition.from_classes(n, [range(i, i + k1) for i in range(0, k1 * m1, k1)]
+                                       + [range(i, i + k2) for i in range(k1 * m1, n, k2)])
+        for _ in range(4):
+            x = rand_family_on(rng, part, max_members=6)
+            y = (x.apply(random_element(rng, group)) if rng.random() < 0.5 else
+                 rand_family_on(rng, part, max_members=6))
+            yield group, part, x, y
+
+
+def answer(group, part, x, y):
+    if isinstance(x, ColoredString):
+        return string_iso(StringQuery(group, x, y))
+    return generalized_string_iso(GsiInstance(group, part, x, y))
+
+
+def test_listing_agrees_with_the_recursion_between_the_bounds(monkeypatch):
+    cases = list(between_the_bounds())
+    assert all(120 < group.order() <= DIRECT_ENUM_CUTOFF for group, *_ in cases)
+    listed = [answer(*case) for case in cases]
+    monkeypatch.setattr(setiso.solver, "DIRECT_ENUM_CUTOFF", 120)
+    recursed = [answer(*case) for case in cases]
+    assert sum(not a.is_empty for a in listed) >= len(cases) // 3
+    for a, b in zip(listed, recursed):
+        assert_same_answer(a, b)

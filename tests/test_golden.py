@@ -205,7 +205,7 @@ def test_cli_machine_output(name):
     assert run_case(name) == _read(name + ".out")
 
 
-@pytest.mark.parametrize("name, total", [("iso_excluded_minor", 12), ("certify", 270)])
+@pytest.mark.parametrize("name, total", [("iso_excluded_minor", 12), ("certify", 81)])
 def test_budget_bounds_the_whole_query(name, total, capsys):
     # the query ticks `total` nodes across all its nested calls: one node
     # less stops it, exactly that many prints the golden bytes

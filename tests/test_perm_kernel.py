@@ -308,11 +308,12 @@ def test_solver_homs_give_the_unstated_chains():
     the same build without the order, and that build's order is |source|,
     which is the check the public constructor makes."""
     rng = random.Random(3)
-    # S2 wr S4 x S3 wr S2 on 8 + 6 points, the blocks as classes
-    n = 14
-    group = PermGroup(_shifted(_wreath(2, 4), 0, n) + _shifted(_wreath(3, 2), 8, n), n)
-    part = PPartition.from_classes(n, [{0, 1}, {2, 3}, {4, 5}, {6, 7},
-                                       {8, 9, 10}, {11, 12, 13}])
+    # S2 wr S7 x S3 wr S2 on 14 + 6 points, the blocks as classes; the
+    # first factor is past the solver's listing bound, so it is balanced
+    n = 20
+    group = PermGroup(_shifted(_wreath(2, 7), 0, n) + _shifted(_wreath(3, 2), 14, n), n)
+    part = PPartition.from_classes(n, [{2 * i, 2 * i + 1} for i in range(7)]
+                                   + [{14, 15, 16}, {17, 18, 19}])
     built = []
     init = GroupHom.__init__
 
@@ -415,26 +416,28 @@ def _count_work(run):
 
 
 def _seeded_wreath_string_query():
+    # S2 wr S7, of order 645,120: past the solver's listing bound, so the
+    # query runs the Luks recursion and its block branch
     rng = random.Random(1)
-    gens = _wreath(2, 5)
-    x = ColoredString(tuple(rng.randrange(2) for _ in range(10)))
+    gens = _wreath(2, 7)
+    x = ColoredString(tuple(rng.randrange(2) for _ in range(14)))
     y = x
     for _ in range(8):
         y = y.apply(rng.choice(gens))
-    return StringQuery(PermGroup(gens, 10), x, y)
+    return StringQuery(PermGroup(gens, 14), x, y)
 
 
 def test_kernel_work_is_pinned():
     """Exact sift and chain-build counts.  A change that moves one changes
     the group kernel's work and pins the new count; the deterministic build
-    with every Schreier generator sifted took 299, 541 and 748 sifts.
-    ``_sift`` is every walk down a chain, so the string query's count holds
-    Schreier generators (189), membership tests (31), covered-prefix tests
-    (76) and preimages (14)."""
+    with every Schreier generator sifted took 299 and 541 sifts on the two
+    groups.  ``_sift`` is every walk down a chain, so the string query's
+    count holds Schreier generators (504), membership tests (72),
+    covered-prefix tests (165) and preimages (27)."""
     assert _count_work(lambda: PermGroup(_sym(8), 8).order()) == (116, 1)
     assert _count_work(lambda: PermGroup(_wreath(3, 4), 12).order()) == (55, 1)
     query = _seeded_wreath_string_query()
-    assert _count_work(lambda: string_iso(query)) == (310, 26)
+    assert _count_work(lambda: string_iso(query)) == (768, 43)
 
 
 def _compositions_in_builds(run):
@@ -465,8 +468,9 @@ def _compositions_in_builds(run):
 def test_build_compositions_are_pinned():
     """Exact compositions inside chain builds, for the builds pinned above.
     A tree rebuild keeps the elements of unchanged tree edges; recomputing
-    every element of every rebuilt tree took 1233, 1396 and 1906."""
+    every element of every rebuilt tree took 1233 and 1396 on the two
+    groups."""
     assert _compositions_in_builds(lambda: PermGroup(_sym(8), 8).order()) == 849
     assert _compositions_in_builds(lambda: PermGroup(_wreath(3, 4), 12).order()) == 682
     query = _seeded_wreath_string_query()
-    assert _compositions_in_builds(lambda: string_iso(query)) == 1238
+    assert _compositions_in_builds(lambda: string_iso(query)) == 3611

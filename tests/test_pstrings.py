@@ -119,6 +119,26 @@ class TestMakeFamily:
         res = generalized_string_iso(GsiInstance(PermGroup([swap], 4), part, x, y))
         assert res.rep == swap
 
+    def test_class_id_that_names_no_class_rejected(self):
+        # an empty member on an unknown class has the length of its
+        # (empty) point list, so only the class check catches it
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        for class_id in (5, 2, -1):
+            with pytest.raises(ValueError, match="names no class"):
+                PStringFamily(part, [PString(class_id, ())])
+
+    def test_given_sentinel_marks_the_padding_only(self):
+        # a sentinel that is a letter of a real member would make
+        # harmonize_sentinels drop that member as padding
+        part = PPartition.from_classes(4, [[0, 1], [2, 3]])
+        for members in ([PString(0, (0, 0)), PString(0, (0, 1))],
+                        [PString(0, (0, 1)), PString(0, (2, 2)), PString(1, (2, 2))],
+                        [PString(0, (0, 1)), PString(1, (2, 1))]):
+            with pytest.raises(ValueError, match="is a letter of a member"):
+                PStringFamily(part, members, sentinel=members[-1].letters[0])
+        padded = PStringFamily(part, [PString(0, (0, 1)), PString(1, (2, 2))], sentinel=2)
+        assert padded == make_family(part, [PString(0, (0, 1))], sentinel=2)
+
 
 class TestRestrict:
     def test_identity_restriction(self):

@@ -21,12 +21,63 @@ from setiso.solver import (
 )
 from setiso.strings import ColoredString, set_of_strings_iso
 
+from test_differential import assert_same_answer, ordered_pairs, wreath_on
 from util import rand_family_on, rand_group, rand_invariant_partition, rand_perm
 
 
 def sym(n):
     return PermGroup([Permutation.from_cycles(n, [0, 1]),
                       Permutation.from_cycles(n, list(range(n)))], n)
+
+
+# Instances past the listing bound that reach the branches of the Luks
+# recursion; TestDispatch checks that they still do.
+RELABEL_14 = Permutation([3, 2, 6, 7, 1, 0, 4, 5, 10, 11, 8, 9, 13, 12])   # in S2 wr S7
+
+
+def block_case():
+    """A hypergraph under S2 wr S7 (order 645,120), transitive and balanced,
+    so the block branch runs."""
+    h = Hypergraph(14, frozenset(map(frozenset, [(0, 1, 2), (2, 4), (3, 5, 6), (1, 7),
+                                                 (8, 10), (9, 11), (12, 13)])))
+    return GsiInstance(PermGroup(wreath_on(14, 2, 7), 14), PPartition.trivial(14),
+                       hypergraph_to_family(h), hypergraph_to_family(h.apply(RELABEL_14)))
+
+
+def balance_case():
+    """S2 wr S7 with the blocks as classes and occupancies (2, 1, 1, 2, 1,
+    1, 2), which balance_orbits refines by a nested string query."""
+    part = PPartition.from_classes(14, [[2 * i, 2 * i + 1] for i in range(7)])
+    fx = make_family(part, [PString(0, (0, 1)), PString(0, (1, 0)), PString(1, (0, 0)),
+                            PString(2, (1, 1)), PString(3, (0, 1)), PString(3, (1, 1)),
+                            PString(4, (0, 0)), PString(5, (1, 1)), PString(6, (0, 1)),
+                            PString(6, (1, 1))])
+    return GsiInstance(PermGroup(wreath_on(14, 2, 7), 14), part, fx, fx.apply(RELABEL_14))
+
+
+def window_case():
+    """Sym(8) x Sym(3) (order 241,920), two orbit windows, with members on
+    the class {0..7} alone."""
+    n = 11
+    g = PermGroup([Permutation.from_cycles(n, [0, 1]),
+                   Permutation.from_cycles(n, list(range(8))),
+                   Permutation.from_cycles(n, [8, 9]),
+                   Permutation.from_cycles(n, [8, 9, 10])], n)
+    part = PPartition.from_classes(n, [list(range(8)), [8, 9, 10]])
+    return GsiInstance(g, part, PStringFamily(part, [PString(0, (0, 1, 1, 0, 0, 0, 0, 0))]),
+                       PStringFamily(part, [PString(0, (1, 0, 1, 0, 0, 0, 0, 0))]))
+
+
+def string_case(group, seed):
+    """A 2-letter string and its image under a word in the generators."""
+    rng = random.Random(seed)
+    n = group.degree
+    fx = make_family(PPartition.trivial(n), [PString(0, tuple(rng.randrange(2)
+                                                                for _ in range(n)))])
+    word = Permutation.identity(n)
+    for _ in range(10):
+        word = word * rng.choice(group.generators)
+    return GsiInstance(group, fx.partition, fx, fx.apply(word))
 
 
 def brute_gsi(group, x, y):
@@ -242,9 +293,11 @@ class TestStructuredGroups:
                 assert got == brute_gsi(group, fx, fy)
 
     def test_block_cuts_filter_the_shifts(self, monkeypatch):
-        # S2 wr S4 (order 384): the block action onto S4 lists 24 shifts, but
-        # only the shifts that carry every block onto one with the same
-        # member cuts can have a nonempty piece
+        # S2 wr S7 (order 645,120, past the listing bound): the block action
+        # onto S7 has 5040 shifts, but only the shifts that carry every block
+        # onto one with the same member cuts can have a nonempty piece.
+        # Blocks 2 to 5 share their cuts and the others differ, so 4! = 24
+        # shifts are listed.
         yields = []
 
         def counting(*args):
@@ -254,14 +307,12 @@ class TestStructuredGroups:
                 yield t
 
         monkeypatch.setattr(setiso.solver, "transversal_cosets", counting)
-        g = PermGroup([Permutation.from_cycles(8, [0, 1]),
-                       Permutation.from_cycles(8, [0, 2], [1, 3]),
-                       Permutation.from_cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])], 8)
-        h = Hypergraph(8, frozenset(map(frozenset, [(0, 1, 2), (2, 4), (3, 5, 6), (1, 7)])))
-        relabel = Permutation([3, 2, 6, 7, 1, 0, 4, 5])
-        x, y = hypergraph_to_family(h), hypergraph_to_family(h.apply(relabel))
-        assert solver_set(g, PPartition.trivial(8), x, y) == brute_gsi(g, x, y)
-        assert yields == [2]
+        inst = block_case()
+        got = generalized_string_iso(inst)
+        assert yields == [24]
+        monkeypatch.setattr(setiso.solver, "DIRECT_ENUM_CUTOFF", inst.group.order())
+        assert_same_answer(got, generalized_string_iso(inst))
+        assert yields == [24]
 
 
 class TestNormalizedInstances:
@@ -308,20 +359,17 @@ class TestCombineWindows:
         assert res.group.order() == g.order()
 
     def test_window_whose_classes_hold_no_member(self):
-        # Sym(5) x Sym(2), past the direct cutoff, with members on the class
-        # {0..4} alone: no member has a piece on {5, 6}, so the window
-        # product is a string on no points and adds no condition
-        n = 7
-        g = PermGroup([Permutation.from_cycles(n, [0, 1]),
-                       Permutation.from_cycles(n, [0, 1, 2, 3, 4]),
-                       Permutation.from_cycles(n, [5, 6])], n)
-        part = PPartition.from_classes(n, [[0, 1, 2, 3, 4], [5, 6]])
-        x = PStringFamily(part, [PString(0, (0, 1, 1, 0, 0))])
-        y = PStringFamily(part, [PString(0, (1, 0, 1, 0, 0))])
-        assert g.order() > DIRECT_ENUM_CUTOFF
-        expected = brute_gsi(g, x, y)
-        assert len(expected) == 24
-        assert solver_set(g, part, x, y) == expected
+        # Sym(8) x Sym(3), past the listing bound, with members on the class
+        # {0..7} alone: no member has a piece on {8, 9, 10}, so the window
+        # product is a string on no points and adds no condition.  The
+        # isomorphisms are those of the letters on {0..7}, times Sym(3).
+        inst = window_case()
+        x, y = inst.x, inst.y
+        assert inst.group.order() > DIRECT_ENUM_CUTOFF
+        res = generalized_string_iso(inst)
+        assert res.order() == 2 * 720 * 6
+        assert family_image_key(x, res.rep) == y.key()
+        assert all(family_image_key(x, h) == x.key() for h in res.group.generators)
 
     def test_guard_on_mismatched_window(self):
         g = PermGroup([], 4)
@@ -427,23 +475,71 @@ class TestBudget:
             init(self, limit)
 
         monkeypatch.setattr(setiso.solver.Budget, "__init__", recording_init)
-        # S2 wr S4 (order 384, past the direct cutoff) with the blocks as
-        # classes; the occupancies (2, 1, 1, 2) make balance_orbits ask a
-        # nested string query
-        g = PermGroup([Permutation.from_cycles(8, [0, 1]),
-                       Permutation.from_cycles(8, [0, 2], [1, 3]),
-                       Permutation.from_cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])], 8)
-        part = PPartition.from_classes(8, [[2 * i, 2 * i + 1] for i in range(4)])
-        fx = make_family(part, [PString(0, (0, 1)), PString(0, (1, 0)), PString(1, (0, 0)),
-                                PString(2, (1, 1)), PString(3, (0, 1)), PString(3, (1, 1))])
-        inst = GsiInstance(g, part, fx, fx.apply(Permutation([3, 2, 6, 7, 1, 0, 4, 5])))
-        assert g.order() > DIRECT_ENUM_CUTOFF
-        assert generalized_string_iso(inst).order() == 8
+        # S2 wr S7 (order 645,120, past the listing bound) with the blocks
+        # as classes; the occupancies (2, 1, 1, 2, 1, 1, 2) make
+        # balance_orbits ask a nested string query.  Each block keeps its
+        # member letters under the swap except blocks 3 and 6, and blocks
+        # 1 and 4, 2 and 5, 3 and 6 may trade places: 2^5 * 2^3 = 256.
+        inst = balance_case()
+        assert inst.group.order() > DIRECT_ENUM_CUTOFF
+        assert generalized_string_iso(inst).order() == 256
         assert len(budgets) == 1
         total = budgets[0].used
         with pytest.raises(BudgetExceeded):
             generalized_string_iso(inst, SolverConfig(budget=total - 1))
-        assert generalized_string_iso(inst, SolverConfig(budget=total)).order() == 8
+        assert generalized_string_iso(inst, SolverConfig(budget=total)).order() == 256
+
+
+class TestDispatch:
+    def test_every_branch_of_the_dispatcher_is_reached(self, monkeypatch):
+        # one query per branch of _gsi_group; a change to the listing bound
+        # or the dispatch that leaves a branch unreached fails here
+        seen = set()
+        search_coset = PermGroup.search_coset
+        balance = setiso.solver.balance_orbits
+        enforce = setiso.solver.enforce_window
+        shifts = setiso.solver.transversal_cosets
+
+        def listing(group, *args):
+            if group.order() <= DIRECT_ENUM_CUTOFF:
+                seen.add("direct listing")
+            elif group.minimal_block_system(range(group.degree))[1]:
+                seen.add("primitive listing")
+            else:
+                seen.add("trivial-kernel listing")
+            return search_coset(group, *args)
+
+        def balancing(group, *args):
+            res = balance(group, *args)
+            if not res.is_empty and res.group.order() < group.order():
+                seen.add("balance")
+            return res
+
+        def windows(*args):
+            seen.add("windows")
+            return enforce(*args)
+
+        def block_shifts(*args):
+            seen.add("block shifts")
+            return shifts(*args)
+
+        monkeypatch.setattr(PermGroup, "search_coset", listing)
+        monkeypatch.setattr(setiso.solver, "balance_orbits", balancing)
+        monkeypatch.setattr(setiso.solver, "enforce_window", windows)
+        monkeypatch.setattr(setiso.solver, "transversal_cosets", block_shifts)
+        cases = {
+            "direct listing": string_case(sym(5), 1),
+            "windows": window_case(),
+            "balance": balance_case(),
+            "primitive listing": string_case(sym(9), 2),
+            "trivial-kernel listing": string_case(ordered_pairs(9), 3),
+            "block shifts": block_case(),
+        }
+        for branch, inst in cases.items():
+            seen.clear()
+            res = generalized_string_iso(inst)
+            assert family_image_key(inst.x, res.rep) == inst.y.key()
+            assert branch in seen
 
 
 def _restrict(g, points):

@@ -55,6 +55,14 @@ class TestStringIso:
             assert not res.is_empty
             assert res.contains(Permutation.identity(n))
 
+    def test_letters_are_stored_as_a_tuple_of_ints(self):
+        x = ColoredString([0, 1, 1])
+        assert x.letters == (0, 1, 1)
+        assert string_iso(StringQuery(sym(3), x, x)).order() == 2
+        for letters in (["a", "b"], [0, None], 3):
+            with pytest.raises(ValueError, match="string letters must be"):
+                ColoredString(letters)
+
     def test_window_invariance_enforced(self):
         with pytest.raises(ValueError):
             string_iso(StringQuery(sym(3), s_of([0, 1, 2]), s_of([0, 1, 2]), window=[0]))
